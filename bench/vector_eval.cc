@@ -139,15 +139,21 @@ bool BenchSelect(const BenchArgs& args, double* row_s, double* col_s) {
 //    evaluator SortRunRangeColumnar leaves the sorted keys behind and
 //    every downstream merge reuses them, so the merge never pays for
 //    encoding.
+//
+// Both kernels run over the same sorted reference runs, as in the staged
+// evaluator, and both emit the left references of the matches.
 bool BenchIntersect(const BenchArgs& args, double* row_s, double* col_s) {
   Schema schema = BenchSchema();
-  std::vector<Tuple> left = MakeRun(kRunTuples, args.seed + 10, 16, 64);
-  std::vector<Tuple> right =
+  std::vector<Tuple> left_tuples = MakeRun(kRunTuples, args.seed + 10, 16, 64);
+  std::vector<Tuple> right_tuples =
       MakeRun(kRunTuples / 2, args.seed + 11, 16, 64);
   // A sprinkle of exact duplicates so the merge produces real output;
-  // the identical output-tuple copies are paid by both sides, so they
-  // are kept small relative to the comparison work being measured.
-  right.insert(right.end(), left.begin(), left.begin() + kRunTuples / 64);
+  // emitting a match appends one reference on either side, so the output
+  // work is identical and small next to the comparison work measured.
+  right_tuples.insert(right_tuples.end(), left_tuples.begin(),
+                      left_tuples.begin() + kRunTuples / 64);
+  TupleRefs left = RefsOf(left_tuples);
+  TupleRefs right = RefsOf(right_tuples);
   int64_t ignore = 0;
   SortRunRange(&left, {}, &ignore);
   SortRunRange(&right, {}, &ignore);
@@ -155,25 +161,25 @@ bool BenchIntersect(const BenchArgs& args, double* row_s, double* col_s) {
 
   int64_t row_out = 0, col_out = 0;
   std::vector<uint8_t> left_keys, right_keys;
-  EncodeKeyColumns(std::span<const Tuple>(left), schema, {}, &left_keys);
-  EncodeKeyColumns(std::span<const Tuple>(right), schema, {}, &right_keys);
+  EncodeKeyColumns(left, schema, {}, &left_keys);
+  EncodeKeyColumns(right, schema, {}, &right_keys);
+  TupleRefs out;
   BestOfInterleaved(
       5,
       [&] {
         for (int rep = 0; rep < args.repetitions; ++rep) {
           int64_t comparisons = 0;
-          row_out += static_cast<int64_t>(
-              MergeIntersectRange(left, right, &comparisons).size());
+          out.clear();
+          row_out += MergeIntersectRange(left, right, &out, &comparisons);
         }
       },
       [&] {
         for (int rep = 0; rep < args.repetitions; ++rep) {
           int64_t comparisons = 0;
-          col_out += static_cast<int64_t>(
-              MergeIntersectRangeColumnar(left, left_keys.data(), right,
-                                          right_keys.data(), width,
-                                          &comparisons)
-                  .size());
+          out.clear();
+          col_out += MergeIntersectRangeColumnar(
+              left, left_keys.data(), right, right_keys.data(), width, &out,
+              &comparisons);
         }
       },
       row_s, col_s);

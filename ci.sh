@@ -47,6 +47,12 @@
 #                 build/artifacts/sel_predictor.json, refreshes
 #                 BENCH_pred.json, and gates the >=10% wasted-draw savings
 #                 and lower stage-cost error vs the prior-cache baseline
+#   perfbench-smoke
+#                 the repository benchmark's unit tests (perfbench/
+#                 test_benchlib.py), then a 5 s paper_sim run at seed 1
+#                 whose result digest and simulated-operation totals must
+#                 equal the baseline in perfbench/workloads.json; archives
+#                 the report at build/artifacts/perfbench_smoke.txt
 #   tsan          ThreadSanitizer build + ctest (contracts armed)
 #   asan          AddressSanitizer build + ctest (contracts armed)
 #   ubsan         UndefinedBehaviorSanitizer build + ctest (contracts armed)
@@ -58,7 +64,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 jobs="$(nproc 2>/dev/null || echo 2)"
-ALL_STAGES=(lint format-check tidy thread-safety release trace-smoke warm-bench serve-bench fault-bench vec-bench pred-bench tsan asan ubsan)
+ALL_STAGES=(lint format-check tidy thread-safety release trace-smoke warm-bench serve-bench fault-bench vec-bench pred-bench perfbench-smoke tsan asan ubsan)
 
 usage() {
   echo "usage: $0 [stage...]   stages: ${ALL_STAGES[*]}" >&2
@@ -338,6 +344,36 @@ print(f"pred-bench: {result['wasted_savings_pct']:.1f}% wasted-draw savings, "
       f"{result['predictor']['stage_cost_overrun_err']:.3f} vs "
       f"{result['prior_cache']['stage_cost_overrun_err']:.3f}; "
       "summary at BENCH_pred.json")
+EOF_PY
+}
+
+stage_perfbench_smoke() {
+  # A pure speed change never moves the simulated work: the first 32
+  # paper_sim queries at seed 1 must reproduce the recorded digest and
+  # operation totals exactly.
+  mkdir -p build/artifacts &&
+    python3 perfbench/test_benchlib.py &&
+    python3 perfbench/run.py --workload paper_sim --seed 1 --seconds 5 \
+      --trace 0 | tee build/artifacts/perfbench_smoke.txt &&
+    python3 - <<'EOF_PY'
+import json
+import re
+with open("perfbench/workloads.json") as f:
+    baseline = json.load(f)["workloads"]["paper_sim"]["baseline"][
+        "seed_1_first_32_queries"]
+with open("build/artifacts/perfbench_smoke.txt") as f:
+    report = f.read()
+found = {}
+m = re.search(r"^result_digest (\S+) over", report, re.M)
+if m:
+    found["result_digest"] = m.group(1)
+for m in re.finditer(r"^(sim\.ops\.\w+) total (\d+)$", report, re.M):
+    found[m.group(1)] = int(m.group(2))
+diffs = [f"{k}: expected {v}, got {found.get(k)}"
+         for k, v in baseline.items() if found.get(k) != v]
+assert not diffs, "perfbench-smoke: " + "; ".join(diffs)
+print(f"perfbench-smoke: digest and {len(baseline) - 1} sim.ops totals "
+      "match the paper_sim baseline")
 EOF_PY
 }
 

@@ -169,6 +169,16 @@ Result<QueryResult> RunTimeConstrainedAggregate(
   TCQ_RETURN_NOT_OK(options.Validate());
   const double quota_s = options.quota_s;
   const ObsHandle& obs = options.obs;
+  const bool wall = options.use_wall_clock;
+  VirtualClock virtual_clock;
+  WallClock wall_clock;
+  const Clock& clock =
+      wall ? static_cast<const Clock&>(wall_clock) : virtual_clock;
+  // The quota runs from query entry: in wall-clock mode term expansion,
+  // the observer's OnQueryBegin and evaluator and sampler construction
+  // all spend it. Simulated time advances only inside the stage loop, so
+  // simulated runs are unaffected.
+  const Deadline deadline = Deadline::StartingNow(clock, quota_s);
   // Validate the expression and expand it into intersect-only terms.
   TCQ_ASSIGN_OR_RETURN(Schema schema, InferSchema(expr, catalog));
   int value_col = -1;
@@ -182,11 +192,6 @@ Result<QueryResult> RunTimeConstrainedAggregate(
     return r;
   }
 
-  const bool wall = options.use_wall_clock;
-  VirtualClock virtual_clock;
-  WallClock wall_clock;
-  const Clock& clock =
-      wall ? static_cast<const Clock&>(wall_clock) : virtual_clock;
   if (obs.tracer != nullptr && !wall) {
     // Simulated runs stamp trace events with virtual time: the exported
     // trace becomes a pure function of the seed (golden-schema test).
@@ -415,8 +420,6 @@ Result<QueryResult> RunTimeConstrainedAggregate(
       }
     }
   }
-
-  const Deadline deadline = Deadline::StartingNow(clock, quota_s);
 
   TraceSpan query_span(obs.tracer, "query", "engine");
   query_span.Arg("terms", static_cast<double>(evaluators.size()));
@@ -648,6 +651,15 @@ Result<QueryResult> RunTimeConstrainedAggregate(
     // coefficient observations happen post-barrier in relation-name
     // order, so neither depends on the worker count.
     std::map<std::string, std::vector<const Block*>> stage_blocks;
+    // Per-relation fetch observations, in relation-name order; observed
+    // after term evaluation, which adds the scans' real seconds in
+    // wall-clock mode.
+    struct FetchObservation {
+      std::string relation;
+      double blocks = 0.0;
+      double seconds = 0.0;
+    };
+    std::vector<FetchObservation> fetches;
     int64_t blocks_drawn = 0;
     int64_t blocks_replayed = 0;
     int64_t stage_transients = 0;
@@ -749,11 +761,10 @@ Result<QueryResult> RunTimeConstrainedAggregate(
         // in simulation the observation feeds the nominal full-read cost
         // regardless of the replay split, and fetch_cost applies the
         // replay discount itself.
-        coefs.Observe(kGlobalCostNode, CostStep::kFetch,
-                      static_cast<double>(slot.blocks.size()),
-                      wall ? slot.seconds
-                           : static_cast<double>(slot.blocks.size()) *
-                                 options.physical.block_read_s);
+        const double drawn = static_cast<double>(slot.blocks.size());
+        fetches.push_back(
+            {slot.name, drawn,
+             wall ? slot.seconds : drawn * options.physical.block_read_s});
         if (faults_on) {
           // Resolve each drawn block's read through the injector: retry
           // transient faults with exponential backoff, drop permanently
@@ -862,7 +873,15 @@ Result<QueryResult> RunTimeConstrainedAggregate(
       stage_parallel.tasks += static_cast<int>(tasks.size());
       for (size_t t = 0; t < evaluators.size(); ++t) {
         TCQ_RETURN_NOT_OK(statuses[t]);
-        stage_parallel.work_seconds += durs[t];
+        // The term task ran its evaluator's sort/merge fan-out inside it:
+        // count those sections' summed task work in place of their
+        // elapsed span, and their tasks, so work/span (and the η fit)
+        // sees the evaluator's parallelism even when a lone term task
+        // runs inline.
+        const ParallelStats& inner = evaluators[t]->last_stage_parallelism();
+        stage_parallel.work_seconds +=
+            durs[t] - inner.span_seconds + inner.work_seconds;
+        stage_parallel.tasks += inner.tasks;
       }
       // The term ledgers fold into the virtual clock inside this span so
       // its duration covers the stage's simulated evaluation cost.
@@ -871,6 +890,25 @@ Result<QueryResult> RunTimeConstrainedAggregate(
         if (!wall && delta > 0.0) virtual_clock.Advance(delta);
         ObserveTermStage(*evaluators[t], &coefs);
       }
+    }
+    // A wall-clock fetch is the draw plus the scans' run building over
+    // the drawn blocks, summed over every term scanning the relation.
+    if (wall) {
+      std::map<std::string, double> scan_seconds;
+      for (const auto& ev : evaluators) {
+        for (const StagedNode* node : ev->NodesPreOrder()) {
+          if (node->kind == ExprKind::kScan && !node->stages.empty()) {
+            scan_seconds[node->rel->name()] += node->stages.back().seconds;
+          }
+        }
+      }
+      for (FetchObservation& fetch : fetches) {
+        fetch.seconds += scan_seconds[fetch.relation];
+      }
+    }
+    for (const FetchObservation& fetch : fetches) {
+      coefs.Observe(kGlobalCostNode, CostStep::kFetch, fetch.blocks,
+                    fetch.seconds);
     }
     if (predictor != nullptr) {
       // Score this stage's predictions against the realized per-node

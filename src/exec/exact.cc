@@ -84,20 +84,16 @@ Result<TupleSet> EvaluateExact(const ExprPtr& expr, const Catalog& catalog) {
         lkey.push_back(li);
         rkey.push_back(ri);
       }
-      std::sort(l.tuples.begin(), l.tuples.end(),
-                [&lkey](const Tuple& a, const Tuple& b) {
-                  return CompareTuplesOnKey(a, b, lkey) < 0;
-                });
-      std::sort(r.tuples.begin(), r.tuples.end(),
-                [&rkey](const Tuple& a, const Tuple& b) {
-                  return CompareTuplesOnKey(a, b, rkey) < 0;
-                });
+      TupleRefs lrefs = RefsOf(l.tuples);
+      TupleRefs rrefs = RefsOf(r.tuples);
+      int64_t comparisons = 0;  // uncharged: no ledger
+      SortRunRange(&lrefs, lkey, &comparisons);
+      SortRunRange(&rrefs, rkey, &comparisons);
       CostModel model;  // unused rates; no ledger
       TupleSet out;
       out.schema = l.schema.ConcatForJoin(r.schema);
-      out.tuples = MergeJoin(l.tuples, lkey, l.schema, r.tuples, rkey,
-                             r.schema, /*ledger=*/nullptr, model,
-                             /*metrics=*/nullptr);
+      out.tuples = MergeJoin(lrefs, lkey, l.schema, rrefs, rkey, r.schema,
+                             /*ledger=*/nullptr, model, /*metrics=*/nullptr);
       return out;
     }
     case ExprKind::kIntersect:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/check.h"
+
 namespace tcq {
 
 namespace {
@@ -47,19 +49,12 @@ void ChargeOutput(const Schema& schema, int64_t out_tuples,
   }
 }
 
-}  // namespace
-
-std::vector<Tuple> SelectTuples(const std::vector<Tuple>& tuples,
-                                const BoundPredicate& predicate,
-                                const Schema& schema, CostLedger* ledger,
-                                const CostModel& model, OpMetrics* metrics) {
+/// Charges the selection step of `n` input and `out_n` qualifying tuples;
+/// shared by the row and columnar kernels so both charge identically.
+void ChargeSelect(const BoundPredicate& predicate, const Schema& schema,
+                  int64_t n, int64_t out_n, CostLedger* ledger,
+                  const CostModel& model, OpMetrics* metrics) {
   StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
-  std::vector<Tuple> out;
-  for (const Tuple& t : tuples) {
-    if (predicate.Eval(t)) out.push_back(t);
-  }
-  int64_t n = static_cast<int64_t>(tuples.size());
-  int64_t out_n = static_cast<int64_t>(out.size());
   ChargeScope charge(ledger, process);
   charge.ChargeN(CostCategory::kPredicate, n * predicate.num_comparisons(),
                  model.predicate_compare_s);
@@ -69,35 +64,43 @@ std::vector<Tuple> SelectTuples(const std::vector<Tuple>& tuples,
   }
   ChargeOutput(schema, out_n, ledger, model,
                metrics != nullptr ? &metrics->output : nullptr);
+}
+
+}  // namespace
+
+TupleRefs SelectTuples(TupleRefSpan tuples, const BoundPredicate& predicate,
+                       const Schema& schema, CostLedger* ledger,
+                       const CostModel& model, OpMetrics* metrics) {
+  TupleRefs out;
+  for (const Tuple* t : tuples) {
+    if (predicate.Eval(*t)) out.push_back(t);
+  }
+  ChargeSelect(predicate, schema, static_cast<int64_t>(tuples.size()),
+               static_cast<int64_t>(out.size()), ledger, model, metrics);
   return out;
 }
 
-std::vector<Tuple> SelectTuplesColumnar(const std::vector<Tuple>& tuples,
-                                        const ColumnBatch& batch,
-                                        const BoundPredicate& predicate,
-                                        const Schema& schema,
-                                        CostLedger* ledger,
-                                        const CostModel& model,
-                                        OpMetrics* metrics) {
-  assert(static_cast<size_t>(batch.num_rows()) == tuples.size());
-  StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
+TupleRefs SelectTuplesColumnar(TupleRefSpan tuples,
+                               std::span<const ColumnBatch* const> batches,
+                               const BoundPredicate& predicate,
+                               const Schema& schema, CostLedger* ledger,
+                               const CostModel& model, OpMetrics* metrics) {
+  TupleRefs out;
   std::vector<uint8_t> mask;
-  predicate.EvalBatch(batch, &mask);
-  std::vector<Tuple> out;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    if (mask[i] != 0) out.push_back(tuples[i]);
+  size_t offset = 0;
+  for (const ColumnBatch* batch : batches) {
+    predicate.EvalBatch(*batch, &mask);
+    TCQ_DCHECK(offset + mask.size() <= tuples.size(),
+               "column batches hold more rows than the run");
+    for (size_t i = 0; i < mask.size(); ++i) {
+      if (mask[i] != 0) out.push_back(tuples[offset + i]);
+    }
+    offset += mask.size();
   }
-  int64_t n = static_cast<int64_t>(tuples.size());
-  int64_t out_n = static_cast<int64_t>(out.size());
-  ChargeScope charge(ledger, process);
-  charge.ChargeN(CostCategory::kPredicate, n * predicate.num_comparisons(),
-                 model.predicate_compare_s);
-  if (process != nullptr) {
-    process->in_tuples += n;
-    process->comparisons += n * predicate.num_comparisons();
-  }
-  ChargeOutput(schema, out_n, ledger, model,
-               metrics != nullptr ? &metrics->output : nullptr);
+  TCQ_DCHECK(offset == tuples.size(),
+             "column batches do not cover the run");
+  ChargeSelect(predicate, schema, static_cast<int64_t>(tuples.size()),
+               static_cast<int64_t>(out.size()), ledger, model, metrics);
   return out;
 }
 
@@ -115,84 +118,94 @@ void ChargeTempWrite(const Schema& schema, int64_t num_tuples,
   }
 }
 
-void SortRunRange(std::vector<Tuple>* tuples, const std::vector<int>& key,
+void SortRunRange(TupleRefs* run, const std::vector<int>& key,
                   int64_t* comparisons) {
   if (key.empty()) {
-    std::sort(tuples->begin(), tuples->end(),
-              [comparisons](const Tuple& a, const Tuple& b) {
+    std::sort(run->begin(), run->end(),
+              [comparisons](const Tuple* a, const Tuple* b) {
                 ++*comparisons;
-                return CompareTuples(a, b) < 0;
+                return CompareTuples(*a, *b) < 0;
               });
   } else {
-    std::sort(tuples->begin(), tuples->end(),
-              [comparisons, &key](const Tuple& a, const Tuple& b) {
+    std::sort(run->begin(), run->end(),
+              [comparisons, &key](const Tuple* a, const Tuple* b) {
                 ++*comparisons;
-                return CompareTuplesOnKey(a, b, key) < 0;
+                return CompareTuplesOnKey(*a, *b, key) < 0;
               });
   }
 }
 
-void SortRun(std::vector<Tuple>* tuples, const std::vector<int>& key,
-             CostLedger* ledger, const CostModel& model,
-             StepMetrics* metrics) {
+void SortRun(TupleRefs* run, const std::vector<int>& key, CostLedger* ledger,
+             const CostModel& model, StepMetrics* metrics) {
   int64_t comparisons = 0;
-  SortRunRange(tuples, key, &comparisons);
+  SortRunRange(run, key, &comparisons);
   ChargeScope charge(ledger, metrics);
   charge.ChargeN(CostCategory::kSortCompare, comparisons,
                  model.sort_compare_s);
   if (metrics != nullptr) {
-    metrics->in_tuples += static_cast<int64_t>(tuples->size());
-    metrics->out_tuples += static_cast<int64_t>(tuples->size());
+    metrics->in_tuples += static_cast<int64_t>(run->size());
+    metrics->out_tuples += static_cast<int64_t>(run->size());
     metrics->comparisons += comparisons;
   }
 }
 
-std::vector<Tuple> MergeIntersectRange(std::span<const Tuple> left,
-                                       std::span<const Tuple> right,
-                                       int64_t* comparisons) {
-  std::vector<Tuple> out;
+void AppendJoined(TupleRefSpan left, size_t lbeg, size_t lend,
+                  TupleRefSpan right, size_t rbeg, size_t rend,
+                  std::vector<Tuple>* out) {
+  for (size_t a = lbeg; a < lend; ++a) {
+    for (size_t b = rbeg; b < rend; ++b) {
+      Tuple joined;
+      joined.reserve(left[a]->size() + right[b]->size());
+      joined.insert(joined.end(), left[a]->begin(), left[a]->end());
+      joined.insert(joined.end(), right[b]->begin(), right[b]->end());
+      out->push_back(std::move(joined));
+    }
+  }
+}
+
+int64_t MergeIntersectRange(TupleRefSpan left, TupleRefSpan right,
+                            TupleRefs* out, int64_t* comparisons) {
+  int64_t emitted = 0;
   size_t i = 0, j = 0;
   while (i < left.size() && j < right.size()) {
     ++*comparisons;
-    int c = CompareTuples(left[i], right[j]);
+    int c = CompareTuples(*left[i], *right[j]);
     if (c < 0) {
       ++i;
     } else if (c > 0) {
       ++j;
     } else {
-      // Equal group: emit one output point per (left, right) pair.
+      // Equal group: one output point per (left, right) pair.
       size_t i_end = i + 1;
       while (i_end < left.size()) {
         ++*comparisons;
-        if (CompareTuples(left[i_end], left[i]) != 0) break;
+        if (CompareTuples(*left[i_end], *left[i]) != 0) break;
         ++i_end;
       }
       size_t j_end = j + 1;
       while (j_end < right.size()) {
         ++*comparisons;
-        if (CompareTuples(right[j_end], right[j]) != 0) break;
+        if (CompareTuples(*right[j_end], *right[j]) != 0) break;
         ++j_end;
       }
-      for (size_t a = i; a < i_end; ++a) {
-        for (size_t b = j; b < j_end; ++b) {
-          (void)b;
-          out.push_back(left[a]);
+      emitted += static_cast<int64_t>((i_end - i) * (j_end - j));
+      if (out != nullptr) {
+        for (size_t a = i; a < i_end; ++a) {
+          out->insert(out->end(), j_end - j, left[a]);
         }
       }
       i = i_end;
       j = j_end;
     }
   }
-  return out;
+  return emitted;
 }
 
-std::vector<Tuple> MergeJoinRange(std::span<const Tuple> left,
-                                  const std::vector<int>& left_key,
-                                  std::span<const Tuple> right,
-                                  const std::vector<int>& right_key,
-                                  int64_t* comparisons) {
+int64_t MergeJoinRange(TupleRefSpan left, const std::vector<int>& left_key,
+                       TupleRefSpan right, const std::vector<int>& right_key,
+                       std::vector<Tuple>* out, int64_t* comparisons) {
   assert(left_key.size() == right_key.size());
-  std::vector<Tuple> out;
+  int64_t emitted = 0;
   auto cmp_lr = [&](const Tuple& a, const Tuple& b) {
     ++*comparisons;
     for (size_t k = 0; k < left_key.size(); ++k) {
@@ -204,7 +217,7 @@ std::vector<Tuple> MergeJoinRange(std::span<const Tuple> left,
   };
   size_t i = 0, j = 0;
   while (i < left.size() && j < right.size()) {
-    int c = cmp_lr(left[i], right[j]);
+    int c = cmp_lr(*left[i], *right[j]);
     if (c < 0) {
       ++i;
     } else if (c > 0) {
@@ -213,30 +226,27 @@ std::vector<Tuple> MergeJoinRange(std::span<const Tuple> left,
       size_t i_end = i + 1;
       while (i_end < left.size()) {
         ++*comparisons;
-        if (CompareTuplesOnKey(left[i_end], left[i], left_key) != 0) break;
+        if (CompareTuplesOnKey(*left[i_end], *left[i], left_key) != 0) break;
         ++i_end;
       }
       size_t j_end = j + 1;
       while (j_end < right.size()) {
         ++*comparisons;
-        if (CompareTuplesOnKey(right[j_end], right[j], right_key) != 0) break;
+        if (CompareTuplesOnKey(*right[j_end], *right[j], right_key) != 0) {
+          break;
+        }
         ++j_end;
       }
-      for (size_t a = i; a < i_end; ++a) {
-        for (size_t b = j; b < j_end; ++b) {
-          Tuple joined = left[a];
-          joined.insert(joined.end(), right[b].begin(), right[b].end());
-          out.push_back(std::move(joined));
-        }
-      }
+      emitted += static_cast<int64_t>((i_end - i) * (j_end - j));
+      if (out != nullptr) AppendJoined(left, i, i_end, right, j, j_end, out);
       i = i_end;
       j = j_end;
     }
   }
-  return out;
+  return emitted;
 }
 
-std::vector<size_t> PartitionSortedRun(const std::vector<Tuple>& run,
+std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
                                        const std::vector<int>& key,
                                        size_t max_parts, size_t min_chunk) {
   const size_t n = run.size();
@@ -255,7 +265,7 @@ std::vector<size_t> PartitionSortedRun(const std::vector<Tuple>& run,
     // Advance to the start of the next key group so equal keys stay in
     // one chunk.
     while (target < n && target > 0 &&
-           same_group(run[target - 1], run[target])) {
+           same_group(*run[target - 1], *run[target])) {
       ++target;
     }
     if (target > bounds.back() && target < n) bounds.push_back(target);
@@ -264,8 +274,8 @@ std::vector<size_t> PartitionSortedRun(const std::vector<Tuple>& run,
   return bounds;
 }
 
-size_t LowerBoundCrossKey(std::span<const Tuple> run,
-                          const std::vector<int>& run_key, const Tuple& probe,
+size_t LowerBoundCrossKey(TupleRefSpan run, const std::vector<int>& run_key,
+                          const Tuple& probe,
                           const std::vector<int>& probe_key) {
   auto cmp = [&](const Tuple& elem) {
     if (run_key.empty()) return CompareTuples(elem, probe);
@@ -280,7 +290,7 @@ size_t LowerBoundCrossKey(std::span<const Tuple> run,
   size_t lo = 0, hi = run.size();
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    if (cmp(run[mid]) < 0) {
+    if (cmp(*run[mid]) < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -289,16 +299,13 @@ size_t LowerBoundCrossKey(std::span<const Tuple> run,
   return lo;
 }
 
-std::vector<Tuple> MergeIntersect(const std::vector<Tuple>& left,
-                                  const std::vector<Tuple>& right,
-                                  const Schema& schema, CostLedger* ledger,
-                                  const CostModel& model,
-                                  OpMetrics* metrics) {
+TupleRefs MergeIntersect(TupleRefSpan left, TupleRefSpan right,
+                         const Schema& schema, CostLedger* ledger,
+                         const CostModel& model, OpMetrics* metrics) {
   StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
   int64_t comparisons = 0;
-  std::vector<Tuple> out = MergeIntersectRange(
-      std::span<const Tuple>(left), std::span<const Tuple>(right),
-      &comparisons);
+  TupleRefs out;
+  MergeIntersectRange(left, right, &out, &comparisons);
   ChargeScope charge(ledger, process);
   charge.ChargeN(CostCategory::kMergeCompare, comparisons,
                  model.merge_compare_s);
@@ -311,21 +318,18 @@ std::vector<Tuple> MergeIntersect(const std::vector<Tuple>& left,
   return out;
 }
 
-std::vector<Tuple> MergeJoin(const std::vector<Tuple>& left,
+std::vector<Tuple> MergeJoin(TupleRefSpan left,
                              const std::vector<int>& left_key,
-                             const Schema& left_schema,
-                             const std::vector<Tuple>& right,
+                             const Schema& left_schema, TupleRefSpan right,
                              const std::vector<int>& right_key,
-                             const Schema& right_schema,
-                             CostLedger* ledger, const CostModel& model,
-                             OpMetrics* metrics) {
+                             const Schema& right_schema, CostLedger* ledger,
+                             const CostModel& model, OpMetrics* metrics) {
   assert(left_key.size() == right_key.size());
   StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
   Schema out_schema = left_schema.ConcatForJoin(right_schema);
   int64_t comparisons = 0;
-  std::vector<Tuple> out =
-      MergeJoinRange(std::span<const Tuple>(left), left_key,
-                     std::span<const Tuple>(right), right_key, &comparisons);
+  std::vector<Tuple> out;
+  MergeJoinRange(left, left_key, right, right_key, &out, &comparisons);
   ChargeScope charge(ledger, process);
   charge.ChargeN(CostCategory::kMergeCompare, comparisons,
                  model.merge_compare_s);
@@ -338,17 +342,17 @@ std::vector<Tuple> MergeJoin(const std::vector<Tuple>& left,
   return out;
 }
 
-std::vector<GroupCount> DedupSorted(const std::vector<Tuple>& tuples,
-                                    const Schema& schema, CostLedger* ledger,
+std::vector<GroupCount> DedupSorted(TupleRefSpan tuples, const Schema& schema,
+                                    CostLedger* ledger,
                                     const CostModel& model,
                                     OpMetrics* metrics) {
   StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
   std::vector<GroupCount> out;
   int64_t comparisons = 0;
-  for (const Tuple& t : tuples) {
+  for (const Tuple* t : tuples) {
     if (!out.empty()) {
       ++comparisons;
-      if (CompareTuples(out.back().tuple, t) == 0) {
+      if (CompareTuples(*out.back().tuple, *t) == 0) {
         ++out.back().count;
         continue;
       }
@@ -367,16 +371,16 @@ std::vector<GroupCount> DedupSorted(const std::vector<Tuple>& tuples,
   return out;
 }
 
-std::vector<Tuple> ProjectColumns(const std::vector<Tuple>& tuples,
+std::vector<Tuple> ProjectColumns(TupleRefSpan tuples,
                                   const std::vector<int>& columns,
                                   CostLedger* ledger, const CostModel& model,
                                   StepMetrics* metrics) {
   std::vector<Tuple> out;
   out.reserve(tuples.size());
-  for (const Tuple& t : tuples) {
+  for (const Tuple* t : tuples) {
     Tuple projected;
     projected.reserve(columns.size());
-    for (int c : columns) projected.push_back(t[static_cast<size_t>(c)]);
+    for (int c : columns) projected.push_back((*t)[static_cast<size_t>(c)]);
     out.push_back(std::move(projected));
   }
   ChargeScope charge(ledger, metrics);

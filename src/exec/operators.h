@@ -33,26 +33,26 @@ struct OpMetrics {
 };
 
 /// Evaluates a selection formula over `tuples`, charging one predicate
-/// comparison per formula leaf per tuple plus output-page writes.
-/// The input tuples are assumed already paid for (block fetch happens at
-/// sampling time; intermediate inputs were paid for by the producer).
-std::vector<Tuple> SelectTuples(const std::vector<Tuple>& tuples,
-                                const BoundPredicate& predicate,
-                                const Schema& schema, CostLedger* ledger,
-                                const CostModel& model, OpMetrics* metrics);
+/// comparison per formula leaf per tuple plus output-page writes, and
+/// returns the references of the qualifying tuples. The input tuples are
+/// assumed already paid for (block fetch happens at sampling time;
+/// intermediate inputs were paid for by the producer).
+TupleRefs SelectTuples(TupleRefSpan tuples, const BoundPredicate& predicate,
+                       const Schema& schema, CostLedger* ledger,
+                       const CostModel& model, OpMetrics* metrics);
 
-/// Vectorized selection: evaluates the formula over the columnar batch
+/// Vectorized selection: evaluates the formula over each columnar batch
 /// (selection bitmap via BoundPredicate::EvalBatch), then gathers the
-/// passing rows from `tuples`. `batch` must hold the same rows as `tuples`
-/// in the same order. Output and charges are identical to SelectTuples —
-/// selection cost is per formula leaf per input tuple in both paths.
-std::vector<Tuple> SelectTuplesColumnar(const std::vector<Tuple>& tuples,
-                                        const ColumnBatch& batch,
-                                        const BoundPredicate& predicate,
-                                        const Schema& schema,
-                                        CostLedger* ledger,
-                                        const CostModel& model,
-                                        OpMetrics* metrics);
+/// references of the passing rows. `batches` must hold the rows of
+/// `tuples` in the same order — typically one batch per fetched block.
+/// Output and charges are identical to SelectTuples: selection cost is per
+/// formula leaf per input tuple in both paths, charged once over the whole
+/// run whatever the batch boundaries.
+TupleRefs SelectTuplesColumnar(TupleRefSpan tuples,
+                               std::span<const ColumnBatch* const> batches,
+                               const BoundPredicate& predicate,
+                               const Schema& schema, CostLedger* ledger,
+                               const CostModel& model, OpMetrics* metrics);
 
 /// Writes `tuples` to a temporary file (step 1 of the paper's intersect/
 /// join/project algorithms, Figures 4.4/4.6/4.7): charges one tuple move
@@ -61,13 +61,12 @@ void ChargeTempWrite(const Schema& schema, int64_t num_tuples,
                      CostLedger* ledger, const CostModel& model,
                      StepMetrics* metrics);
 
-/// Sorts `tuples` in place on the given key columns (all columns when
+/// Sorts the run in place on the given key columns (all columns when
 /// `key` is empty), charging each realized comparison (step 2, external
 /// sort; eq. 4.3's `C2·n·log n + C3·n` shape emerges from the realized
 /// comparison count).
-void SortRun(std::vector<Tuple>* tuples, const std::vector<int>& key,
-             CostLedger* ledger, const CostModel& model,
-             StepMetrics* metrics);
+void SortRun(TupleRefs* run, const std::vector<int>& key, CostLedger* ledger,
+             const CostModel& model, StepMetrics* metrics);
 
 /// ---- Merge kernels ------------------------------------------------------
 ///
@@ -79,27 +78,37 @@ void SortRun(std::vector<Tuple>* tuples, const std::vector<int>& key,
 /// output exactly. The kernels do no cost accounting — they only count
 /// comparisons; callers charge ledgers/metrics from the counts afterwards,
 /// in a fixed order, so results and charges are identical for any worker
-/// count.
+/// count. Each merge kernel returns its output count and appends the
+/// output to `*out` only when `out` is non-null: a result nobody reads
+/// (the root of a COUNT term) is counted, never built.
 
-/// Sort kernel: sorts `*tuples` in place on `key` (all columns when
-/// empty), appending the comparison count to `*comparisons` (must be
-/// non-null). No cost accounting.
-void SortRunRange(std::vector<Tuple>* tuples, const std::vector<int>& key,
+/// Sort kernel: sorts the run in place on `key` (all columns when empty),
+/// appending the comparison count to `*comparisons` (must be non-null).
+/// Sorting references makes the same comparator decisions as sorting the
+/// tuples themselves. No cost accounting.
+void SortRunRange(TupleRefs* run, const std::vector<int>& key,
                   int64_t* comparisons);
 
-/// Merge-join kernel over sorted ranges. Appends the comparison count to
-/// `*comparisons` (must be non-null).
-std::vector<Tuple> MergeJoinRange(std::span<const Tuple> left,
-                                  const std::vector<int>& left_key,
-                                  std::span<const Tuple> right,
-                                  const std::vector<int>& right_key,
-                                  int64_t* comparisons);
-
-/// Merge-intersect kernel over ranges sorted on all columns. Appends the
+/// Merge-join kernel over sorted ranges: appends one concatenated tuple
+/// per matching (left, right) pair to `*out` (if non-null) and the
 /// comparison count to `*comparisons` (must be non-null).
-std::vector<Tuple> MergeIntersectRange(std::span<const Tuple> left,
-                                       std::span<const Tuple> right,
-                                       int64_t* comparisons);
+int64_t MergeJoinRange(TupleRefSpan left, const std::vector<int>& left_key,
+                       TupleRefSpan right, const std::vector<int>& right_key,
+                       std::vector<Tuple>* out, int64_t* comparisons);
+
+/// Appends the concatenation of every (left[a], right[b]) pair, a in
+/// [lbeg, lend) and b in [rbeg, rend), to `*out` in left-major order: the
+/// output of one matching key group of a merge join.
+void AppendJoined(TupleRefSpan left, size_t lbeg, size_t lend,
+                  TupleRefSpan right, size_t rbeg, size_t rend,
+                  std::vector<Tuple>* out);
+
+/// Merge-intersect kernel over ranges sorted on all columns: each matching
+/// group contributes (left multiplicity × right multiplicity) outputs, the
+/// left tuples' references, appended to `*out` (if non-null). Appends the
+/// comparison count to `*comparisons` (must be non-null).
+int64_t MergeIntersectRange(TupleRefSpan left, TupleRefSpan right,
+                            TupleRefs* out, int64_t* comparisons);
 
 /// Splits a run sorted on `key` (all columns when empty) into at most
 /// `max_parts` contiguous chunks of roughly equal size, each at least
@@ -108,41 +117,38 @@ std::vector<Tuple> MergeIntersectRange(std::span<const Tuple> left,
 /// with 0 and ending with run.size(); size() - 1 is the chunk count.
 /// Depends only on the data — not on the worker count — so a partitioned
 /// evaluation is bit-identical at any parallelism.
-std::vector<size_t> PartitionSortedRun(const std::vector<Tuple>& run,
+std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
                                        const std::vector<int>& key,
                                        size_t max_parts, size_t min_chunk);
 
 /// First index in `run` (sorted on `run_key`) whose key compares >= the
 /// probe's key (probe read through `probe_key`). Empty keys compare whole
 /// tuples. Binary search; charges nothing.
-size_t LowerBoundCrossKey(std::span<const Tuple> run,
-                          const std::vector<int>& run_key, const Tuple& probe,
+size_t LowerBoundCrossKey(TupleRefSpan run, const std::vector<int>& run_key,
+                          const Tuple& probe,
                           const std::vector<int>& probe_key);
 
 /// Merge-intersects two runs sorted on all columns. Each matching group
-/// contributes (left multiplicity × right multiplicity) output tuples —
-/// the number of 1-points in the point space. Charges merge comparisons
+/// contributes (left multiplicity × right multiplicity) output references
+/// — the number of 1-points in the point space. Charges merge comparisons
 /// and output-page writes.
-std::vector<Tuple> MergeIntersect(const std::vector<Tuple>& left,
-                                  const std::vector<Tuple>& right,
-                                  const Schema& schema, CostLedger* ledger,
-                                  const CostModel& model,
-                                  OpMetrics* metrics);
+TupleRefs MergeIntersect(TupleRefSpan left, TupleRefSpan right,
+                         const Schema& schema, CostLedger* ledger,
+                         const CostModel& model, OpMetrics* metrics);
 
 /// Merge-joins two runs sorted on the given key columns, producing
 /// concatenated tuples. Charges merge comparisons and output-page writes.
-std::vector<Tuple> MergeJoin(const std::vector<Tuple>& left,
+std::vector<Tuple> MergeJoin(TupleRefSpan left,
                              const std::vector<int>& left_key,
-                             const Schema& left_schema,
-                             const std::vector<Tuple>& right,
+                             const Schema& left_schema, TupleRefSpan right,
                              const std::vector<int>& right_key,
-                             const Schema& right_schema,
-                             CostLedger* ledger, const CostModel& model,
-                             OpMetrics* metrics);
+                             const Schema& right_schema, CostLedger* ledger,
+                             const CostModel& model, OpMetrics* metrics);
 
-/// One distinct tuple and how many times it occurred.
+/// One distinct tuple (a reference to its first occurrence in the deduped
+/// run) and how many times it occurred.
 struct GroupCount {
-  Tuple tuple;
+  const Tuple* tuple = nullptr;
   int64_t count = 0;
 };
 
@@ -150,14 +156,15 @@ struct GroupCount {
 /// each distinct tuple with its occupancy (step 3 of the paper's Project
 /// algorithm, which writes "distinct tuples with their occupancy").
 /// Charges one merge comparison per input tuple and output-page writes.
-std::vector<GroupCount> DedupSorted(const std::vector<Tuple>& tuples,
-                                    const Schema& schema, CostLedger* ledger,
+std::vector<GroupCount> DedupSorted(TupleRefSpan tuples, const Schema& schema,
+                                    CostLedger* ledger,
                                     const CostModel& model,
                                     OpMetrics* metrics);
 
-/// Projects `tuples` onto the given column positions (no dedup; charges
-/// tuple moves only — dedup is SortRun + DedupSorted).
-std::vector<Tuple> ProjectColumns(const std::vector<Tuple>& tuples,
+/// Projects `tuples` onto the given column positions, materializing the
+/// new tuples (no dedup; charges tuple moves only — dedup is SortRun +
+/// DedupSorted).
+std::vector<Tuple> ProjectColumns(TupleRefSpan tuples,
                                   const std::vector<int>& columns,
                                   CostLedger* ledger, const CostModel& model,
                                   StepMetrics* metrics);

@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-
-#include "exec/vectorized.h"
-#include "obs/metric_names.h"
-#include "util/check.h"
 #include <cmath>
 #include <functional>
 #include <set>
-#include <span>
 #include <utility>
+
+#include "exec/vectorized.h"
+#include "obs/metric_names.h"
+#include "storage/column_batch.h"
+#include "util/check.h"
 
 namespace tcq {
 
@@ -230,8 +230,8 @@ Status StagedTermEvaluator::ExecuteStageWithMode(
     if (scanned > 0) tuples_counter_->Add(scanned);
   }
   if (value_col_ >= 0) {
-    for (const Tuple& t : root_->stage_out.back()) {
-      const Value& v = t[static_cast<size_t>(value_col_)];
+    for (const Tuple* t : root_->stage_out) {
+      const Value& v = (*t)[static_cast<size_t>(value_col_)];
       double x = v.index() == 0
                      ? static_cast<double>(std::get<int64_t>(v))
                      : std::get<double>(v);
@@ -305,34 +305,26 @@ Status StagedTermEvaluator::ExecuteNode(
         return Status::InvalidArgument("no sample blocks for relation '" +
                                        node->rel->name() + "'");
       }
-      std::vector<Tuple> run;
+      // The run references the fetched blocks' resident rows, which the
+      // relation this node holds keeps alive.
+      double t0 = now();
+      size_t rows = 0;
       for (const Block* b : it->second) {
-        BlockView view(b);
-        run.insert(run.end(), view.rows().begin(), view.rows().end());
+        rows += static_cast<size_t>(BlockView(b).num_rows());
       }
-      if (layout_ == Layout::kColumnar) {
-        // Mirror the fetched rows as one columnar batch for the vectorized
-        // select; blocks built by the relation loader carry their column
-        // arrays, so this is a contiguous column-wise concatenation.
-        ColumnBatch batch;
-        batch.Configure(node->rel->schema());
-        for (const Block* b : it->second) {
-          BlockView view(b);
-          if (view.columns().num_rows() == view.num_rows()) {
-            batch.AppendBatch(view.columns());
-          } else {
-            for (const Tuple& t : view.rows()) batch.AppendRow(t);
-          }
-        }
-        node->stage_out_cols.push_back(std::move(batch));
+      TupleRefs run;
+      run.reserve(rows);
+      for (const Block* b : it->second) {
+        for (const Tuple& t : BlockView(b).rows()) run.push_back(&t);
       }
+      if (timing_clock_ != nullptr) rec.seconds = now() - t0;
       node->cum_blocks += static_cast<int64_t>(it->second.size());
       rec.new_blocks = static_cast<int64_t>(it->second.size());
       rec.new_points = static_cast<double>(run.size());
       rec.new_tuples = static_cast<int64_t>(run.size());
       node->cum_points += rec.new_points;
       node->cum_tuples += rec.new_tuples;
-      node->stage_out.push_back(std::move(run));
+      node->stage_out = std::move(run);
       node->stages.push_back(std::move(rec));
       return Status::OK();
     }
@@ -342,39 +334,43 @@ Status StagedTermEvaluator::ExecuteNode(
       if (ledger_ != nullptr) {
         ledger_->Charge(CostCategory::kOpSetup, model_.op_setup_s);
       }
+      const StagedNode* child = node->left.get();
       OpMetrics om;
       double t0 = now();
-      std::vector<Tuple> run;
+      TupleRefs run;
       if (layout_ == Layout::kColumnar) {
-        const StagedNode* child = node->left.get();
-        ColumnBatch local;
-        const ColumnBatch* batch = nullptr;
-        if (child->kind == ExprKind::kScan &&
-            s < child->stage_out_cols.size()) {
-          batch = &child->stage_out_cols[s];
+        // A scan child's run is its fetched blocks' rows in block order,
+        // so the predicate runs over each block's own column batch; any
+        // other child's run is first assembled into one batch.
+        std::vector<const ColumnBatch*> batches;
+        ColumnBatch assembled;
+        if (child->kind == ExprKind::kScan) {
+          for (const Block* b : new_blocks.at(child->rel->name())) {
+            batches.push_back(&BlockView(b).columns());
+          }
         } else {
-          // Non-scan child: assemble the batch from its row output.
-          local.Configure(node->out_schema);
-          for (const Tuple& t : child->stage_out[s]) local.AppendRow(t);
-          batch = &local;
+          assembled.Configure(child->out_schema);
+          for (const Tuple* t : child->stage_out) assembled.AppendRow(*t);
+          batches.push_back(&assembled);
         }
-        run = SelectTuplesColumnar(child->stage_out[s], *batch,
+        run = SelectTuplesColumnar(child->stage_out, batches,
                                    *node->predicate, node->out_schema,
                                    ledger_, model_, &om);
-        if (vector_batches_counter_ != nullptr) {
-          vector_batches_counter_->Add(1);
+        if (vector_batches_counter_ != nullptr && !batches.empty()) {
+          vector_batches_counter_->Add(static_cast<int64_t>(batches.size()));
         }
-        if (vector_rows_counter_ != nullptr && batch->num_rows() > 0) {
-          vector_rows_counter_->Add(batch->num_rows());
+        if (vector_rows_counter_ != nullptr && !child->stage_out.empty()) {
+          vector_rows_counter_->Add(
+              static_cast<int64_t>(child->stage_out.size()));
         }
       } else {
-        run = SelectTuples(node->left->stage_out[s], *node->predicate,
+        run = SelectTuples(child->stage_out, *node->predicate,
                            node->out_schema, ledger_, model_, &om);
       }
       double t1 = now();
       rec.process = om.process;
       rec.output = om.output;
-      rec.new_points = node->left->stages[s].new_points;
+      rec.new_points = child->stages[s].new_points;
       rec.new_tuples = static_cast<int64_t>(run.size());
       if (timing_clock_ != nullptr) {
         split_delta(t1 - t0, &rec.process, &rec.output);
@@ -386,7 +382,7 @@ Status StagedTermEvaluator::ExecuteNode(
       }
       node->cum_points += rec.new_points;
       node->cum_tuples += rec.new_tuples;
-      node->stage_out.push_back(std::move(run));
+      node->stage_out = std::move(run);
       node->stages.push_back(std::move(rec));
       return Status::OK();
     }
@@ -397,27 +393,30 @@ Status StagedTermEvaluator::ExecuteNode(
         ledger_->Charge(CostCategory::kOpSetup, model_.op_setup_s);
       }
       // Step 1: project the new child run and write it to a temp file.
+      // Projection creates new tuples; this node owns them.
       double t0 = now();
-      std::vector<Tuple> projected =
-          ProjectColumns(node->left->stage_out[s], node->proj_cols, ledger_,
-                         model_, &rec.write);
+      const std::vector<Tuple>& projected =
+          node->projected_rows.emplace_back(
+              ProjectColumns(node->left->stage_out, node->proj_cols, ledger_,
+                             model_, &rec.write));
       ChargeTempWrite(node->out_schema,
                       static_cast<int64_t>(projected.size()), ledger_,
                       model_, &rec.write);
       double t1 = now();
       // Step 2: sort the new run.
-      rec.sort_units = SortUnits(static_cast<double>(projected.size()));
-      SortRun(&projected, /*key=*/{}, ledger_, model_, &rec.sort);
+      TupleRefs run = RefsOf(projected);
+      rec.sort_units = SortUnits(static_cast<double>(run.size()));
+      SortRun(&run, /*key=*/{}, ledger_, model_, &rec.sort);
       double t2 = now();
       // Step 3: merge with the previously sorted sample and re-derive the
       // distinct groups with occupancies.
-      std::vector<Tuple> merged;
-      merged.reserve(node->cum_projected_sorted.size() + projected.size());
+      TupleRefs merged;
+      merged.reserve(node->cum_projected_sorted.size() + run.size());
       std::merge(node->cum_projected_sorted.begin(),
-                 node->cum_projected_sorted.end(), projected.begin(),
-                 projected.end(), std::back_inserter(merged),
-                 [](const Tuple& a, const Tuple& b) {
-                   return CompareTuples(a, b) < 0;
+                 node->cum_projected_sorted.end(), run.begin(), run.end(),
+                 std::back_inserter(merged),
+                 [](const Tuple* a, const Tuple* b) {
+                   return CompareTuples(*a, *b) < 0;
                  });
       if (ledger_ != nullptr) {
         ledger_->ChargeN(CostCategory::kMergeCompare,
@@ -453,8 +452,7 @@ Status StagedTermEvaluator::ExecuteNode(
         scale_record(&rec);
       }
       node->cum_points += rec.new_points;
-      node->stage_out.push_back({});  // projection is terminal
-      node->stages.push_back(std::move(rec));
+      node->stages.push_back(std::move(rec));  // projection is terminal
       return Status::OK();
     }
 
@@ -468,12 +466,15 @@ Status StagedTermEvaluator::ExecuteNode(
         ledger_->Charge(CostCategory::kOpSetup, model_.op_setup_s);
       }
       const bool is_join = node->kind == ExprKind::kJoin;
+      // A parent operator or the SUM/AVG value tracker reads this node's
+      // output; the root of a COUNT term only counts its matches.
+      const bool emit = node != root_.get() || value_col_ >= 0;
       // Steps 1–2 (Figures 4.4/4.6): write the new sample runs to temp
       // files and sort them (previous runs stay sorted from earlier
-      // stages).
+      // stages). The children's runs become this node's new runs.
       double t0 = now();
-      std::vector<Tuple> new_l = node->left->stage_out[s];
-      std::vector<Tuple> new_r = node->right->stage_out[s];
+      TupleRefs new_l = std::exchange(node->left->stage_out, {});
+      TupleRefs new_r = std::exchange(node->right->stage_out, {});
       ChargeTempWrite(node->left->out_schema,
                       static_cast<int64_t>(new_l.size()), ledger_, model_,
                       &rec.write);
@@ -583,15 +584,15 @@ Status StagedTermEvaluator::ExecuteNode(
       struct MergeChunk {
         size_t pair = 0;  // index into `pairs`
         size_t lbeg = 0, lend = 0, rbeg = 0, rend = 0;
-        std::vector<Tuple> out;
+        int64_t out_count = 0;
+        TupleRefs refs;           // intersect output, when emitted
+        std::vector<Tuple> rows;  // join output, when emitted
         int64_t comparisons = 0;
-        double seconds = 0.0;
       };
       std::vector<MergeChunk> chunks;
       for (size_t p = 0; p < pairs.size(); ++p) {
-        const std::vector<Tuple>& lrun = node->sorted_left[pairs[p].first];
-        const std::vector<Tuple>& rrun =
-            node->sorted_right[pairs[p].second];
+        const TupleRefs& lrun = node->sorted_left[pairs[p].first];
+        const TupleRefs& rrun = node->sorted_right[pairs[p].second];
         std::vector<size_t> bounds = PartitionSortedRun(
             lrun, lkey, kMaxMergeChunks, kMinMergeChunk);
         for (size_t c = 0; c + 1 < bounds.size(); ++c) {
@@ -605,11 +606,11 @@ Status StagedTermEvaluator::ExecuteNode(
           // (uncharged) binary search.
           chunk.rbeg = c == 0 ? 0
                               : LowerBoundCrossKey(rrun, rkey,
-                                                   lrun[bounds[c]], lkey);
+                                                   *lrun[bounds[c]], lkey);
           chunk.rend = c + 2 == bounds.size()
                            ? rrun.size()
                            : LowerBoundCrossKey(rrun, rkey,
-                                                lrun[bounds[c + 1]], lkey);
+                                                *lrun[bounds[c + 1]], lkey);
           chunks.push_back(std::move(chunk));
         }
       }
@@ -619,14 +620,13 @@ Status StagedTermEvaluator::ExecuteNode(
         tasks.reserve(chunks.size());
         for (size_t t = 0; t < chunks.size(); ++t) {
           MergeChunk* chunk = &chunks[t];
-          const std::vector<Tuple>& lrun =
-              node->sorted_left[pairs[chunk->pair].first];
-          const std::vector<Tuple>& rrun =
+          const TupleRefs& lrun = node->sorted_left[pairs[chunk->pair].first];
+          const TupleRefs& rrun =
               node->sorted_right[pairs[chunk->pair].second];
-          std::span<const Tuple> lspan(lrun.data() + chunk->lbeg,
-                                       chunk->lend - chunk->lbeg);
-          std::span<const Tuple> rspan(rrun.data() + chunk->rbeg,
-                                       chunk->rend - chunk->rbeg);
+          TupleRefSpan lspan(lrun.data() + chunk->lbeg,
+                             chunk->lend - chunk->lbeg);
+          TupleRefSpan rspan(rrun.data() + chunk->rbeg,
+                             chunk->rend - chunk->rbeg);
           const int kw = node->merge_key_width;
           const uint8_t* lkptr =
               columnar && chunk->lend > chunk->lbeg
@@ -640,23 +640,25 @@ Status StagedTermEvaluator::ExecuteNode(
                         chunk->rbeg * static_cast<size_t>(kw)
                   : nullptr;
           double* dur = &durs[t];
-          tasks.push_back([chunk, lspan, rspan, is_join, &lkey, &rkey,
+          tasks.push_back([chunk, lspan, rspan, is_join, emit, &lkey, &rkey,
                            columnar, lkptr, rkptr, kw, dur] {
             auto start = std::chrono::steady_clock::now();
-            if (columnar) {
-              chunk->out = is_join
-                               ? MergeJoinRangeColumnar(lspan, lkptr, rspan,
-                                                        rkptr, kw,
-                                                        &chunk->comparisons)
-                               : MergeIntersectRangeColumnar(
-                                     lspan, lkptr, rspan, rkptr, kw,
-                                     &chunk->comparisons);
+            if (is_join) {
+              std::vector<Tuple>* out = emit ? &chunk->rows : nullptr;
+              chunk->out_count =
+                  columnar ? MergeJoinRangeColumnar(lspan, lkptr, rspan, rkptr,
+                                                    kw, out,
+                                                    &chunk->comparisons)
+                           : MergeJoinRange(lspan, lkey, rspan, rkey, out,
+                                            &chunk->comparisons);
             } else {
-              chunk->out =
-                  is_join ? MergeJoinRange(lspan, lkey, rspan, rkey,
-                                           &chunk->comparisons)
-                          : MergeIntersectRange(lspan, rspan,
-                                                &chunk->comparisons);
+              TupleRefs* out = emit ? &chunk->refs : nullptr;
+              chunk->out_count =
+                  columnar ? MergeIntersectRangeColumnar(
+                                 lspan, lkptr, rspan, rkptr, kw, out,
+                                 &chunk->comparisons)
+                           : MergeIntersectRange(lspan, rspan, out,
+                                                 &chunk->comparisons);
             }
             *dur = SecondsSince(start);
           });
@@ -666,23 +668,31 @@ Status StagedTermEvaluator::ExecuteNode(
       // Fixed-order reduction: per pair, sum the chunk counts and charge
       // merge comparisons + output writes exactly as the serial
       // MergeJoin/MergeIntersect calls did (pages from the pair's total
-      // output, so the chunk count never changes the arithmetic).
-      std::vector<Tuple> out;
+      // output, so the chunk count never changes the arithmetic). Emitted
+      // outputs concatenate in chunk order; a join's materialized chunks
+      // move into the node's storage, whose elements never move again.
+      int64_t total_out = 0;
+      for (const MergeChunk& chunk : chunks) total_out += chunk.out_count;
+      TupleRefs out;
+      if (emit) out.reserve(static_cast<size_t>(total_out));
       OpMetrics om;
       size_t ci = 0;
       for (size_t p = 0; p < pairs.size(); ++p) {
         int64_t comparisons = 0;
         int64_t out_tuples = 0;
         for (; ci < chunks.size() && chunks[ci].pair == p; ++ci) {
-          comparisons += chunks[ci].comparisons;
-          out_tuples += static_cast<int64_t>(chunks[ci].out.size());
-          out.insert(out.end(),
-                     std::make_move_iterator(chunks[ci].out.begin()),
-                     std::make_move_iterator(chunks[ci].out.end()));
+          MergeChunk& chunk = chunks[ci];
+          comparisons += chunk.comparisons;
+          out_tuples += chunk.out_count;
+          out.insert(out.end(), chunk.refs.begin(), chunk.refs.end());
+          if (!chunk.rows.empty()) {
+            const std::vector<Tuple>& stored =
+                node->joined_rows.emplace_back(std::move(chunk.rows));
+            for (const Tuple& t : stored) out.push_back(&t);
+          }
         }
-        const std::vector<Tuple>& lrun = node->sorted_left[pairs[p].first];
-        const std::vector<Tuple>& rrun =
-            node->sorted_right[pairs[p].second];
+        const TupleRefs& lrun = node->sorted_left[pairs[p].first];
+        const TupleRefs& rrun = node->sorted_right[pairs[p].second];
         if (ledger_ != nullptr) {
           ledger_->ChargeN(CostCategory::kMergeCompare, comparisons,
                            model_.merge_compare_s);
@@ -722,7 +732,7 @@ Status StagedTermEvaluator::ExecuteNode(
       }
       rec.process = om.process;
       rec.output = om.output;
-      rec.new_tuples = static_cast<int64_t>(out.size());
+      rec.new_tuples = total_out;
       if (timing_clock_ != nullptr) {
         double t3 = now();
         rec.write.seconds = t1 - t0;
@@ -737,7 +747,7 @@ Status StagedTermEvaluator::ExecuteNode(
       }
       node->cum_points += rec.new_points;
       node->cum_tuples += rec.new_tuples;
-      node->stage_out.push_back(std::move(out));
+      node->stage_out = std::move(out);
       node->stages.push_back(std::move(rec));
       return Status::OK();
     }

@@ -14,7 +14,6 @@
 #include "sim/clock.h"
 #include "sim/cost_model.h"
 #include "sim/ledger.h"
-#include "storage/column_batch.h"
 #include "storage/relation.h"
 #include "util/layout.h"
 #include "util/result.h"
@@ -60,11 +59,19 @@ struct NodeStageRecord {
   StepMetrics process;       // merge / scan / predicate-evaluation step
   StepMetrics output;        // result tuple moves + page writes
   double seconds = 0.0;      // total realized operator time this stage
+                             // (scans: wall-clock mode only — simulated
+                             // fetches are priced by the engine)
 };
 
 /// Per-operator evaluation state of a staged term. Nodes mirror the Expr
 /// tree; `id` is the pre-order index, used by the time-control layer to
 /// key selectivities and cost coefficients to operators.
+///
+/// Runs are reference runs (TupleRefs): they hold the addresses of tuples
+/// that live in the resident blocks of the scanned relations — kept alive
+/// by the scan nodes' `rel` — or in storage owned by a join or project
+/// node of the same tree. No run owns or copies a tuple (DESIGN.md, "Run
+/// representation").
 struct StagedNode {
   int id = 0;
   ExprKind kind = ExprKind::kScan;
@@ -72,7 +79,7 @@ struct StagedNode {
   Schema out_schema;
 
   // kScan
-  RelationPtr rel;
+  RelationPtr rel;  // owns the blocks every run of the tree may point into
   int64_t cum_blocks = 0;  // sampled blocks so far
 
   // kSelect
@@ -80,13 +87,17 @@ struct StagedNode {
 
   // kProject (root only)
   std::vector<int> proj_cols;
-  std::vector<Tuple> cum_projected_sorted;  // all projected sample tuples
-  std::vector<GroupCount> groups;           // current distinct groups
+  // The projected tuples, one vector per stage (a projection creates new
+  // tuples, so the node owns them; the vectors are never resized after
+  // their stage, keeping the references below valid).
+  std::vector<std::vector<Tuple>> projected_rows;
+  TupleRefs cum_projected_sorted;  // all projected sample tuples, sorted
+  std::vector<GroupCount> groups;  // current distinct groups
 
   // kJoin / kIntersect
   std::vector<int> lkey, rkey;  // key positions in the child schemas
-  std::vector<std::vector<Tuple>> sorted_left;   // per-stage sorted runs
-  std::vector<std::vector<Tuple>> sorted_right;
+  std::vector<TupleRefs> sorted_left;  // per-stage sorted runs
+  std::vector<TupleRefs> sorted_right;
 
   // Columnar mode (Layout::kColumnar) only: the encoded sort keys of each
   // per-stage sorted run (indices aligned with sorted_left/sorted_right),
@@ -98,16 +109,19 @@ struct StagedNode {
   int merge_key_width = 0;
   bool columnar_merge_ok = true;
 
-  // kScan, columnar mode only: per-stage columnar batches mirroring
-  // stage_out, assembled from the fetched blocks' column arrays.
-  std::vector<ColumnBatch> stage_out_cols;
+  // kJoin: the concatenated output tuples, one vector per merge chunk.
+  // Built only when something reads the join's output (a parent operator,
+  // or SUM/AVG value tracking at the root); a COUNT root only counts its
+  // matches. Never resized once stored, so references stay valid.
+  std::vector<std::vector<Tuple>> joined_rows;
 
   std::unique_ptr<StagedNode> left;
   std::unique_ptr<StagedNode> right;
 
-  // Per-stage output runs (scan: fetched tuples; select: qualifying
-  // tuples; binary: merged outputs of the stage's run pairs).
-  std::vector<std::vector<Tuple>> stage_out;
+  // This stage's output run (scan: fetched tuples; select: qualifying
+  // tuples; binary: merged outputs of the stage's run pairs, left empty at
+  // a COUNT root). A binary parent takes it over as its new sorted run.
+  TupleRefs stage_out;
 
   // Accounting.
   double total_points = 0.0;  // full point-space size of this subtree
@@ -134,7 +148,9 @@ class StagedTermEvaluator {
 
   /// Wall-clock mode: realized step times in the stage records are taken
   /// from deltas of `clock` (real elapsed time) instead of the simulated
-  /// charges. Pass the same clock the engine's deadline uses.
+  /// charges, and scan records carry the real seconds of building their
+  /// runs (the engine folds them into the fetch observation). Pass the
+  /// same clock the engine's deadline uses.
   void MeasureStepsWith(const Clock* clock) { timing_clock_ = clock; }
 
   /// Fans the per-stage run sorts and merge-pair partitions out across
@@ -161,7 +177,8 @@ class StagedTermEvaluator {
   void SetLayout(Layout layout) { layout_ = layout; }
   Layout layout() const { return layout_; }
 
-  /// Realized work/span of the last executed stage's parallel sections.
+  /// Realized work/span of the last executed stage's sort and merge
+  /// fan-out sections; the engine folds it into the stage's work/span.
   const ParallelStats& last_stage_parallelism() const {
     return stage_parallel_;
   }
@@ -217,7 +234,8 @@ class StagedTermEvaluator {
 
   /// Enables aggregate-value tracking for SUM/AVG estimators: the numeric
   /// output column at `index` (position in the root output schema) is
-  /// accumulated over every sampled output tuple. Not supported for
+  /// accumulated over every sampled output tuple of the later stages (a
+  /// join root then materializes its output). Not supported for
   /// projection roots (distinct-group sums need different machinery).
   [[nodiscard]] Status TrackValueColumn(int index);
   /// Σ v over sampled output tuples (0-valued points contribute nothing).

@@ -2,6 +2,7 @@
 #define TCQ_EXEC_TUPLE_SET_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "storage/relation.h"
@@ -22,6 +23,24 @@ struct TupleSet {
 
   int64_t size() const { return static_cast<int64_t>(tuples.size()); }
 };
+
+/// Reference runs. Operators pass tuples by address, never by value: a
+/// scan's run points into the resident rows of the fetched blocks,
+/// selections and intersections forward the addresses they were given,
+/// and only the operators that create new tuples (join, project) own
+/// storage for them. The referenced tuples must outlive the run
+/// (DESIGN.md, "Run representation").
+using TupleRefs = std::vector<const Tuple*>;
+/// Read-only view of a reference run (or of a contiguous part of one).
+using TupleRefSpan = std::span<const Tuple* const>;
+
+/// References to every tuple of `tuples`, in order.
+inline TupleRefs RefsOf(std::span<const Tuple> tuples) {
+  TupleRefs refs;
+  refs.reserve(tuples.size());
+  for (const Tuple& t : tuples) refs.push_back(&t);
+  return refs;
+}
 
 /// Number of disk pages occupied by `num_tuples` tuples of `schema`
 /// (the paper's `p = sel × points / blockingfactor`).

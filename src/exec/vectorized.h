@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "exec/tuple_set.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 
@@ -33,7 +34,7 @@ int EncodedKeyWidth(const Schema& schema, const std::vector<int>& key);
 
 /// Appends the order-preserving encodings of `run`'s key columns to `out`
 /// (run.size() × EncodedKeyWidth bytes, row-major over keys).
-void EncodeKeyColumns(std::span<const Tuple> run, const Schema& schema,
+void EncodeKeyColumns(TupleRefSpan run, const Schema& schema,
                       const std::vector<int>& key, std::vector<uint8_t>* out);
 
 /// True when a join's two key column lists encode to comparable bytes
@@ -44,36 +45,35 @@ bool ColumnarJoinKeysCompatible(const Schema& left_schema,
                                 const Schema& right_schema,
                                 const std::vector<int>& right_key);
 
-/// Columnar sort kernel: sorts `*tuples` on `key` (all columns when empty)
+/// Columnar sort kernel: sorts the run on `key` (all columns when empty)
 /// by perm-sorting an index vector over encoded keys, then applying the
-/// permutation to both the tuples and the key buffer. `*keys` is left
-/// holding the sorted encoded keys (tuples->size() × width bytes) for the
+/// permutation to both the references and the key buffer. `*keys` is left
+/// holding the sorted encoded keys (run->size() × width bytes) for the
 /// downstream merge. Appends the comparison count to `*comparisons`;
 /// bit-identical count and resulting order to SortRunRange.
-void SortRunRangeColumnar(std::vector<Tuple>* tuples, const Schema& schema,
+void SortRunRangeColumnar(TupleRefs* run, const Schema& schema,
                           const std::vector<int>& key,
                           std::vector<uint8_t>* keys, int64_t* comparisons);
 
 /// Columnar merge-intersect kernel: both runs sorted on all columns, with
 /// `left_keys`/`right_keys` pointing at their encoded keys (stride
-/// `key_width`). Same loop structure, comparison counts and output as
-/// MergeIntersectRange.
-std::vector<Tuple> MergeIntersectRangeColumnar(std::span<const Tuple> left,
-                                               const uint8_t* left_keys,
-                                               std::span<const Tuple> right,
-                                               const uint8_t* right_keys,
-                                               int key_width,
-                                               int64_t* comparisons);
+/// `key_width`). Same loop structure, comparison counts, output count and
+/// (when `out` is non-null) output references as MergeIntersectRange.
+int64_t MergeIntersectRangeColumnar(TupleRefSpan left,
+                                    const uint8_t* left_keys,
+                                    TupleRefSpan right,
+                                    const uint8_t* right_keys, int key_width,
+                                    TupleRefs* out, int64_t* comparisons);
 
 /// Columnar merge-join kernel: runs sorted on their join keys, encoded at
 /// `left_keys`/`right_keys` (stride `key_width`, same width both sides —
-/// see ColumnarJoinKeysCompatible). Same loop structure, comparison counts
-/// and concatenated output as MergeJoinRange.
-std::vector<Tuple> MergeJoinRangeColumnar(std::span<const Tuple> left,
-                                          const uint8_t* left_keys,
-                                          std::span<const Tuple> right,
-                                          const uint8_t* right_keys,
-                                          int key_width, int64_t* comparisons);
+/// see ColumnarJoinKeysCompatible). Same loop structure, comparison
+/// counts, output count and (when `out` is non-null) concatenated output
+/// as MergeJoinRange.
+int64_t MergeJoinRangeColumnar(TupleRefSpan left, const uint8_t* left_keys,
+                               TupleRefSpan right, const uint8_t* right_keys,
+                               int key_width, std::vector<Tuple>* out,
+                               int64_t* comparisons);
 
 }  // namespace tcq
 

@@ -56,8 +56,12 @@ struct StageReport {
   Layout layout = Layout::kRow;
   double ledger_spend_s = 0.0;     // clock advance during this stage
   double cumulative_spend_s = 0.0; // clock advance since the query started
-  double work_seconds = 0.0;       // parallel sections: Σ task durations
-  double span_seconds = 0.0;       // parallel sections: elapsed
+  /// Realized parallelism of the stage's fan-out sections — block draws,
+  /// term tasks, and each evaluator's sort and merge-chunk tasks (nested
+  /// inside its term task): Σ task durations, the sections' elapsed
+  /// time, and the task count. The count depends only on the data.
+  double work_seconds = 0.0;
+  double span_seconds = 0.0;
   int parallel_tasks = 0;
   std::vector<OperatorSelectivity> selectivities;
   /// True when the hybrid selectivity predictor planned this stage.

@@ -37,15 +37,4 @@ void ColumnBatch::AppendRow(const Tuple& tuple) {
   ++num_rows_;
 }
 
-void ColumnBatch::AppendBatch(const ColumnBatch& other) {
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    ColumnData& dst = columns_[c];
-    const ColumnData& src = other.columns_[c];
-    dst.i64.insert(dst.i64.end(), src.i64.begin(), src.i64.end());
-    dst.f64.insert(dst.f64.end(), src.f64.begin(), src.f64.end());
-    dst.bytes.insert(dst.bytes.end(), src.bytes.begin(), src.bytes.end());
-  }
-  num_rows_ += other.num_rows_;
-}
-
 }  // namespace tcq

@@ -42,10 +42,6 @@ class ColumnBatch {
   /// Appends one row. The tuple must match the configured schema.
   void AppendRow(const Tuple& tuple);
 
-  /// Bulk-appends another batch with the same configuration (column-wise
-  /// contiguous copies — the columnar scan's concatenation step).
-  void AppendBatch(const ColumnBatch& other);
-
   const ColumnData& column(int c) const {
     return columns_[static_cast<size_t>(c)];
   }

@@ -32,10 +32,13 @@ TEST(SelectTuplesTest, FiltersAndCharges) {
   CostLedger ledger(&clock);
   CostModel model;
   OpMetrics m;
-  auto out = SelectTuples(in, *bound, s, &ledger, model, &m);
+  auto out = SelectTuples(RefsOf(in), *bound, s, &ledger, model, &m);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(std::get<int64_t>(out[0][0]), 1);
-  EXPECT_EQ(std::get<int64_t>(out[1][0]), 2);
+  EXPECT_EQ(std::get<int64_t>((*out[0])[0]), 1);
+  EXPECT_EQ(std::get<int64_t>((*out[1])[0]), 2);
+  // The qualifying tuples are passed by reference, not copied.
+  EXPECT_EQ(out[0], &in[0]);
+  EXPECT_EQ(out[1], &in[2]);
   EXPECT_EQ(m.process.in_tuples, 4);
   EXPECT_EQ(m.output.out_tuples, 2);
   EXPECT_EQ(m.process.comparisons, 4);  // one comparison per tuple
@@ -45,25 +48,27 @@ TEST(SelectTuplesTest, FiltersAndCharges) {
 }
 
 TEST(SortRunTest, SortsAllColumnsAndCharges) {
-  std::vector<Tuple> v{T(3, 1), T(1, 2), T(3, 0), T(2, 5)};
+  std::vector<Tuple> tuples{T(3, 1), T(1, 2), T(3, 0), T(2, 5)};
+  TupleRefs v = RefsOf(tuples);
   CostLedger ledger(nullptr);
   CostModel model;
   StepMetrics m;
   SortRun(&v, {}, &ledger, model, &m);
-  EXPECT_EQ(std::get<int64_t>(v[0][0]), 1);
-  EXPECT_EQ(std::get<int64_t>(v[1][0]), 2);
-  EXPECT_EQ(std::get<int64_t>(v[2][0]), 3);
-  EXPECT_EQ(std::get<int64_t>(v[2][1]), 0);
-  EXPECT_EQ(std::get<int64_t>(v[3][1]), 1);
+  EXPECT_EQ(std::get<int64_t>((*v[0])[0]), 1);
+  EXPECT_EQ(std::get<int64_t>((*v[1])[0]), 2);
+  EXPECT_EQ(std::get<int64_t>((*v[2])[0]), 3);
+  EXPECT_EQ(std::get<int64_t>((*v[2])[1]), 0);
+  EXPECT_EQ(std::get<int64_t>((*v[3])[1]), 1);
   EXPECT_GT(m.comparisons, 0);
   EXPECT_GT(ledger.Total(CostCategory::kSortCompare), 0.0);
 }
 
 TEST(SortRunTest, SortsByKeyOnly) {
-  std::vector<Tuple> v{T(9, 2), T(0, 1)};
+  std::vector<Tuple> tuples{T(9, 2), T(0, 1)};
+  TupleRefs v = RefsOf(tuples);
   CostModel model;
   SortRun(&v, {1}, nullptr, model, nullptr);
-  EXPECT_EQ(std::get<int64_t>(v[0][1]), 1);
+  EXPECT_EQ(std::get<int64_t>((*v[0])[1]), 1);
 }
 
 TEST(MergeIntersectTest, CountsMatches) {
@@ -72,7 +77,7 @@ TEST(MergeIntersectTest, CountsMatches) {
   std::vector<Tuple> r{T(2, 2), T(3, 3), T(4, 4)};
   CostModel model;
   OpMetrics m;
-  auto out = MergeIntersect(l, r, s, nullptr, model, &m);
+  auto out = MergeIntersect(RefsOf(l), RefsOf(r), s, nullptr, model, &m);
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(m.output.out_tuples, 2);
   EXPECT_GT(m.process.comparisons, 0);
@@ -85,7 +90,7 @@ TEST(MergeIntersectTest, MultiplicityProduct) {
   std::vector<Tuple> l{T(5, 5), T(5, 5)};
   std::vector<Tuple> r{T(5, 5), T(5, 5), T(5, 5)};
   CostModel model;
-  auto out = MergeIntersect(l, r, s, nullptr, model, nullptr);
+  auto out = MergeIntersect(RefsOf(l), RefsOf(r), s, nullptr, model, nullptr);
   EXPECT_EQ(out.size(), 6u);
 }
 
@@ -94,8 +99,11 @@ TEST(MergeIntersectTest, DisjointEmpty) {
   std::vector<Tuple> l{T(1, 1)};
   std::vector<Tuple> r{T(2, 2)};
   CostModel model;
-  EXPECT_TRUE(MergeIntersect(l, r, s, nullptr, model, nullptr).empty());
-  EXPECT_TRUE(MergeIntersect({}, r, s, nullptr, model, nullptr).empty());
+  EXPECT_TRUE(
+      MergeIntersect(RefsOf(l), RefsOf(r), s, nullptr, model, nullptr)
+          .empty());
+  EXPECT_TRUE(
+      MergeIntersect({}, RefsOf(r), s, nullptr, model, nullptr).empty());
 }
 
 TEST(MergeJoinTest, JoinsOnKey) {
@@ -106,7 +114,8 @@ TEST(MergeJoinTest, JoinsOnKey) {
   std::vector<Tuple> r{T(2, 100), T(2, 200), T(3, 300)};
   CostModel model;
   OpMetrics m;
-  auto out = MergeJoin(l, {1}, ls, r, {0}, rs, nullptr, model, &m);
+  auto out =
+      MergeJoin(RefsOf(l), {1}, ls, RefsOf(r), {0}, rs, nullptr, model, &m);
   // key 2: two left × two right = 4 joined tuples.
   ASSERT_EQ(out.size(), 4u);
   for (const Tuple& t : out) {
@@ -121,7 +130,8 @@ TEST(MergeJoinTest, NoMatches) {
   std::vector<Tuple> l{T(1, 1)};
   std::vector<Tuple> r{T(2, 2)};
   CostModel model;
-  EXPECT_TRUE(MergeJoin(l, {0}, ls, r, {0}, ls, nullptr, model, nullptr)
+  EXPECT_TRUE(MergeJoin(RefsOf(l), {0}, ls, RefsOf(r), {0}, ls, nullptr,
+                        model, nullptr)
                   .empty());
 }
 
@@ -129,7 +139,7 @@ TEST(DedupSortedTest, Occupancies) {
   Schema s = TwoIntSchema();
   std::vector<Tuple> v{T(1, 1), T(1, 1), T(2, 2), T(3, 3), T(3, 3)};
   CostModel model;
-  auto groups = DedupSorted(v, s, nullptr, model, nullptr);
+  auto groups = DedupSorted(RefsOf(v), s, nullptr, model, nullptr);
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].count, 2);
   EXPECT_EQ(groups[1].count, 1);
@@ -145,7 +155,7 @@ TEST(DedupSortedTest, Empty) {
 TEST(ProjectColumnsTest, KeepsRequestedOrder) {
   std::vector<Tuple> v{T(1, 10), T(2, 20)};
   CostModel model;
-  auto out = ProjectColumns(v, {1}, nullptr, model, nullptr);
+  auto out = ProjectColumns(RefsOf(v), {1}, nullptr, model, nullptr);
   ASSERT_EQ(out.size(), 2u);
   ASSERT_EQ(out[0].size(), 1u);
   EXPECT_EQ(std::get<int64_t>(out[0][0]), 10);

@@ -128,5 +128,28 @@ TEST(ParallelDeterminismTest, FinalPartialStagesStayDeterministic) {
   ExpectBitIdentical(serial, parallel);
 }
 
+// StageReport's parallel tally includes each evaluator's sort and merge
+// fan-out, nested inside its term task, and depends only on the data. An
+// intersect stage s runs 2 draw tasks, 1 term task, 2 sort tasks and one
+// merge task per run pair (2s + 1 pairs under full fulfillment); runs of
+// fewer than 4,096 tuples never split into several merge chunks.
+TEST(ParallelDeterminismTest, StageTaskCountIncludesEvaluatorFanOut) {
+  auto workload = MakeIntersectionWorkload(200, /*seed=*/31,
+                                           /*num_tuples=*/2000);
+  ASSERT_TRUE(workload.ok());
+  std::vector<int> counts[2];
+  for (int pass = 0; pass < 2; ++pass) {
+    QueryResult r = MustRun(workload->query, workload->catalog, 10.0,
+                            BaseOptions(/*threads=*/pass == 0 ? 4 : 1));
+    ASSERT_GE(r.stages().size(), 3u);
+    for (const StageReport& stage : r.stages()) {
+      EXPECT_EQ(stage.parallel_tasks, 6 + 2 * stage.index)
+          << "stage " << stage.index;
+      counts[pass].push_back(stage.parallel_tasks);
+    }
+  }
+  EXPECT_EQ(counts[0], counts[1]);
+}
+
 }  // namespace
 }  // namespace tcq

@@ -68,7 +68,7 @@ TEST(EncodedKeyTest, MemcmpOrderMatchesTupleComparison) {
   Schema schema = MixedSchema();
   std::vector<Tuple> tuples = RandomMixedTuples(64, 1234);
   std::vector<uint8_t> keys;
-  EncodeKeyColumns(std::span<const Tuple>(tuples), schema, {}, &keys);
+  EncodeKeyColumns(RefsOf(tuples), schema, {}, &keys);
   const int w = EncodedKeyWidth(schema, {});
   ASSERT_EQ(keys.size(), tuples.size() * static_cast<size_t>(w));
   for (size_t a = 0; a < tuples.size(); ++a) {
@@ -86,7 +86,7 @@ TEST(EncodedKeyTest, SubsetKeyMatchesKeyComparison) {
   std::vector<Tuple> tuples = RandomMixedTuples(48, 77);
   const std::vector<int> key = {2, 0};  // string + int, out of order
   std::vector<uint8_t> keys;
-  EncodeKeyColumns(std::span<const Tuple>(tuples), schema, key, &keys);
+  EncodeKeyColumns(RefsOf(tuples), schema, key, &keys);
   const int w = EncodedKeyWidth(schema, key);
   EXPECT_EQ(w, 16);
   for (size_t a = 0; a < tuples.size(); ++a) {
@@ -118,8 +118,9 @@ TEST(VectorizedSortTest, OrderAndComparisonCountMatchRowKernel) {
   Schema schema = MixedSchema();
   for (const std::vector<int>& key :
        {std::vector<int>{}, std::vector<int>{1}, std::vector<int>{0, 2}}) {
-    std::vector<Tuple> rows = RandomMixedTuples(200, 42);
-    std::vector<Tuple> cols = rows;
+    std::vector<Tuple> tuples = RandomMixedTuples(200, 42);
+    TupleRefs rows = RefsOf(tuples);
+    TupleRefs cols = rows;
     int64_t row_comp = 0, col_comp = 0;
     SortRunRange(&rows, key, &row_comp);
     std::vector<uint8_t> keys;
@@ -129,72 +130,138 @@ TEST(VectorizedSortTest, OrderAndComparisonCountMatchRowKernel) {
     for (size_t i = 0; i < rows.size(); ++i) {
       // Same permutation, not just same key order: the layouts must stay
       // interchangeable even among equal-key tuples.
-      ASSERT_EQ(CompareTuples(rows[i], cols[i]), 0) << i;
+      ASSERT_EQ(rows[i], cols[i]) << i;
     }
     // The returned key buffer is the sorted encoding of the run.
     std::vector<uint8_t> expect_keys;
-    EncodeKeyColumns(std::span<const Tuple>(cols), schema, key, &expect_keys);
+    EncodeKeyColumns(cols, schema, key, &expect_keys);
     EXPECT_EQ(keys, expect_keys);
   }
 }
 
 TEST(VectorizedMergeTest, IntersectOutputAndComparisonsMatchRowKernel) {
   Schema schema = MixedSchema();
-  std::vector<Tuple> left = RandomMixedTuples(150, 7);
-  std::vector<Tuple> right = RandomMixedTuples(150, 7);  // heavy overlap
+  std::vector<Tuple> left_tuples = RandomMixedTuples(150, 7);
+  std::vector<Tuple> right_tuples = RandomMixedTuples(150, 7);  // overlap
   std::vector<Tuple> extra = RandomMixedTuples(60, 8);
-  right.insert(right.end(), extra.begin(), extra.end());
+  right_tuples.insert(right_tuples.end(), extra.begin(), extra.end());
+  TupleRefs left = RefsOf(left_tuples);
+  TupleRefs right = RefsOf(right_tuples);
   int64_t ignore = 0;
   SortRunRange(&left, {}, &ignore);
   SortRunRange(&right, {}, &ignore);
   std::vector<uint8_t> lkeys, rkeys;
-  EncodeKeyColumns(std::span<const Tuple>(left), schema, {}, &lkeys);
-  EncodeKeyColumns(std::span<const Tuple>(right), schema, {}, &rkeys);
+  EncodeKeyColumns(left, schema, {}, &lkeys);
+  EncodeKeyColumns(right, schema, {}, &rkeys);
 
   int64_t row_comp = 0, col_comp = 0;
-  std::vector<Tuple> row_out =
-      MergeIntersectRange(left, right, &row_comp);
-  std::vector<Tuple> col_out = MergeIntersectRangeColumnar(
+  TupleRefs row_out, col_out;
+  int64_t row_n = MergeIntersectRange(left, right, &row_out, &row_comp);
+  int64_t col_n = MergeIntersectRangeColumnar(
       left, lkeys.data(), right, rkeys.data(), EncodedKeyWidth(schema, {}),
-      &col_comp);
+      &col_out, &col_comp);
   EXPECT_EQ(row_comp, col_comp);
   ASSERT_EQ(row_out.size(), col_out.size());
   for (size_t i = 0; i < row_out.size(); ++i) {
-    ASSERT_EQ(CompareTuples(row_out[i], col_out[i]), 0) << i;
+    ASSERT_EQ(CompareTuples(*row_out[i], *col_out[i]), 0) << i;
   }
+  EXPECT_EQ(row_n, static_cast<int64_t>(row_out.size()));
+  EXPECT_EQ(col_n, static_cast<int64_t>(col_out.size()));
 }
 
 TEST(VectorizedMergeTest, JoinOutputAndComparisonsMatchRowKernel) {
   Schema schema = MixedSchema();
   const std::vector<int> key = {0};
-  std::vector<Tuple> left = RandomMixedTuples(120, 5);
-  std::vector<Tuple> right = RandomMixedTuples(140, 6);
+  std::vector<Tuple> left_tuples = RandomMixedTuples(120, 5);
+  std::vector<Tuple> right_tuples = RandomMixedTuples(140, 6);
   // Collapse int keys into a small domain so groups have multiplicity.
-  for (auto* run : {&left, &right}) {
+  for (auto* run : {&left_tuples, &right_tuples}) {
     for (Tuple& t : *run) {
       t[0] = std::get<int64_t>(t[0]) % 16;
     }
   }
+  TupleRefs left = RefsOf(left_tuples);
+  TupleRefs right = RefsOf(right_tuples);
   int64_t ignore = 0;
-  auto sort_on_key = [&](std::vector<Tuple>* run) {
-    SortRunRange(run, key, &ignore);
-  };
-  sort_on_key(&left);
-  sort_on_key(&right);
+  SortRunRange(&left, key, &ignore);
+  SortRunRange(&right, key, &ignore);
   std::vector<uint8_t> lkeys, rkeys;
-  EncodeKeyColumns(std::span<const Tuple>(left), schema, key, &lkeys);
-  EncodeKeyColumns(std::span<const Tuple>(right), schema, key, &rkeys);
+  EncodeKeyColumns(left, schema, key, &lkeys);
+  EncodeKeyColumns(right, schema, key, &rkeys);
 
   int64_t row_comp = 0, col_comp = 0;
-  std::vector<Tuple> row_out =
-      MergeJoinRange(left, key, right, key, &row_comp);
-  std::vector<Tuple> col_out = MergeJoinRangeColumnar(
+  std::vector<Tuple> row_out, col_out;
+  int64_t row_n = MergeJoinRange(left, key, right, key, &row_out, &row_comp);
+  int64_t col_n = MergeJoinRangeColumnar(
       left, lkeys.data(), right, rkeys.data(), EncodedKeyWidth(schema, key),
-      &col_comp);
+      &col_out, &col_comp);
   EXPECT_EQ(row_comp, col_comp);
   ASSERT_EQ(row_out.size(), col_out.size());
   for (size_t i = 0; i < row_out.size(); ++i) {
     ASSERT_EQ(CompareTuples(row_out[i], col_out[i]), 0) << i;
+  }
+  EXPECT_EQ(row_n, static_cast<int64_t>(row_out.size()));
+  EXPECT_EQ(col_n, static_cast<int64_t>(col_out.size()));
+}
+
+// A result nobody reads is counted, never built: with a null output the
+// merge kernels return the same count after the same comparisons.
+TEST(VectorizedMergeTest, CountOnlyMergesMatchEmittingMerges) {
+  Schema schema = MixedSchema();
+  const std::vector<int> key = {0};
+  std::vector<Tuple> left_tuples = RandomMixedTuples(120, 11);
+  std::vector<Tuple> right_tuples = RandomMixedTuples(140, 12);
+  for (auto* run : {&left_tuples, &right_tuples}) {
+    for (Tuple& t : *run) {
+      t[0] = std::get<int64_t>(t[0]) % 8;
+    }
+  }
+  right_tuples.insert(right_tuples.end(), left_tuples.begin(),
+                      left_tuples.begin() + 30);
+  for (const std::vector<int>& k : {std::vector<int>{}, key}) {
+    TupleRefs left = RefsOf(left_tuples);
+    TupleRefs right = RefsOf(right_tuples);
+    int64_t ignore = 0;
+    SortRunRange(&left, k, &ignore);
+    SortRunRange(&right, k, &ignore);
+    std::vector<uint8_t> lkeys, rkeys;
+    EncodeKeyColumns(left, schema, k, &lkeys);
+    EncodeKeyColumns(right, schema, k, &rkeys);
+    const int w = EncodedKeyWidth(schema, k);
+    int64_t emit_comp = 0, count_comp = 0;
+    int64_t col_emit_comp = 0, col_count_comp = 0;
+    if (k.empty()) {
+      TupleRefs out, col_out;
+      int64_t emitted = MergeIntersectRange(left, right, &out, &emit_comp);
+      EXPECT_EQ(MergeIntersectRange(left, right, nullptr, &count_comp),
+                emitted);
+      EXPECT_EQ(MergeIntersectRangeColumnar(left, lkeys.data(), right,
+                                            rkeys.data(), w, &col_out,
+                                            &col_emit_comp),
+                emitted);
+      EXPECT_EQ(MergeIntersectRangeColumnar(left, lkeys.data(), right,
+                                            rkeys.data(), w, nullptr,
+                                            &col_count_comp),
+                emitted);
+      EXPECT_GT(emitted, 0);
+    } else {
+      std::vector<Tuple> out, col_out;
+      int64_t emitted = MergeJoinRange(left, k, right, k, &out, &emit_comp);
+      EXPECT_EQ(MergeJoinRange(left, k, right, k, nullptr, &count_comp),
+                emitted);
+      EXPECT_EQ(MergeJoinRangeColumnar(left, lkeys.data(), right,
+                                       rkeys.data(), w, &col_out,
+                                       &col_emit_comp),
+                emitted);
+      EXPECT_EQ(MergeJoinRangeColumnar(left, lkeys.data(), right,
+                                       rkeys.data(), w, nullptr,
+                                       &col_count_comp),
+                emitted);
+      EXPECT_GT(emitted, 0);
+    }
+    EXPECT_EQ(emit_comp, count_comp);
+    EXPECT_EQ(emit_comp, col_emit_comp);
+    EXPECT_EQ(emit_comp, col_count_comp);
   }
 }
 
@@ -255,9 +322,11 @@ TEST(EvalBatchTest, MatchesScalarEvalOnEveryRow) {
 TEST(SelectColumnarTest, OutputAndChargesMatchRowPath) {
   Schema schema = MixedSchema();
   std::vector<Tuple> tuples = RandomMixedTuples(250, 99);
+  TupleRefs refs = RefsOf(tuples);
   ColumnBatch batch;
   batch.Configure(schema);
   for (const Tuple& t : tuples) batch.AppendRow(t);
+  const std::vector<const ColumnBatch*> batches = {&batch};
   auto bound = BoundPredicate::Bind(
       And(CmpLiteral("i", CompareOp::kGe, int64_t{0}),
           CmpLiteral("d", CompareOp::kLt, 10.0)),
@@ -267,20 +336,51 @@ TEST(SelectColumnarTest, OutputAndChargesMatchRowPath) {
 
   CostLedger row_ledger, col_ledger;
   OpMetrics row_metrics, col_metrics;
-  std::vector<Tuple> row_out = SelectTuples(tuples, *bound, schema,
-                                            &row_ledger, model, &row_metrics);
-  std::vector<Tuple> col_out =
-      SelectTuplesColumnar(tuples, batch, *bound, schema, &col_ledger, model,
-                           &col_metrics);
+  TupleRefs row_out = SelectTuples(refs, *bound, schema, &row_ledger, model,
+                                   &row_metrics);
+  TupleRefs col_out = SelectTuplesColumnar(refs, batches, *bound, schema,
+                                           &col_ledger, model, &col_metrics);
   ASSERT_EQ(row_out.size(), col_out.size());
   for (size_t i = 0; i < row_out.size(); ++i) {
-    ASSERT_EQ(CompareTuples(row_out[i], col_out[i]), 0);
+    ASSERT_EQ(CompareTuples(*row_out[i], *col_out[i]), 0);
   }
   EXPECT_EQ(row_ledger.GrandTotal(), col_ledger.GrandTotal());
   EXPECT_EQ(row_metrics.process.comparisons, col_metrics.process.comparisons);
   EXPECT_EQ(row_metrics.process.in_tuples, col_metrics.process.in_tuples);
   EXPECT_EQ(row_metrics.output.out_tuples, col_metrics.output.out_tuples);
   EXPECT_EQ(row_metrics.output.out_pages, col_metrics.output.out_pages);
+}
+
+// The staged evaluator runs the columnar select over each fetched block's
+// own batch: splitting the run into per-block batches changes neither the
+// qualifying references nor a single charge.
+TEST(SelectColumnarTest, PerBlockBatchesMatchOneBatch) {
+  Schema schema = MixedSchema();
+  std::vector<Tuple> tuples = RandomMixedTuples(250, 123);
+  TupleRefs refs = RefsOf(tuples);
+  ColumnBatch whole;
+  whole.Configure(schema);
+  std::vector<ColumnBatch> blocks((tuples.size() + 6) / 7);
+  for (ColumnBatch& b : blocks) b.Configure(schema);
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    whole.AppendRow(tuples[i]);
+    blocks[i / 7].AppendRow(tuples[i]);
+  }
+  std::vector<const ColumnBatch*> per_block;
+  for (const ColumnBatch& b : blocks) per_block.push_back(&b);
+  const std::vector<const ColumnBatch*> one = {&whole};
+  auto bound = BoundPredicate::Bind(
+      CmpLiteral("s", CompareOp::kLt, std::string("b")), schema);
+  ASSERT_TRUE(bound.ok());
+  CostModel model = CostModel::Deterministic();
+  CostLedger one_ledger, block_ledger;
+  TupleRefs one_out = SelectTuplesColumnar(refs, one, *bound, schema,
+                                           &one_ledger, model, nullptr);
+  TupleRefs block_out = SelectTuplesColumnar(
+      refs, per_block, *bound, schema, &block_ledger, model, nullptr);
+  EXPECT_FALSE(one_out.empty());
+  EXPECT_EQ(one_out, block_out);
+  EXPECT_EQ(one_ledger.GrandTotal(), block_ledger.GrandTotal());
 }
 
 // ---------------------------------------------------------------------------

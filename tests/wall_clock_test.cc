@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "engine/executor.h"
 #include "workload/generators.h"
 
@@ -68,6 +71,33 @@ TEST(WallClockModeTest, SamplingStillSeedDeterministic) {
   auto r = RunTimeConstrainedCount(w->query, w->catalog, WithQuota(options, 0.050));
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->blocks_sampled, 0);
+}
+
+// An observer that takes 30 ms to start, standing in for any work the
+// engine does between query entry and its first stage.
+class SlowStartObserver : public ProgressObserver {
+ public:
+  void OnQueryBegin(double quota_s, int num_terms) override {
+    (void)quota_s;
+    (void)num_terms;
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  }
+};
+
+TEST(WallClockModeTest, QuotaRunsFromQueryEntry) {
+  auto w = MakeSelectionWorkload(2000, 4);
+  ASSERT_TRUE(w.ok());
+  ExecutorOptions options;
+  options.use_wall_clock = true;
+  options.physical = CostModel::ModernInMemory();
+  SlowStartObserver observer;
+  options.obs.observer = &observer;
+  auto r = RunTimeConstrainedCount(w->query, w->catalog,
+                                   WithQuota(options, 0.050));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_FALSE(r->stages().empty());
+  // The 30 ms spent before stage 0 came out of the 50 ms quota.
+  EXPECT_LE(r->stages()[0].time_left_before, 0.020);
 }
 
 }  // namespace
