@@ -90,7 +90,7 @@ bool BenchSelect(const BenchArgs& args, double* row_s, double* col_s) {
   std::vector<Tuple> tuples =
       MakeRun(kRunTuples, args.seed, 1 << 20, 100000);
   ColumnBatch batch;
-  batch.Configure(schema);
+  batch.Configure(schema, static_cast<int64_t>(tuples.size()));
   for (const Tuple& t : tuples) batch.AppendRow(t);
   auto bound = BoundPredicate::Bind(
       And(CmpLiteral("key", CompareOp::kLt, int64_t{50000}),

@@ -51,8 +51,10 @@
 #                 the repository benchmark's unit tests (perfbench/
 #                 test_benchlib.py), then a 5 s paper_sim run at seed 1
 #                 whose result digest and simulated-operation totals must
-#                 equal the baseline in perfbench/workloads.json; archives
-#                 the report at build/artifacts/perfbench_smoke.txt
+#                 equal the baseline in perfbench/workloads.json and whose
+#                 peak_rss_mb must not exceed 1000 (the resident paper
+#                 catalogs); archives the report at
+#                 build/artifacts/perfbench_smoke.txt
 #   tsan          ThreadSanitizer build + ctest (contracts armed)
 #   asan          AddressSanitizer build + ctest (contracts armed)
 #   ubsan         UndefinedBehaviorSanitizer build + ctest (contracts armed)
@@ -350,7 +352,9 @@ EOF_PY
 stage_perfbench_smoke() {
   # A pure speed change never moves the simulated work: the first 32
   # paper_sim queries at seed 1 must reproduce the recorded digest and
-  # operation totals exactly.
+  # operation totals exactly. The run's peak RSS is dominated by the
+  # resident catalogs, so a storage layout that grows them past 1000 MB
+  # fails here too.
   mkdir -p build/artifacts &&
     python3 perfbench/test_benchlib.py &&
     python3 perfbench/run.py --workload paper_sim --seed 1 --seconds 5 \
@@ -371,9 +375,16 @@ for m in re.finditer(r"^(sim\.ops\.\w+) total (\d+)$", report, re.M):
     found[m.group(1)] = int(m.group(2))
 diffs = [f"{k}: expected {v}, got {found.get(k)}"
          for k, v in baseline.items() if found.get(k) != v]
+PEAK_RSS_LIMIT_MB = 1000.0
+peak_rss_mb = json.loads(report.strip().splitlines()[-1])["metrics"][
+    "peak_rss_mb"]["value"]
+if peak_rss_mb > PEAK_RSS_LIMIT_MB:
+    diffs.append(f"peak_rss_mb {peak_rss_mb:.1f} above "
+                 f"{PEAK_RSS_LIMIT_MB:.0f}")
 assert not diffs, "perfbench-smoke: " + "; ".join(diffs)
 print(f"perfbench-smoke: digest and {len(baseline) - 1} sim.ops totals "
-      "match the paper_sim baseline")
+      f"match the paper_sim baseline; peak_rss_mb {peak_rss_mb:.1f} "
+      f"<= {PEAK_RSS_LIMIT_MB:.0f}")
 EOF_PY
 }
 

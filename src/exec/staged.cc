@@ -349,7 +349,9 @@ Status StagedTermEvaluator::ExecuteNode(
             batches.push_back(&BlockView(b).columns());
           }
         } else {
-          assembled.Configure(child->out_schema);
+          assembled.Configure(
+              child->out_schema,
+              static_cast<int64_t>(child->stage_out.size()));
           for (const Tuple* t : child->stage_out) assembled.AppendRow(*t);
           batches.push_back(&assembled);
         }

@@ -276,11 +276,11 @@ std::string_view TrimmedCell(const uint8_t* p, size_t width) {
 
 int Sign(int c) { return c < 0 ? -1 : (c > 0 ? 1 : 0); }
 
-void CompareStringLiteralMask(const ColumnBatch::ColumnData& col, size_t n,
+void CompareStringLiteralMask(const ColumnBatch& batch, int c, size_t n,
                               const std::string& lit, CompareOp op,
                               uint8_t* out) {
-  const size_t w = static_cast<size_t>(col.width);
-  const uint8_t* data = col.bytes.data();
+  const size_t w = static_cast<size_t>(batch.width(c));
+  const uint8_t* data = batch.StringBytes(c).data();
   if (lit.find('\0') != std::string::npos) {
     // NUL-bearing literals defeat the padded-memcmp trick; compare the
     // trimmed cells exactly as CompareValues would.
@@ -303,13 +303,12 @@ void CompareStringLiteralMask(const ColumnBatch::ColumnData& col, size_t n,
   }
 }
 
-void CompareStringColumnsMask(const ColumnBatch::ColumnData& a,
-                              const ColumnBatch::ColumnData& b, size_t n,
-                              CompareOp op, uint8_t* out) {
-  const size_t wa = static_cast<size_t>(a.width);
-  const size_t wb = static_cast<size_t>(b.width);
-  const uint8_t* da = a.bytes.data();
-  const uint8_t* db = b.bytes.data();
+void CompareStringColumnsMask(const ColumnBatch& batch, int a, int b,
+                              size_t n, CompareOp op, uint8_t* out) {
+  const size_t wa = static_cast<size_t>(batch.width(a));
+  const size_t wb = static_cast<size_t>(batch.width(b));
+  const uint8_t* da = batch.StringBytes(a).data();
+  const uint8_t* db = batch.StringBytes(b).data();
   if (wa == wb) {
     // Equal widths: both cells are zero-padded, so memcmp is exact 3-way.
     for (size_t i = 0; i < n; ++i) {
@@ -337,35 +336,38 @@ void BoundPredicate::EvalNodeBatch(int node, const ColumnBatch& batch,
   const size_t n = static_cast<size_t>(batch.num_rows());
   switch (nd.kind) {
     case Predicate::Kind::kCompareLiteral: {
-      const ColumnBatch::ColumnData& col = batch.column(nd.lhs_index);
-      switch (col.type) {
+      const int c = nd.lhs_index;
+      switch (batch.type(c)) {
         case DataType::kInt64:
-          CompareLiteralMask(col.i64.data(), n, std::get<int64_t>(nd.literal),
-                             nd.op, out);
+          CompareLiteralMask(batch.I64(c).data(), n,
+                             std::get<int64_t>(nd.literal), nd.op, out);
           break;
         case DataType::kDouble:
-          CompareLiteralMask(col.f64.data(), n, std::get<double>(nd.literal),
-                             nd.op, out);
+          CompareLiteralMask(batch.F64(c).data(), n,
+                             std::get<double>(nd.literal), nd.op, out);
           break;
         case DataType::kString:
-          CompareStringLiteralMask(col, n, std::get<std::string>(nd.literal),
-                                   nd.op, out);
+          CompareStringLiteralMask(batch, c, n,
+                                   std::get<std::string>(nd.literal), nd.op,
+                                   out);
           break;
       }
       return;
     }
     case Predicate::Kind::kCompareColumns: {
-      const ColumnBatch::ColumnData& lhs = batch.column(nd.lhs_index);
-      const ColumnBatch::ColumnData& rhs = batch.column(nd.rhs_index);
-      switch (lhs.type) {
+      const int a = nd.lhs_index;
+      const int b = nd.rhs_index;
+      switch (batch.type(a)) {
         case DataType::kInt64:
-          CompareColumnsMask(lhs.i64.data(), rhs.i64.data(), n, nd.op, out);
+          CompareColumnsMask(batch.I64(a).data(), batch.I64(b).data(), n,
+                             nd.op, out);
           break;
         case DataType::kDouble:
-          CompareColumnsMask(lhs.f64.data(), rhs.f64.data(), n, nd.op, out);
+          CompareColumnsMask(batch.F64(a).data(), batch.F64(b).data(), n,
+                             nd.op, out);
           break;
         case DataType::kString:
-          CompareStringColumnsMask(lhs, rhs, n, nd.op, out);
+          CompareStringColumnsMask(batch, a, b, n, nd.op, out);
           break;
       }
       return;

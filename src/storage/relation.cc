@@ -31,7 +31,7 @@ void Relation::AppendUnchecked(Tuple tuple) {
       static_cast<int>(blocks_.back().tuples.size()) >= blocking_factor_) {
     blocks_.emplace_back();
     blocks_.back().tuples.reserve(static_cast<size_t>(blocking_factor_));
-    blocks_.back().columns.Configure(schema_);
+    blocks_.back().columns.Configure(schema_, blocking_factor_);
   }
   blocks_.back().columns.AppendRow(tuple);
   blocks_.back().tuples.push_back(std::move(tuple));

@@ -21,9 +21,9 @@ inline constexpr int kDefaultBlockBytes = 1024;
 /// is the cluster-sampling unit (paper §2): drawing a block retrieves all
 /// of its tuples at the cost of one random read. Both physical layouts of
 /// the same block are kept: decoded row tuples for the tuple-at-a-time
-/// path and per-column contiguous arrays for the vectorized batch path
-/// (Layout::kColumnar). They always describe the same tuples in the same
-/// order.
+/// path and a column-major page, sized to exactly the blocking factor, for
+/// the vectorized batch path (Layout::kColumnar). They always describe the
+/// same tuples in the same order.
 struct Block {
   std::vector<Tuple> tuples;
   ColumnBatch columns;
@@ -79,16 +79,11 @@ class Relation {
   /// blocking factor.
   [[nodiscard]] Status Append(Tuple tuple);
 
-  /// Unchecked append for bulk loading by trusted generators.
+  /// Unchecked append for bulk loading by trusted generators: the tuple's
+  /// types and arity are not validated, and a string wider than its
+  /// column aborts the process rather than overrun the block's page.
   void AppendUnchecked(Tuple tuple);
 
-  [[deprecated(
-      "per-tuple block access is the legacy row-at-a-time surface; use "
-      "ViewBlock()/ReadBlock(), whose BlockView exposes rows() and "
-      "columns()")]]
-  const Block& block(int64_t i) const {
-    return blocks_[static_cast<size_t>(i)];
-  }
   /// Bulk accessor for the page codec (serialization walks every block).
   const std::vector<Block>& blocks() const { return blocks_; }
 

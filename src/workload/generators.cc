@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "util/random.h"
 
@@ -65,12 +66,14 @@ Result<Workload> MakeSelectionWorkload(int64_t output_tuples, uint64_t seed,
       scattered.empty()
           ? 0
           : static_cast<size_t>(rng.Uniform(scattered.size() + 1));
-  for (size_t i = 0; i < insert_at; ++i) rows.push_back(scattered[i]);
+  for (size_t i = 0; i < insert_at; ++i) {
+    rows.push_back(std::move(scattered[i]));
+  }
   for (int64_t i = 0; i < clustered_count; ++i) {
     rows.push_back(Tuple{i, i, Payload()});
   }
   for (size_t i = insert_at; i < scattered.size(); ++i) {
-    rows.push_back(scattered[i]);
+    rows.push_back(std::move(scattered[i]));
   }
   TCQ_ASSIGN_OR_RETURN(Relation rel,
                        Relation::Create("r1", schema, kDefaultBlockBytes));
@@ -96,6 +99,8 @@ Result<Workload> MakeIntersectionWorkload(int64_t output_tuples,
   // remainder of each relation uses disjoint id ranges so no extra tuple
   // coincides.
   std::vector<Tuple> r1_rows, r2_rows;
+  r1_rows.reserve(static_cast<size_t>(num_tuples));
+  r2_rows.reserve(static_cast<size_t>(num_tuples));
   for (int64_t i = 0; i < output_tuples; ++i) {
     r1_rows.push_back(Tuple{i, i, Payload()});
     r2_rows.push_back(Tuple{i, i, Payload()});
@@ -141,12 +146,14 @@ Result<Workload> MakeJoinWorkload(int64_t output_tuples, uint64_t seed,
 
   // Right: keys 0..num_keys-1, right_per_key tuples each.
   std::vector<Tuple> r2_rows;
+  r2_rows.reserve(static_cast<size_t>(num_tuples));
   for (int64_t i = 0; i < num_tuples; ++i) {
     r2_rows.push_back(Tuple{2000000 + i, i % num_keys, Payload()});
   }
   // Left: matching_left tuples with keys uniform over the right's key
   // domain; the rest carry keys outside it.
   std::vector<Tuple> r1_rows;
+  r1_rows.reserve(static_cast<size_t>(num_tuples));
   for (int64_t i = 0; i < matching_left; ++i) {
     r1_rows.push_back(Tuple{i, rng.UniformInt(0, num_keys - 1), Payload()});
   }

@@ -287,7 +287,7 @@ TEST(EvalBatchTest, MatchesScalarEvalOnEveryRow) {
                            shifted[k][1], base[k][2], shifted[k][2]});
   }
   ColumnBatch batch;
-  batch.Configure(schema);
+  batch.Configure(schema, static_cast<int64_t>(tuples.size()));
   for (const Tuple& t : tuples) batch.AppendRow(t);
 
   const std::vector<PredicatePtr> predicates = {
@@ -324,7 +324,7 @@ TEST(SelectColumnarTest, OutputAndChargesMatchRowPath) {
   std::vector<Tuple> tuples = RandomMixedTuples(250, 99);
   TupleRefs refs = RefsOf(tuples);
   ColumnBatch batch;
-  batch.Configure(schema);
+  batch.Configure(schema, static_cast<int64_t>(tuples.size()));
   for (const Tuple& t : tuples) batch.AppendRow(t);
   const std::vector<const ColumnBatch*> batches = {&batch};
   auto bound = BoundPredicate::Bind(
@@ -359,9 +359,9 @@ TEST(SelectColumnarTest, PerBlockBatchesMatchOneBatch) {
   std::vector<Tuple> tuples = RandomMixedTuples(250, 123);
   TupleRefs refs = RefsOf(tuples);
   ColumnBatch whole;
-  whole.Configure(schema);
+  whole.Configure(schema, static_cast<int64_t>(tuples.size()));
   std::vector<ColumnBatch> blocks((tuples.size() + 6) / 7);
-  for (ColumnBatch& b : blocks) b.Configure(schema);
+  for (ColumnBatch& b : blocks) b.Configure(schema, 7);
   for (size_t i = 0; i < tuples.size(); ++i) {
     whole.AppendRow(tuples[i]);
     blocks[i / 7].AppendRow(tuples[i]);

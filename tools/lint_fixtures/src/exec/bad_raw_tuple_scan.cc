@@ -3,9 +3,7 @@
 #include "storage/relation.h"
 
 namespace tcq {
-int64_t CountAll(const Relation& rel, const Block* b) {
-  int64_t n = static_cast<int64_t>(b->tuples.size());
-  n += static_cast<int64_t>(rel.block(0).tuples.size());
-  return n;
+int64_t CountAll(const Block* b) {
+  return static_cast<int64_t>(b->tuples.size());
 }
 }  // namespace tcq

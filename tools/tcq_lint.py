@@ -54,8 +54,7 @@ enforces them statically:
                      the hatch deliberately (e.g. to prove the typed
                      setters configure the very same options).
   raw-tuple-scan     Tuple-at-a-time block access in src/exec/: reaching
-                     into a Block's `tuples` member (`b->tuples`) or
-                     calling the deprecated per-tuple `block(i)` accessor.
+                     into a Block's `tuples` member (`b->tuples`).
                      Operators consume blocks through BlockView
                      (`ViewBlock()/ReadBlock()`), whose rows()/columns()
                      keep the row and columnar layouts interchangeable —
@@ -579,11 +578,10 @@ def rule_raw_options_edit(relpath, lines, code_lines):
 
 
 # Block-internals access only: `->tuples` (blocks travel through exec as
-# `const Block*`, so member access on one is an arrow) and the deprecated
-# `block(` accessor behind a member dot/arrow. TupleSet-style value
-# members (`out.tuples`), StepMetrics fields (`->in_tuples`,
+# `const Block*`, so member access on one is an arrow). TupleSet-style
+# value members (`out.tuples`), StepMetrics fields (`->in_tuples`,
 # `->out_tuples`) and BlockView calls (`ViewBlock(`) do not match.
-RAW_TUPLE_SCAN_TOKENS = re.compile(r"->\s*tuples\b|(?:\.|->)\s*block\s*\(")
+RAW_TUPLE_SCAN_TOKENS = re.compile(r"->\s*tuples\b")
 
 
 def rule_raw_tuple_scan(relpath, lines, code_lines):

@@ -60,7 +60,6 @@ EXPECTED = {
     ],
     "src/exec/bad_raw_tuple_scan.cc": [
         (7, "raw-tuple-scan"),
-        (8, "raw-tuple-scan"),
     ],
     "src/storage/bad_discard.cc": [
         (7, "status-discarded-in-storage"),
