@@ -1,10 +1,10 @@
 // Vectorized-evaluation gate: the columnar kernels must beat the row
 // kernels by >= 2x per-block throughput on Select (batch predicate masks
 // over contiguous column arrays vs tuple-at-a-time Eval) AND on Intersect
-// (encoded-key memcmp merge vs variant-typed tuple comparison), while a
-// whole query stays bit-identical across layouts — same estimate,
-// variance, CI and stage schedule at threads 4 with warm-start and 5%
-// fault injection.
+// (encoded-key memcmp merge vs key-prefix merge falling back to
+// variant-typed tuple comparison on ties), while a whole query stays
+// bit-identical across layouts — same estimate, variance, CI and stage
+// schedule at threads 4 with warm-start and 5% fault injection.
 //
 //   ./build/bench/vector_eval [--reps R] [--seed S]
 //
@@ -135,10 +135,12 @@ bool BenchSelect(const BenchArgs& args, double* row_s, double* col_s) {
 //    row comparator through several variant dispatches (often down to
 //    the string column) per step, while the encoded-key compare still
 //    resolves in one or two 8-byte chunks.
-//  * The encoded keys are built outside the timed region: in the staged
-//    evaluator SortRunRangeColumnar leaves the sorted keys behind and
-//    every downstream merge reuses them, so the merge never pays for
-//    encoding.
+//  * The encoded keys and the row kernel's key prefixes are built outside
+//    the timed region: in the staged evaluator each sort leaves them
+//    behind (SortRunRangeColumnar its encoded keys, SortRunRange its
+//    prefixes) and every downstream merge reuses them, so neither merge
+//    pays for encoding. With 16 distinct ids, most row comparisons tie on
+//    the id prefix and fall through to the tuples.
 //
 // Both kernels run over the same sorted reference runs, as in the staged
 // evaluator, and both emit the left references of the matches.
@@ -154,9 +156,10 @@ bool BenchIntersect(const BenchArgs& args, double* row_s, double* col_s) {
                       left_tuples.begin() + kRunTuples / 64);
   TupleRefs left = RefsOf(left_tuples);
   TupleRefs right = RefsOf(right_tuples);
+  KeyPrefixes left_prefixes, right_prefixes;
   int64_t ignore = 0;
-  SortRunRange(&left, {}, &ignore);
-  SortRunRange(&right, {}, &ignore);
+  SortRunRange(&left, {}, &ignore, &left_prefixes);
+  SortRunRange(&right, {}, &ignore, &right_prefixes);
   const int width = EncodedKeyWidth(schema, {});
 
   int64_t row_out = 0, col_out = 0;
@@ -170,7 +173,8 @@ bool BenchIntersect(const BenchArgs& args, double* row_s, double* col_s) {
         for (int rep = 0; rep < args.repetitions; ++rep) {
           int64_t comparisons = 0;
           out.clear();
-          row_out += MergeIntersectRange(left, right, &out, &comparisons);
+          row_out += MergeIntersectRange(left, left_prefixes, right,
+                                         right_prefixes, &out, &comparisons);
         }
       },
       [&] {

@@ -54,7 +54,10 @@
 #                 equal the baseline in perfbench/workloads.json and whose
 #                 peak_rss_mb must not exceed 1000 (the resident paper
 #                 catalogs); archives the report at
-#                 build/artifacts/perfbench_smoke.txt
+#                 build/artifacts/perfbench_smoke.txt. Then a 5 s
+#                 serve_small run at seed 1, which must check every
+#                 served answer correct with none failed; archives its
+#                 report at build/artifacts/perfbench_serve_smoke.txt
 #   tsan          ThreadSanitizer build + ctest (contracts armed)
 #   asan          AddressSanitizer build + ctest (contracts armed)
 #   ubsan         UndefinedBehaviorSanitizer build + ctest (contracts armed)
@@ -354,12 +357,13 @@ stage_perfbench_smoke() {
   # paper_sim queries at seed 1 must reproduce the recorded digest and
   # operation totals exactly. The run's peak RSS is dominated by the
   # resident catalogs, so a storage layout that grows them past 1000 MB
-  # fails here too.
+  # fails here too. Then the serve path's answer checks: every answer a
+  # short serve_small run serves must pass them, with none failed.
   mkdir -p build/artifacts &&
     python3 perfbench/test_benchlib.py &&
     python3 perfbench/run.py --workload paper_sim --seed 1 --seconds 5 \
       --trace 0 | tee build/artifacts/perfbench_smoke.txt &&
-    python3 - <<'EOF_PY'
+    python3 - <<'EOF_PY' &&
 import json
 import re
 with open("perfbench/workloads.json") as f:
@@ -385,6 +389,19 @@ assert not diffs, "perfbench-smoke: " + "; ".join(diffs)
 print(f"perfbench-smoke: digest and {len(baseline) - 1} sim.ops totals "
       f"match the paper_sim baseline; peak_rss_mb {peak_rss_mb:.1f} "
       f"<= {PEAK_RSS_LIMIT_MB:.0f}")
+EOF_PY
+    python3 perfbench/run.py --workload serve_small --seed 1 --seconds 5 \
+      --trace 0 | tee build/artifacts/perfbench_serve_smoke.txt &&
+    python3 - <<'EOF_PY'
+import json
+with open("build/artifacts/perfbench_serve_smoke.txt") as f:
+    result = json.loads(f.read().strip().splitlines()[-1])
+assert result["correct"] is True, \
+    "perfbench-smoke: serve_small answers failed their checks"
+assert result["failed"] == 0, \
+    f"perfbench-smoke: {result['failed']} serve_small queries failed"
+print(f"perfbench-smoke: serve_small {result['attempted']} answers checked, "
+      "none failed")
 EOF_PY
 }
 

@@ -86,14 +86,14 @@ Result<TupleSet> EvaluateExact(const ExprPtr& expr, const Catalog& catalog) {
       }
       TupleRefs lrefs = RefsOf(l.tuples);
       TupleRefs rrefs = RefsOf(r.tuples);
+      KeyPrefixes lprefixes, rprefixes;
       int64_t comparisons = 0;  // uncharged: no ledger
-      SortRunRange(&lrefs, lkey, &comparisons);
-      SortRunRange(&rrefs, rkey, &comparisons);
-      CostModel model;  // unused rates; no ledger
+      SortRunRange(&lrefs, lkey, &comparisons, &lprefixes);
+      SortRunRange(&rrefs, rkey, &comparisons, &rprefixes);
       TupleSet out;
       out.schema = l.schema.ConcatForJoin(r.schema);
-      out.tuples = MergeJoin(lrefs, lkey, l.schema, rrefs, rkey, r.schema,
-                             /*ledger=*/nullptr, model, /*metrics=*/nullptr);
+      MergeJoinRange(lrefs, lprefixes, lkey, rrefs, rprefixes, rkey,
+                     &out.tuples, &comparisons);
       return out;
     }
     case ExprKind::kIntersect:

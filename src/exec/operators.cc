@@ -1,7 +1,8 @@
 #include "exec/operators.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstring>
+#include <string>
 
 #include "util/check.h"
 
@@ -66,6 +67,136 @@ void ChargeSelect(const BoundPredicate& predicate, const Schema& schema,
                metrics != nullptr ? &metrics->output : nullptr);
 }
 
+/// KeyPrefix, inlined into the per-tuple loops of the sort kernels.
+[[gnu::always_inline]] inline uint64_t PrefixOf(const Value& v) {
+  if (const int64_t* i = std::get_if<int64_t>(&v)) {
+    // Flipping the sign bit turns two's-complement order into unsigned
+    // order.
+    return static_cast<uint64_t>(*i) ^ (1ull << 63);
+  }
+  if (const double* x = std::get_if<double>(&v)) {
+    double d = *x;
+    if (d == 0.0) d = 0.0;  // -0.0, which CompareValues ties with +0.0
+    uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof(u));
+    // Negative: reverse the order of the whole range; positive: lift
+    // above every negative.
+    return (u >> 63) != 0 ? ~u : u ^ (1ull << 63);
+  }
+  // A string's first 8 bytes, zero-padded.
+  const std::string& s = std::get<std::string>(v);
+  uint64_t u = 0;
+  const size_t n = std::min<size_t>(s.size(), 8);
+  for (size_t i = 0; i < n; ++i) {
+    u |= uint64_t{static_cast<uint8_t>(s[i])} << (56 - 8 * i);
+  }
+  return u;
+}
+
+/// The prefix of `t`'s leading key column (column 0 when `key` is empty).
+[[gnu::always_inline]] inline uint64_t LeadPrefix(
+    const Tuple& t, const std::vector<int>& key) {
+  if (key.empty()) return t.empty() ? 0 : PrefixOf(t[0]);
+  return PrefixOf(t[static_cast<size_t>(key[0])]);
+}
+
+/// Prefix-first three-way comparison of two tuples' keys, `a` read through
+/// `a_key` and `b` through `b_key` (an empty key is all columns). Unequal
+/// prefixes decide. Equal ones fall through to the key columns — from the
+/// leading column when it is a string, whose prefix holds only its first
+/// bytes, and from the next one when it is numeric, whose prefix is exact
+/// — so a single numeric key column never reaches a tuple. Same sign as
+/// CompareTuples/CompareTuplesOnKey for every pair.
+class PrefixCompare {
+ public:
+  /// `run`'s first tuple, read through `a_key`, fixes the key arity and the
+  /// leading column's type; an empty run leaves nothing to compare.
+  PrefixCompare(const std::vector<int>& a_key, const std::vector<int>& b_key,
+                TupleRefSpan run)
+      : a_key_(a_key), b_key_(b_key) {
+    if (run.empty()) return;
+    const Tuple& t = *run[0];
+    arity_ = a_key.empty() ? t.size() : a_key.size();
+    if (arity_ > 0 &&
+        ValueType(t[Column(a_key, 0)]) != DataType::kString) {
+      first_ = 1;
+    }
+  }
+
+  int operator()(uint64_t pa, const Tuple& a, uint64_t pb,
+                 const Tuple& b) const {
+    if (pa != pb) return pa < pb ? -1 : 1;
+    for (size_t k = first_; k < arity_; ++k) {
+      int c = CompareValues(a[Column(a_key_, k)], b[Column(b_key_, k)]);
+      if (c != 0) return c;
+    }
+    return 0;
+  }
+
+ private:
+  static size_t Column(const std::vector<int>& key, size_t k) {
+    return key.empty() ? k : static_cast<size_t>(key[k]);
+  }
+
+  const std::vector<int>& a_key_;
+  const std::vector<int>& b_key_;
+  size_t arity_ = 0;
+  size_t first_ = 0;
+};
+
+/// The merge loop shared by the intersect and join kernels, over two runs
+/// sorted on their keys with their prefixes: steps past unequal keys and
+/// hands each equal-key group, left [i, i_end) × right [j, j_end), to
+/// `on_group`. Returns the comparison count: one per cross probe and one
+/// per group-extension probe.
+template <typename OnGroup>
+int64_t MergePrefixedRuns(TupleRefSpan left, KeyPrefixSpan left_prefixes,
+                          const std::vector<int>& left_key,
+                          TupleRefSpan right, KeyPrefixSpan right_prefixes,
+                          const std::vector<int>& right_key,
+                          OnGroup&& on_group) {
+  TCQ_DCHECK(left_prefixes.size() == left.size() &&
+                 right_prefixes.size() == right.size(),
+             "prefixes do not match their runs");
+  const PrefixCompare cross(left_key, right_key, left);
+  const PrefixCompare left_self(left_key, left_key, left);
+  const PrefixCompare right_self(right_key, right_key, right);
+  size_t i = 0, j = 0;
+  int64_t comps = 0;
+  while (i < left.size() && j < right.size()) {
+    ++comps;
+    int c = cross(left_prefixes[i], *left[i], right_prefixes[j], *right[j]);
+    if (c != 0) {
+      // Exactly one side advances, as in a branchy merge.
+      i += static_cast<size_t>(c < 0);
+      j += static_cast<size_t>(c > 0);
+      continue;
+    }
+    size_t i_end = i + 1;
+    while (i_end < left.size()) {
+      ++comps;
+      if (left_self(left_prefixes[i_end], *left[i_end], left_prefixes[i],
+                    *left[i]) != 0) {
+        break;
+      }
+      ++i_end;
+    }
+    size_t j_end = j + 1;
+    while (j_end < right.size()) {
+      ++comps;
+      if (right_self(right_prefixes[j_end], *right[j_end], right_prefixes[j],
+                     *right[j]) != 0) {
+        break;
+      }
+      ++j_end;
+    }
+    on_group(i, i_end, j, j_end);
+    i = i_end;
+    j = j_end;
+  }
+  return comps;
+}
+
 }  // namespace
 
 TupleRefs SelectTuples(TupleRefSpan tuples, const BoundPredicate& predicate,
@@ -118,27 +249,46 @@ void ChargeTempWrite(const Schema& schema, int64_t num_tuples,
   }
 }
 
+uint64_t KeyPrefix(const Value& v) { return PrefixOf(v); }
+
+KeyPrefixes KeyPrefixesOf(TupleRefSpan run, const std::vector<int>& key) {
+  KeyPrefixes out;
+  out.reserve(run.size());
+  for (const Tuple* t : run) out.push_back(LeadPrefix(*t, key));
+  return out;
+}
+
 void SortRunRange(TupleRefs* run, const std::vector<int>& key,
-                  int64_t* comparisons) {
-  if (key.empty()) {
-    std::sort(run->begin(), run->end(),
-              [comparisons](const Tuple* a, const Tuple* b) {
-                ++*comparisons;
-                return CompareTuples(*a, *b) < 0;
-              });
-  } else {
-    std::sort(run->begin(), run->end(),
-              [comparisons, &key](const Tuple* a, const Tuple* b) {
-                ++*comparisons;
-                return CompareTuplesOnKey(*a, *b, key) < 0;
-              });
+                  int64_t* comparisons, KeyPrefixes* prefixes) {
+  struct Keyed {
+    uint64_t prefix = 0;
+    const Tuple* tuple = nullptr;
+  };
+  const size_t n = run->size();
+  std::vector<Keyed> items(n);
+  for (size_t i = 0; i < n; ++i) {
+    items[i] = Keyed{LeadPrefix(*(*run)[i], key), (*run)[i]};
+  }
+  const PrefixCompare cmp(key, key, *run);
+  int64_t comps = 0;
+  std::sort(items.begin(), items.end(),
+            [&comps, &cmp](const Keyed& a, const Keyed& b) {
+              ++comps;
+              return cmp(a.prefix, *a.tuple, b.prefix, *b.tuple) < 0;
+            });
+  *comparisons += comps;
+  for (size_t i = 0; i < n; ++i) (*run)[i] = items[i].tuple;
+  if (prefixes != nullptr) {
+    prefixes->resize(n);
+    for (size_t i = 0; i < n; ++i) (*prefixes)[i] = items[i].prefix;
   }
 }
 
 void SortRun(TupleRefs* run, const std::vector<int>& key, CostLedger* ledger,
-             const CostModel& model, StepMetrics* metrics) {
+             const CostModel& model, StepMetrics* metrics,
+             KeyPrefixes* prefixes) {
   int64_t comparisons = 0;
-  SortRunRange(run, key, &comparisons);
+  SortRunRange(run, key, &comparisons, prefixes);
   ChargeScope charge(ledger, metrics);
   charge.ChargeN(CostCategory::kSortCompare, comparisons,
                  model.sort_compare_s);
@@ -163,90 +313,92 @@ void AppendJoined(TupleRefSpan left, size_t lbeg, size_t lend,
   }
 }
 
+int64_t MergeIntersectRange(TupleRefSpan left, KeyPrefixSpan left_prefixes,
+                            TupleRefSpan right, KeyPrefixSpan right_prefixes,
+                            TupleRefs* out, int64_t* comparisons) {
+  const std::vector<int> all_columns;
+  int64_t emitted = 0;
+  *comparisons += MergePrefixedRuns(
+      left, left_prefixes, all_columns, right, right_prefixes, all_columns,
+      [&](size_t i, size_t i_end, size_t j, size_t j_end) {
+        // Equal group: one output point per (left, right) pair.
+        emitted += static_cast<int64_t>((i_end - i) * (j_end - j));
+        if (out != nullptr) {
+          for (size_t a = i; a < i_end; ++a) {
+            out->insert(out->end(), j_end - j, left[a]);
+          }
+        }
+      });
+  return emitted;
+}
+
 int64_t MergeIntersectRange(TupleRefSpan left, TupleRefSpan right,
                             TupleRefs* out, int64_t* comparisons) {
+  return MergeIntersectRange(left, KeyPrefixesOf(left, {}), right,
+                             KeyPrefixesOf(right, {}), out, comparisons);
+}
+
+int64_t MergeJoinRange(TupleRefSpan left, KeyPrefixSpan left_prefixes,
+                       const std::vector<int>& left_key, TupleRefSpan right,
+                       KeyPrefixSpan right_prefixes,
+                       const std::vector<int>& right_key,
+                       std::vector<Tuple>* out, int64_t* comparisons) {
+  TCQ_DCHECK(left_key.size() == right_key.size(),
+             "join key lists differ in length");
   int64_t emitted = 0;
-  size_t i = 0, j = 0;
-  while (i < left.size() && j < right.size()) {
-    ++*comparisons;
-    int c = CompareTuples(*left[i], *right[j]);
-    if (c < 0) {
-      ++i;
-    } else if (c > 0) {
-      ++j;
-    } else {
-      // Equal group: one output point per (left, right) pair.
-      size_t i_end = i + 1;
-      while (i_end < left.size()) {
-        ++*comparisons;
-        if (CompareTuples(*left[i_end], *left[i]) != 0) break;
-        ++i_end;
-      }
-      size_t j_end = j + 1;
-      while (j_end < right.size()) {
-        ++*comparisons;
-        if (CompareTuples(*right[j_end], *right[j]) != 0) break;
-        ++j_end;
-      }
-      emitted += static_cast<int64_t>((i_end - i) * (j_end - j));
-      if (out != nullptr) {
-        for (size_t a = i; a < i_end; ++a) {
-          out->insert(out->end(), j_end - j, left[a]);
-        }
-      }
-      i = i_end;
-      j = j_end;
-    }
-  }
+  *comparisons += MergePrefixedRuns(
+      left, left_prefixes, left_key, right, right_prefixes, right_key,
+      [&](size_t i, size_t i_end, size_t j, size_t j_end) {
+        emitted += static_cast<int64_t>((i_end - i) * (j_end - j));
+        if (out != nullptr) AppendJoined(left, i, i_end, right, j, j_end, out);
+      });
   return emitted;
 }
 
 int64_t MergeJoinRange(TupleRefSpan left, const std::vector<int>& left_key,
                        TupleRefSpan right, const std::vector<int>& right_key,
                        std::vector<Tuple>* out, int64_t* comparisons) {
-  assert(left_key.size() == right_key.size());
-  int64_t emitted = 0;
-  auto cmp_lr = [&](const Tuple& a, const Tuple& b) {
-    ++*comparisons;
-    for (size_t k = 0; k < left_key.size(); ++k) {
-      int c = CompareValues(a[static_cast<size_t>(left_key[k])],
-                            b[static_cast<size_t>(right_key[k])]);
-      if (c != 0) return c;
-    }
-    return 0;
-  };
+  return MergeJoinRange(left, KeyPrefixesOf(left, left_key), left_key, right,
+                        KeyPrefixesOf(right, right_key), right_key, out,
+                        comparisons);
+}
+
+void MergeSortedRuns(TupleRefSpan first, KeyPrefixSpan first_prefixes,
+                     TupleRefSpan second, KeyPrefixSpan second_prefixes,
+                     TupleRefs* out, KeyPrefixes* out_prefixes) {
+  const std::vector<int> all_columns;
+  const PrefixCompare cmp(all_columns, all_columns,
+                          first.empty() ? second : first);
+  const size_t n = first.size() + second.size();
+  out->clear();
+  out->reserve(n);
+  out_prefixes->clear();
+  out_prefixes->reserve(n);
   size_t i = 0, j = 0;
-  while (i < left.size() && j < right.size()) {
-    int c = cmp_lr(*left[i], *right[j]);
-    if (c < 0) {
-      ++i;
-    } else if (c > 0) {
-      ++j;
+  while (i < first.size() && j < second.size()) {
+    if (cmp(second_prefixes[j], *second[j], first_prefixes[i], *first[i]) <
+        0) {
+      out->push_back(second[j]);
+      out_prefixes->push_back(second_prefixes[j++]);
     } else {
-      size_t i_end = i + 1;
-      while (i_end < left.size()) {
-        ++*comparisons;
-        if (CompareTuplesOnKey(*left[i_end], *left[i], left_key) != 0) break;
-        ++i_end;
-      }
-      size_t j_end = j + 1;
-      while (j_end < right.size()) {
-        ++*comparisons;
-        if (CompareTuplesOnKey(*right[j_end], *right[j], right_key) != 0) {
-          break;
-        }
-        ++j_end;
-      }
-      emitted += static_cast<int64_t>((i_end - i) * (j_end - j));
-      if (out != nullptr) AppendJoined(left, i, i_end, right, j, j_end, out);
-      i = i_end;
-      j = j_end;
+      out->push_back(first[i]);
+      out_prefixes->push_back(first_prefixes[i++]);
     }
   }
-  return emitted;
+  out->insert(out->end(), first.begin() + static_cast<ptrdiff_t>(i),
+              first.end());
+  out_prefixes->insert(out_prefixes->end(),
+                       first_prefixes.begin() + static_cast<ptrdiff_t>(i),
+                       first_prefixes.end());
+  out->insert(out->end(), second.begin() + static_cast<ptrdiff_t>(j),
+              second.end());
+  out_prefixes->insert(out_prefixes->end(),
+                       second_prefixes.begin() + static_cast<ptrdiff_t>(j),
+                       second_prefixes.end());
 }
 
 std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
+                                       KeyPrefixSpan prefixes,
                                        const std::vector<int>& key,
                                        size_t max_parts, size_t min_chunk) {
   const size_t n = run.size();
@@ -256,16 +408,14 @@ std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
   if (parts < 1) parts = 1;
   std::vector<size_t> bounds;
   bounds.push_back(0);
-  auto same_group = [&](const Tuple& a, const Tuple& b) {
-    return key.empty() ? CompareTuples(a, b) == 0
-                       : CompareTuplesOnKey(a, b, key) == 0;
-  };
+  const PrefixCompare cmp(key, key, run);
   for (size_t p = 1; p < parts; ++p) {
     size_t target = p * n / parts;
     // Advance to the start of the next key group so equal keys stay in
     // one chunk.
     while (target < n && target > 0 &&
-           same_group(*run[target - 1], *run[target])) {
+           cmp(prefixes[target - 1], *run[target - 1], prefixes[target],
+               *run[target]) == 0) {
       ++target;
     }
     if (target > bounds.back() && target < n) bounds.push_back(target);
@@ -274,23 +424,15 @@ std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
   return bounds;
 }
 
-size_t LowerBoundCrossKey(TupleRefSpan run, const std::vector<int>& run_key,
-                          const Tuple& probe,
+size_t LowerBoundCrossKey(TupleRefSpan run, KeyPrefixSpan run_prefixes,
+                          const std::vector<int>& run_key,
+                          const Tuple& probe, uint64_t probe_prefix,
                           const std::vector<int>& probe_key) {
-  auto cmp = [&](const Tuple& elem) {
-    if (run_key.empty()) return CompareTuples(elem, probe);
-    int c = 0;
-    for (size_t k = 0; k < run_key.size(); ++k) {
-      c = CompareValues(elem[static_cast<size_t>(run_key[k])],
-                        probe[static_cast<size_t>(probe_key[k])]);
-      if (c != 0) break;
-    }
-    return c;
-  };
+  const PrefixCompare cmp(run_key, probe_key, run);
   size_t lo = 0, hi = run.size();
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    if (cmp(*run[mid]) < 0) {
+    if (cmp(run_prefixes[mid], *run[mid], probe_prefix, probe) < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -324,7 +466,6 @@ std::vector<Tuple> MergeJoin(TupleRefSpan left,
                              const std::vector<int>& right_key,
                              const Schema& right_schema, CostLedger* ledger,
                              const CostModel& model, OpMetrics* metrics) {
-  assert(left_key.size() == right_key.size());
   StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
   Schema out_schema = left_schema.ConcatForJoin(right_schema);
   int64_t comparisons = 0;
@@ -342,22 +483,29 @@ std::vector<Tuple> MergeJoin(TupleRefSpan left,
   return out;
 }
 
-std::vector<GroupCount> DedupSorted(TupleRefSpan tuples, const Schema& schema,
-                                    CostLedger* ledger,
+std::vector<GroupCount> DedupSorted(TupleRefSpan tuples,
+                                    KeyPrefixSpan prefixes,
+                                    const Schema& schema, CostLedger* ledger,
                                     const CostModel& model,
                                     OpMetrics* metrics) {
+  TCQ_DCHECK(prefixes.size() == tuples.size(),
+             "prefixes do not match the run");
   StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
+  const std::vector<int> all_columns;
+  const PrefixCompare cmp(all_columns, all_columns, tuples);
   std::vector<GroupCount> out;
   int64_t comparisons = 0;
-  for (const Tuple* t : tuples) {
+  size_t head = 0;  // index of the current group's first tuple
+  for (size_t i = 0; i < tuples.size(); ++i) {
     if (!out.empty()) {
       ++comparisons;
-      if (CompareTuples(*out.back().tuple, *t) == 0) {
+      if (cmp(prefixes[head], *tuples[head], prefixes[i], *tuples[i]) == 0) {
         ++out.back().count;
         continue;
       }
     }
-    out.push_back(GroupCount{t, 1});
+    out.push_back(GroupCount{tuples[i], 1});
+    head = i;
   }
   ChargeScope charge(ledger, process);
   charge.ChargeN(CostCategory::kMergeCompare, comparisons,

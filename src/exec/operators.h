@@ -61,12 +61,41 @@ void ChargeTempWrite(const Schema& schema, int64_t num_tuples,
                      CostLedger* ledger, const CostModel& model,
                      StepMetrics* metrics);
 
+/// ---- Key prefixes -------------------------------------------------------
+///
+/// Every row-layout sort keeps, beside each reference, an 8-byte
+/// order-preserving prefix of the tuple's leading key column (column 0 when
+/// the key is empty): the first 8 bytes of that column's encoded-key form
+/// (exec/vectorized.h), read as a big-endian integer — int64 with its sign
+/// bit flipped, double as its ordered bits (-0.0 normalized to +0.0), a
+/// string's first 8 bytes zero-padded. A smaller prefix means a smaller
+/// key; equal prefixes leave the order to the full key comparison, which
+/// the kernels then call. A numeric prefix is exact (equal prefixes, equal
+/// values), so a single numeric key column is never compared any other
+/// way. Every comparator returns the same sign as the plain tuple
+/// comparison for every pair, so sorts make the same decisions and the
+/// kernels count the same comparisons (DESIGN.md, "Run representation").
+
+/// Prefixes of a sorted run, index-aligned with its references.
+using KeyPrefixes = std::vector<uint64_t>;
+using KeyPrefixSpan = std::span<const uint64_t>;
+
+/// The order-preserving 8-byte prefix of one value. NaN has none: storage
+/// rejects it at every entry point (Schema::ValidateTuple, page decoding).
+uint64_t KeyPrefix(const Value& v);
+
+/// The prefixes of `run`'s leading key column (column 0 when `key` is
+/// empty), in run order.
+KeyPrefixes KeyPrefixesOf(TupleRefSpan run, const std::vector<int>& key);
+
 /// Sorts the run in place on the given key columns (all columns when
 /// `key` is empty), charging each realized comparison (step 2, external
 /// sort; eq. 4.3's `C2·n·log n + C3·n` shape emerges from the realized
-/// comparison count).
+/// comparison count). Leaves the sorted run's prefixes in `*prefixes`
+/// when non-null.
 void SortRun(TupleRefs* run, const std::vector<int>& key, CostLedger* ledger,
-             const CostModel& model, StepMetrics* metrics);
+             const CostModel& model, StepMetrics* metrics,
+             KeyPrefixes* prefixes = nullptr);
 
 /// ---- Merge kernels ------------------------------------------------------
 ///
@@ -80,18 +109,27 @@ void SortRun(TupleRefs* run, const std::vector<int>& key, CostLedger* ledger,
 /// in a fixed order, so results and charges are identical for any worker
 /// count. Each merge kernel returns its output count and appends the
 /// output to `*out` only when `out` is non-null: a result nobody reads
-/// (the root of a COUNT term) is counted, never built.
+/// (the root of a COUNT term) is counted, never built. The prefix spans
+/// run beside their reference spans (same length); the overloads without
+/// them encode the prefixes first.
 
-/// Sort kernel: sorts the run in place on `key` (all columns when empty),
-/// appending the comparison count to `*comparisons` (must be non-null).
-/// Sorting references makes the same comparator decisions as sorting the
+/// Sort kernel: sorts the run in place on `key` (all columns when empty)
+/// as (prefix, reference) pairs, appending the comparison count to
+/// `*comparisons` (must be non-null) and leaving the sorted run's
+/// prefixes in `*prefixes` when non-null. Same comparator decisions —
+/// hence the same permutation and comparison count — as sorting the
 /// tuples themselves. No cost accounting.
 void SortRunRange(TupleRefs* run, const std::vector<int>& key,
-                  int64_t* comparisons);
+                  int64_t* comparisons, KeyPrefixes* prefixes = nullptr);
 
 /// Merge-join kernel over sorted ranges: appends one concatenated tuple
 /// per matching (left, right) pair to `*out` (if non-null) and the
 /// comparison count to `*comparisons` (must be non-null).
+int64_t MergeJoinRange(TupleRefSpan left, KeyPrefixSpan left_prefixes,
+                       const std::vector<int>& left_key, TupleRefSpan right,
+                       KeyPrefixSpan right_prefixes,
+                       const std::vector<int>& right_key,
+                       std::vector<Tuple>* out, int64_t* comparisons);
 int64_t MergeJoinRange(TupleRefSpan left, const std::vector<int>& left_key,
                        TupleRefSpan right, const std::vector<int>& right_key,
                        std::vector<Tuple>* out, int64_t* comparisons);
@@ -107,8 +145,19 @@ void AppendJoined(TupleRefSpan left, size_t lbeg, size_t lend,
 /// group contributes (left multiplicity × right multiplicity) outputs, the
 /// left tuples' references, appended to `*out` (if non-null). Appends the
 /// comparison count to `*comparisons` (must be non-null).
+int64_t MergeIntersectRange(TupleRefSpan left, KeyPrefixSpan left_prefixes,
+                            TupleRefSpan right, KeyPrefixSpan right_prefixes,
+                            TupleRefs* out, int64_t* comparisons);
 int64_t MergeIntersectRange(TupleRefSpan left, TupleRefSpan right,
                             TupleRefs* out, int64_t* comparisons);
+
+/// Merges two runs sorted on all columns, with their prefixes, into one
+/// sorted run and its prefixes, as std::merge does: on equal keys the
+/// tuples of `first` come first. Counts nothing (a projection charges its
+/// merge per output tuple).
+void MergeSortedRuns(TupleRefSpan first, KeyPrefixSpan first_prefixes,
+                     TupleRefSpan second, KeyPrefixSpan second_prefixes,
+                     TupleRefs* out, KeyPrefixes* out_prefixes);
 
 /// Splits a run sorted on `key` (all columns when empty) into at most
 /// `max_parts` contiguous chunks of roughly equal size, each at least
@@ -118,14 +167,17 @@ int64_t MergeIntersectRange(TupleRefSpan left, TupleRefSpan right,
 /// Depends only on the data — not on the worker count — so a partitioned
 /// evaluation is bit-identical at any parallelism.
 std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
+                                       KeyPrefixSpan prefixes,
                                        const std::vector<int>& key,
                                        size_t max_parts, size_t min_chunk);
 
 /// First index in `run` (sorted on `run_key`) whose key compares >= the
-/// probe's key (probe read through `probe_key`). Empty keys compare whole
-/// tuples. Binary search; charges nothing.
-size_t LowerBoundCrossKey(TupleRefSpan run, const std::vector<int>& run_key,
-                          const Tuple& probe,
+/// probe's key (probe read through `probe_key`, its prefix
+/// `probe_prefix`). Empty keys compare whole tuples. Binary search;
+/// charges nothing.
+size_t LowerBoundCrossKey(TupleRefSpan run, KeyPrefixSpan run_prefixes,
+                          const std::vector<int>& run_key,
+                          const Tuple& probe, uint64_t probe_prefix,
                           const std::vector<int>& probe_key);
 
 /// Merge-intersects two runs sorted on all columns. Each matching group
@@ -152,12 +204,14 @@ struct GroupCount {
   int64_t count = 0;
 };
 
-/// Scans a run sorted on all columns and collapses duplicates, returning
-/// each distinct tuple with its occupancy (step 3 of the paper's Project
-/// algorithm, which writes "distinct tuples with their occupancy").
-/// Charges one merge comparison per input tuple and output-page writes.
-std::vector<GroupCount> DedupSorted(TupleRefSpan tuples, const Schema& schema,
-                                    CostLedger* ledger,
+/// Scans a run sorted on all columns, with its prefixes, and collapses
+/// duplicates, returning each distinct tuple with its occupancy (step 3
+/// of the paper's Project algorithm, which writes "distinct tuples with
+/// their occupancy"). Charges one merge comparison per input tuple and
+/// output-page writes.
+std::vector<GroupCount> DedupSorted(TupleRefSpan tuples,
+                                    KeyPrefixSpan prefixes,
+                                    const Schema& schema, CostLedger* ledger,
                                     const CostModel& model,
                                     OpMetrics* metrics);
 

@@ -407,19 +407,17 @@ Status StagedTermEvaluator::ExecuteNode(
       double t1 = now();
       // Step 2: sort the new run.
       TupleRefs run = RefsOf(projected);
+      KeyPrefixes prefixes;
       rec.sort_units = SortUnits(static_cast<double>(run.size()));
-      SortRun(&run, /*key=*/{}, ledger_, model_, &rec.sort);
+      SortRun(&run, /*key=*/{}, ledger_, model_, &rec.sort, &prefixes);
       double t2 = now();
       // Step 3: merge with the previously sorted sample and re-derive the
       // distinct groups with occupancies.
       TupleRefs merged;
-      merged.reserve(node->cum_projected_sorted.size() + run.size());
-      std::merge(node->cum_projected_sorted.begin(),
-                 node->cum_projected_sorted.end(), run.begin(), run.end(),
-                 std::back_inserter(merged),
-                 [](const Tuple* a, const Tuple* b) {
-                   return CompareTuples(*a, *b) < 0;
-                 });
+      KeyPrefixes merged_prefixes;
+      MergeSortedRuns(node->cum_projected_sorted,
+                      node->cum_projected_prefixes, run, prefixes, &merged,
+                      &merged_prefixes);
       if (ledger_ != nullptr) {
         ledger_->ChargeN(CostCategory::kMergeCompare,
                          static_cast<int64_t>(merged.size()),
@@ -429,10 +427,11 @@ Status StagedTermEvaluator::ExecuteNode(
           model_.merge_compare_s * static_cast<double>(merged.size());
       rec.process.comparisons += static_cast<int64_t>(merged.size());
       node->cum_projected_sorted = std::move(merged);
+      node->cum_projected_prefixes = std::move(merged_prefixes);
       OpMetrics dedup_metrics;
-      node->groups = DedupSorted(node->cum_projected_sorted,
-                                 node->out_schema, ledger_, model_,
-                                 &dedup_metrics);
+      node->groups = DedupSorted(
+          node->cum_projected_sorted, node->cum_projected_prefixes,
+          node->out_schema, ledger_, model_, &dedup_metrics);
       rec.process.seconds += dedup_metrics.process.seconds;
       rec.process.comparisons += dedup_metrics.process.comparisons;
       rec.process.in_tuples += dedup_metrics.process.in_tuples;
@@ -518,8 +517,11 @@ Status StagedTermEvaluator::ExecuteNode(
       };
       // Steps 1–2 parallel part: the two new runs sort on their own tasks;
       // the realized comparison counts are charged post-barrier in fixed
-      // (left, right) order, mirroring the serial SortRun sequence.
+      // (left, right) order, mirroring the serial SortRun sequence. Each
+      // sorted run keeps its key prefixes (the columnar sort leaves its
+      // encoded keys too).
       std::vector<uint8_t> lkeys_buf, rkeys_buf;
+      KeyPrefixes lprefixes, rprefixes;
       {
         int64_t sort_comp[2] = {0, 0};
         std::vector<double> durs(2, 0.0);
@@ -527,24 +529,26 @@ Status StagedTermEvaluator::ExecuteNode(
         const Schema& lschema = node->left->out_schema;
         const Schema& rschema = node->right->out_schema;
         tasks.push_back([&new_l, &lkey, &sort_comp, &durs, columnar,
-                         &lschema, &lkeys_buf] {
+                         &lschema, &lkeys_buf, &lprefixes] {
           auto start = std::chrono::steady_clock::now();
           if (columnar) {
             SortRunRangeColumnar(&new_l, lschema, lkey, &lkeys_buf,
                                  &sort_comp[0]);
+            lprefixes = KeyPrefixesOf(new_l, lkey);
           } else {
-            SortRunRange(&new_l, lkey, &sort_comp[0]);
+            SortRunRange(&new_l, lkey, &sort_comp[0], &lprefixes);
           }
           durs[0] = SecondsSince(start);
         });
         tasks.push_back([&new_r, &rkey, &sort_comp, &durs, columnar,
-                         &rschema, &rkeys_buf] {
+                         &rschema, &rkeys_buf, &rprefixes] {
           auto start = std::chrono::steady_clock::now();
           if (columnar) {
             SortRunRangeColumnar(&new_r, rschema, rkey, &rkeys_buf,
                                  &sort_comp[1]);
+            rprefixes = KeyPrefixesOf(new_r, rkey);
           } else {
-            SortRunRange(&new_r, rkey, &sort_comp[1]);
+            SortRunRange(&new_r, rkey, &sort_comp[1], &rprefixes);
           }
           durs[1] = SecondsSince(start);
         });
@@ -566,6 +570,8 @@ Status StagedTermEvaluator::ExecuteNode(
       double t2 = now();
       node->sorted_left.push_back(std::move(new_l));
       node->sorted_right.push_back(std::move(new_r));
+      node->sorted_left_prefixes.push_back(std::move(lprefixes));
+      node->sorted_right_prefixes.push_back(std::move(rprefixes));
       if (columnar) {
         node->sorted_left_keys.push_back(std::move(lkeys_buf));
         node->sorted_right_keys.push_back(std::move(rkeys_buf));
@@ -595,8 +601,11 @@ Status StagedTermEvaluator::ExecuteNode(
       for (size_t p = 0; p < pairs.size(); ++p) {
         const TupleRefs& lrun = node->sorted_left[pairs[p].first];
         const TupleRefs& rrun = node->sorted_right[pairs[p].second];
+        const KeyPrefixes& lpre = node->sorted_left_prefixes[pairs[p].first];
+        const KeyPrefixes& rpre =
+            node->sorted_right_prefixes[pairs[p].second];
         std::vector<size_t> bounds = PartitionSortedRun(
-            lrun, lkey, kMaxMergeChunks, kMinMergeChunk);
+            lrun, lpre, lkey, kMaxMergeChunks, kMinMergeChunk);
         for (size_t c = 0; c + 1 < bounds.size(); ++c) {
           MergeChunk chunk;
           chunk.pair = p;
@@ -607,12 +616,14 @@ Status StagedTermEvaluator::ExecuteNode(
           // comparison count exactly; interior boundaries are located by
           // (uncharged) binary search.
           chunk.rbeg = c == 0 ? 0
-                              : LowerBoundCrossKey(rrun, rkey,
-                                                   *lrun[bounds[c]], lkey);
+                              : LowerBoundCrossKey(rrun, rpre, rkey,
+                                                   *lrun[bounds[c]],
+                                                   lpre[bounds[c]], lkey);
           chunk.rend = c + 2 == bounds.size()
                            ? rrun.size()
-                           : LowerBoundCrossKey(rrun, rkey,
-                                                *lrun[bounds[c + 1]], lkey);
+                           : LowerBoundCrossKey(rrun, rpre, rkey,
+                                                *lrun[bounds[c + 1]],
+                                                lpre[bounds[c + 1]], lkey);
           chunks.push_back(std::move(chunk));
         }
       }
@@ -629,6 +640,14 @@ Status StagedTermEvaluator::ExecuteNode(
                              chunk->lend - chunk->lbeg);
           TupleRefSpan rspan(rrun.data() + chunk->rbeg,
                              chunk->rend - chunk->rbeg);
+          KeyPrefixSpan lpspan(
+              node->sorted_left_prefixes[pairs[chunk->pair].first].data() +
+                  chunk->lbeg,
+              chunk->lend - chunk->lbeg);
+          KeyPrefixSpan rpspan(
+              node->sorted_right_prefixes[pairs[chunk->pair].second].data() +
+                  chunk->rbeg,
+              chunk->rend - chunk->rbeg);
           const int kw = node->merge_key_width;
           const uint8_t* lkptr =
               columnar && chunk->lend > chunk->lbeg
@@ -642,8 +661,9 @@ Status StagedTermEvaluator::ExecuteNode(
                         chunk->rbeg * static_cast<size_t>(kw)
                   : nullptr;
           double* dur = &durs[t];
-          tasks.push_back([chunk, lspan, rspan, is_join, emit, &lkey, &rkey,
-                           columnar, lkptr, rkptr, kw, dur] {
+          tasks.push_back([chunk, lspan, rspan, lpspan, rpspan, is_join,
+                           emit, &lkey, &rkey, columnar, lkptr, rkptr, kw,
+                           dur] {
             auto start = std::chrono::steady_clock::now();
             if (is_join) {
               std::vector<Tuple>* out = emit ? &chunk->rows : nullptr;
@@ -651,7 +671,8 @@ Status StagedTermEvaluator::ExecuteNode(
                   columnar ? MergeJoinRangeColumnar(lspan, lkptr, rspan, rkptr,
                                                     kw, out,
                                                     &chunk->comparisons)
-                           : MergeJoinRange(lspan, lkey, rspan, rkey, out,
+                           : MergeJoinRange(lspan, lpspan, lkey, rspan,
+                                            rpspan, rkey, out,
                                             &chunk->comparisons);
             } else {
               TupleRefs* out = emit ? &chunk->refs : nullptr;
@@ -659,8 +680,8 @@ Status StagedTermEvaluator::ExecuteNode(
                   columnar ? MergeIntersectRangeColumnar(
                                  lspan, lkptr, rspan, rkptr, kw, out,
                                  &chunk->comparisons)
-                           : MergeIntersectRange(lspan, rspan, out,
-                                                 &chunk->comparisons);
+                           : MergeIntersectRange(lspan, lpspan, rspan, rpspan,
+                                                 out, &chunk->comparisons);
             }
             *dur = SecondsSince(start);
           });

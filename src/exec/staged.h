@@ -92,12 +92,18 @@ struct StagedNode {
   // their stage, keeping the references below valid).
   std::vector<std::vector<Tuple>> projected_rows;
   TupleRefs cum_projected_sorted;  // all projected sample tuples, sorted
+  KeyPrefixes cum_projected_prefixes;  // and their key prefixes
   std::vector<GroupCount> groups;  // current distinct groups
 
   // kJoin / kIntersect
   std::vector<int> lkey, rkey;  // key positions in the child schemas
   std::vector<TupleRefs> sorted_left;  // per-stage sorted runs
   std::vector<TupleRefs> sorted_right;
+  // The key prefixes of each per-stage sorted run (indices aligned with
+  // sorted_left/sorted_right), kept in both layouts: the partition and
+  // lower-bound kernels, and the row merges, compare them first.
+  std::vector<KeyPrefixes> sorted_left_prefixes;
+  std::vector<KeyPrefixes> sorted_right_prefixes;
 
   // Columnar mode (Layout::kColumnar) only: the encoded sort keys of each
   // per-stage sorted run (indices aligned with sorted_left/sorted_right),

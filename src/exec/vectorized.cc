@@ -102,39 +102,16 @@ void PutBigEndian(uint64_t u, std::vector<uint8_t>* out) {
   }
 }
 
-uint64_t EncodeInt64(int64_t v) {
-  return static_cast<uint64_t>(v) ^ (1ull << 63);
-}
-
-uint64_t EncodeDouble(double d) {
-  if (d == 0.0) d = 0.0;  // normalize -0.0, which CompareValues ties with +0.0
-  uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  if ((u >> 63) != 0) {
-    u = ~u;  // negative: reverse the order of the whole range
-  } else {
-    u ^= 1ull << 63;  // positive: lift above every negative
-  }
-  return u;
-}
-
 void EncodeValue(const Value& v, const Column& column,
                  std::vector<uint8_t>* out) {
-  switch (column.type) {
-    case DataType::kInt64:
-      PutBigEndian(EncodeInt64(std::get<int64_t>(v)), out);
-      break;
-    case DataType::kDouble:
-      PutBigEndian(EncodeDouble(std::get<double>(v)), out);
-      break;
-    case DataType::kString: {
-      const std::string& s = std::get<std::string>(v);
-      out->insert(out->end(), s.begin(), s.end());
-      out->insert(out->end(), static_cast<size_t>(column.width) - s.size(),
-                  0);
-      break;
-    }
+  if (column.type == DataType::kString) {
+    const std::string& s = std::get<std::string>(v);
+    out->insert(out->end(), s.begin(), s.end());
+    out->insert(out->end(), static_cast<size_t>(column.width) - s.size(), 0);
+    return;
   }
+  // A number's encoding is its key prefix (operators.h), whole.
+  PutBigEndian(KeyPrefix(v), out);
 }
 
 }  // namespace

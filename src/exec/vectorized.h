@@ -17,9 +17,9 @@ namespace tcq {
 /// big-endian; double: -0.0 normalized to +0.0, all bits flipped when
 /// negative, else sign bit flipped, big-endian; string: the zero-padded
 /// on-disk bytes), so one memcmp over the concatenation is an exact 3-way
-/// substitute for CompareTuples/CompareTuplesOnKey. NaN doubles are outside
-/// the encoding's contract (CompareValues itself has no total order for
-/// them — DESIGN.md §11).
+/// substitute for CompareTuples/CompareTuplesOnKey. A numeric column
+/// encodes as its KeyPrefix (operators.h). No NaN reaches a key: storage
+/// rejects it on every way in.
 ///
 /// Bit-identity with the row kernels is load-bearing: each columnar kernel
 /// increments `*comparisons` at exactly the call sites its row counterpart

@@ -16,14 +16,22 @@ BlockSampler::BlockSampler(RelationPtr rel, RelationSamplePool* pool)
     // fresh-draw universe (TryAppend resolves the overlap).
     replay_order_ = pool_->SnapshotOrder();
   }
+  // A cold sampler's first draw is fresh: build the universe here, so a
+  // cold query's draw timing is what it always was.
+  if (replay_order_.empty()) BuildUniverse();
+}
+
+void BlockSampler::BuildUniverse() {
   std::vector<char> pooled(static_cast<size_t>(rel_->NumBlocks()), 0);
   for (uint32_t b : replay_order_) pooled[static_cast<size_t>(b)] = 1;
-  remaining_.reserve(static_cast<size_t>(rel_->NumBlocks()));
+  remaining_.reserve(static_cast<size_t>(rel_->NumBlocks()) -
+                     replay_order_.size());
   for (int64_t i = 0; i < rel_->NumBlocks(); ++i) {
     uint32_t b = static_cast<uint32_t>(i);
     if (pooled[static_cast<size_t>(b)] != 0) continue;
     remaining_.push_back(b);
   }
+  universe_built_ = true;
 }
 
 std::vector<const Block*> BlockSampler::Draw(int64_t count, Rng* rng) {
@@ -52,6 +60,7 @@ std::vector<const Block*> BlockSampler::DrawInternal(int64_t count, Rng* rng,
   if (replay_n > 0) pool_->NoteReplayed(replay_n);
   last_draw_replayed_ = replay_n;
 
+  if (replay_n < k && !universe_built_) BuildUniverse();
   for (int64_t i = replay_n; i < k; ++i) {
     size_t j = remaining_.size() - 1 -
                static_cast<size_t>(rng->Uniform(remaining_.size()));

@@ -56,7 +56,11 @@ class BlockSampler {
   /// Blocks this query has not yet drawn: the unreplayed pooled prefix
   /// plus the blocks no query of the session has touched.
   int64_t remaining_blocks() const {
-    return pooled_remaining() + static_cast<int64_t>(remaining_.size());
+    const int64_t fresh =
+        universe_built_
+            ? static_cast<int64_t>(remaining_.size())
+            : total_blocks() - static_cast<int64_t>(replay_order_.size());
+    return pooled_remaining() + fresh;
   }
   int64_t drawn_blocks() const {
     return total_blocks() - remaining_blocks();
@@ -116,11 +120,18 @@ class BlockSampler {
  private:
   std::vector<const Block*> DrawInternal(int64_t count, Rng* rng,
                                          uint64_t substream);
+  /// Lists the fresh-draw universe, the blocks outside the snapshot, into
+  /// `remaining_`.
+  void BuildUniverse();
 
   RelationPtr rel_;
   RelationSamplePool* pool_ = nullptr;  // not owned; may be null
   std::vector<uint32_t> replay_order_;  // pooled prefix snapshot to replay
-  std::vector<uint32_t> remaining_;     // blocks not pooled at snapshot time
+  // Blocks not pooled at snapshot time and not yet drawn. A query that
+  // only replays never needs them, so with a pooled prefix to replay the
+  // list is built on the first fresh draw; with none, at construction.
+  std::vector<uint32_t> remaining_;
+  bool universe_built_ = false;
   int64_t replay_pos_ = 0;              // snapshot entries already replayed
   int64_t last_draw_replayed_ = 0;
   std::vector<uint32_t> last_draw_indices_;

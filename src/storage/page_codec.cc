@@ -1,6 +1,7 @@
 #include "storage/page_codec.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <variant>
 #include <filesystem>
@@ -164,6 +165,7 @@ Result<Tuple> DecodeTuple(const std::vector<uint8_t>& bytes, size_t offset,
         }
         double d = 0.0;
         std::memcpy(&d, &raw, sizeof(d));
+        if (std::isnan(d)) return NaNValueError(column);
         tuple.emplace_back(std::in_place_type<double>, d);  // see kInt64
         pos += 8;
         break;
@@ -289,6 +291,7 @@ Result<Block> DecodePageColumnar(const std::vector<uint8_t>& page, int count,
           }
           double d = 0.0;
           std::memcpy(&d, &raw, sizeof(d));
+          if (std::isnan(d)) return NaNValueError(column);
           block.tuples[static_cast<size_t>(r)].emplace_back(
               std::in_place_type<double>, d);
           pos += 8;

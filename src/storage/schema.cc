@@ -1,5 +1,6 @@
 #include "storage/schema.h"
 
+#include <cmath>
 #include <unordered_set>
 
 namespace tcq {
@@ -48,6 +49,11 @@ Schema Schema::ConcatForJoin(const Schema& right) const {
   return Schema(std::move(cols));
 }
 
+Status NaNValueError(const Column& column) {
+  return Status::InvalidArgument("NaN in double column '" + column.name +
+                                 "': sorts and merges need ordered values");
+}
+
 Status Schema::ValidateTuple(const Tuple& tuple) const {
   if (tuple.size() != columns_.size()) {
     return Status::InvalidArgument(
@@ -64,6 +70,10 @@ Status Schema::ValidateTuple(const Tuple& tuple) const {
             columns_[i].width) {
       return Status::InvalidArgument("string too wide for column '" +
                                      columns_[i].name + "'");
+    }
+    if (columns_[i].type == DataType::kDouble &&
+        std::isnan(std::get<double>(tuple[i]))) {
+      return NaNValueError(columns_[i]);
     }
   }
   return Status::OK();

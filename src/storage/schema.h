@@ -21,6 +21,11 @@ struct Column {
   int ByteWidth() const { return type == DataType::kString ? width : 8; }
 };
 
+/// The error for a NaN in double column `column`. NaN has no place in the
+/// order every sort and merge relies on, so storage refuses it on every
+/// way in: Schema::ValidateTuple and the page decoders.
+[[nodiscard]] Status NaNValueError(const Column& column);
+
 /// Ordered list of columns describing the tuples of a relation or of an
 /// operator's output.
 class Schema {
@@ -53,7 +58,8 @@ class Schema {
   Schema ConcatForJoin(const Schema& right) const;
 
   /// Validates that `tuple` matches this schema (arity, value types, string
-  /// widths).
+  /// widths) and holds no NaN, which has no place in the order every sort
+  /// and merge relies on.
   [[nodiscard]] Status ValidateTuple(const Tuple& tuple) const;
 
   std::string ToString() const;

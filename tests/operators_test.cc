@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "exec/tuple_set.h"
+#include "util/random.h"
 
 namespace tcq {
 namespace {
@@ -139,7 +147,9 @@ TEST(DedupSortedTest, Occupancies) {
   Schema s = TwoIntSchema();
   std::vector<Tuple> v{T(1, 1), T(1, 1), T(2, 2), T(3, 3), T(3, 3)};
   CostModel model;
-  auto groups = DedupSorted(RefsOf(v), s, nullptr, model, nullptr);
+  TupleRefs refs = RefsOf(v);
+  auto groups = DedupSorted(refs, KeyPrefixesOf(refs, {}), s, nullptr, model,
+                            nullptr);
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].count, 2);
   EXPECT_EQ(groups[1].count, 1);
@@ -149,7 +159,7 @@ TEST(DedupSortedTest, Occupancies) {
 TEST(DedupSortedTest, Empty) {
   Schema s = TwoIntSchema();
   CostModel model;
-  EXPECT_TRUE(DedupSorted({}, s, nullptr, model, nullptr).empty());
+  EXPECT_TRUE(DedupSorted({}, {}, s, nullptr, model, nullptr).empty());
 }
 
 TEST(ProjectColumnsTest, KeepsRequestedOrder) {
@@ -171,6 +181,389 @@ TEST(ChargeTempWriteTest, ChargesMovesAndPages) {
   EXPECT_EQ(ledger.Count(CostCategory::kTupleMove), 100);
   EXPECT_EQ(ledger.Count(CostCategory::kBlockWrite), PagesFor(s, 100));
   EXPECT_NEAR(m.seconds, ledger.GrandTotal(), 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Key-prefix parity: the prefix-first kernels against the plain-comparator
+// kernels they replaced, kept here as the reference. Same order (the very
+// same permutation), comparison counts, merge outputs, partition bounds and
+// lower bounds, on adversarial values.
+// ---------------------------------------------------------------------------
+
+namespace reference {
+
+void SortRunRange(TupleRefs* run, const std::vector<int>& key,
+                  int64_t* comparisons) {
+  std::sort(run->begin(), run->end(),
+            [comparisons, &key](const Tuple* a, const Tuple* b) {
+              ++*comparisons;
+              return (key.empty() ? CompareTuples(*a, *b)
+                                  : CompareTuplesOnKey(*a, *b, key)) < 0;
+            });
+}
+
+int CompareCross(const Tuple& a, const std::vector<int>& a_key,
+                 const Tuple& b, const std::vector<int>& b_key) {
+  if (a_key.empty()) return CompareTuples(a, b);
+  for (size_t k = 0; k < a_key.size(); ++k) {
+    int c = CompareValues(a[static_cast<size_t>(a_key[k])],
+                          b[static_cast<size_t>(b_key[k])]);
+    if (c != 0) return c;
+  }
+  return 0;
+}
+
+// The loop of MergeIntersectRange (empty keys) and MergeJoinRange; calls
+// on_group(i, i_end, j, j_end) per equal-key group.
+template <typename OnGroup>
+int64_t Merge(TupleRefSpan left, const std::vector<int>& left_key,
+              TupleRefSpan right, const std::vector<int>& right_key,
+              OnGroup on_group) {
+  int64_t comparisons = 0;
+  size_t i = 0, j = 0;
+  while (i < left.size() && j < right.size()) {
+    ++comparisons;
+    int c = CompareCross(*left[i], left_key, *right[j], right_key);
+    if (c < 0) {
+      ++i;
+    } else if (c > 0) {
+      ++j;
+    } else {
+      size_t i_end = i + 1;
+      while (i_end < left.size()) {
+        ++comparisons;
+        if (CompareCross(*left[i_end], left_key, *left[i], left_key) != 0) {
+          break;
+        }
+        ++i_end;
+      }
+      size_t j_end = j + 1;
+      while (j_end < right.size()) {
+        ++comparisons;
+        if (CompareCross(*right[j_end], right_key, *right[j], right_key) !=
+            0) {
+          break;
+        }
+        ++j_end;
+      }
+      on_group(i, i_end, j, j_end);
+      i = i_end;
+      j = j_end;
+    }
+  }
+  return comparisons;
+}
+
+std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
+                                       const std::vector<int>& key,
+                                       size_t max_parts, size_t min_chunk) {
+  const size_t n = run.size();
+  size_t parts = std::min(n / min_chunk, max_parts);
+  if (parts < 1) parts = 1;
+  std::vector<size_t> bounds{0};
+  for (size_t p = 1; p < parts; ++p) {
+    size_t target = p * n / parts;
+    while (target < n && target > 0 &&
+           CompareCross(*run[target - 1], key, *run[target], key) == 0) {
+      ++target;
+    }
+    if (target > bounds.back() && target < n) bounds.push_back(target);
+  }
+  bounds.push_back(n);
+  return bounds;
+}
+
+size_t LowerBoundCrossKey(TupleRefSpan run, const std::vector<int>& run_key,
+                          const Tuple& probe,
+                          const std::vector<int>& probe_key) {
+  size_t lo = 0, hi = run.size();
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    if (CompareCross(*run[mid], run_key, probe, probe_key) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+}  // namespace reference
+
+// Values that stress the prefix encodings: both ends of int64, signed
+// zeros, infinities and subnormals, and strings with embedded NULs, bytes
+// >= 0x80, a shared 8-byte prefix and lengths 0..20.
+constexpr int kParityStringWidth = 20;
+
+Value AdversarialValue(DataType type, Rng* rng) {
+  switch (type) {
+    case DataType::kInt64: {
+      static const int64_t kInts[] = {std::numeric_limits<int64_t>::min(),
+                                      std::numeric_limits<int64_t>::min() + 1,
+                                      -(int64_t{1} << 40),
+                                      -256,
+                                      -1,
+                                      0,
+                                      1,
+                                      255,
+                                      int64_t{1} << 40,
+                                      std::numeric_limits<int64_t>::max() - 1,
+                                      std::numeric_limits<int64_t>::max()};
+      return kInts[rng->Uniform(std::size(kInts))];
+    }
+    case DataType::kDouble: {
+      static const double kDoubles[] = {
+          -std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::max(),
+          -1.5,
+          -std::numeric_limits<double>::min(),
+          -std::numeric_limits<double>::denorm_min(),
+          -0.0,
+          0.0,
+          std::numeric_limits<double>::denorm_min(),
+          4.9e-320,  // subnormal
+          std::numeric_limits<double>::min(),
+          1.5,
+          std::numeric_limits<double>::max(),
+          std::numeric_limits<double>::infinity()};
+      return kDoubles[rng->Uniform(std::size(kDoubles))];
+    }
+    case DataType::kString: {
+      static const std::string kStrings[] = {
+          std::string(),
+          std::string(1, '\0'),
+          std::string("a"),
+          std::string("a\0", 2),
+          std::string("a\0b", 3),
+          std::string("abcdefgh"),
+          std::string("abcdefgh\0", 9),
+          std::string("abcdefghA"),
+          std::string("abcdefghB"),
+          std::string("abcdefghABCDEFGHIJKL"),
+          std::string("\x7f"),
+          std::string("\x80"),
+          std::string("\xff\xff\xff\xff\xff\xff\xff\xff\xff")};
+      if (rng->Uniform(3) != 0) return kStrings[rng->Uniform(std::size(kStrings))];
+      // A random string over a small alphabet, so ties run long.
+      static const char kAlphabet[] = {'\0', 'a', 'b', '\x80', '\xff'};
+      std::string s(rng->Uniform(kParityStringWidth + 1), 'a');
+      for (char& c : s) c = kAlphabet[rng->Uniform(std::size(kAlphabet))];
+      return s;
+    }
+  }
+  return int64_t{0};
+}
+
+// Three column orders put each type in the leading position.
+std::vector<Schema> ParitySchemas() {
+  const Column i{"i", DataType::kInt64, 0};
+  const Column d{"d", DataType::kDouble, 0};
+  const Column s{"s", DataType::kString, kParityStringWidth};
+  return {Schema({i, d, s}), Schema({d, s, i}), Schema({s, i, d})};
+}
+
+std::vector<Tuple> AdversarialTuples(const Schema& schema, int n,
+                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Tuple> out;
+  for (int k = 0; k < n; ++k) {
+    Tuple t;
+    for (const Column& c : schema.columns()) {
+      t.push_back(AdversarialValue(c.type, &rng));
+    }
+    EXPECT_TRUE(schema.ValidateTuple(t).ok());
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+// Keys {} (all columns), one column of each type, and two columns.
+const std::vector<std::vector<int>> kParityKeys = {
+    {}, {0}, {1}, {2}, {0, 1}, {2, 0}};
+
+std::string KeyName(const std::vector<int>& key) {
+  std::string name = "{";
+  for (int k : key) name += std::to_string(k) + ",";
+  return name + "}";
+}
+
+TEST(KeyPrefixTest, PrefixOrderAgreesWithCompareValues) {
+  Rng rng(5);
+  for (DataType type :
+       {DataType::kInt64, DataType::kDouble, DataType::kString}) {
+    std::vector<Value> values;
+    for (int k = 0; k < 200; ++k) values.push_back(AdversarialValue(type, &rng));
+    for (const Value& a : values) {
+      for (const Value& b : values) {
+        const uint64_t pa = KeyPrefix(a), pb = KeyPrefix(b);
+        const int c = CompareValues(a, b);
+        if (pa < pb) {
+          ASSERT_LT(c, 0);
+        } else if (pa > pb) {
+          ASSERT_GT(c, 0);
+        }
+        if (type != DataType::kString) {
+          // Numeric prefixes are exact.
+          ASSERT_EQ(pa == pb, c == 0);
+        }
+      }
+    }
+  }
+}
+
+TEST(KeyPrefixParityTest, SortMatchesPlainComparator) {
+  uint64_t seed = 100;
+  for (const Schema& schema : ParitySchemas()) {
+    for (const std::vector<int>& key : kParityKeys) {
+      SCOPED_TRACE(schema.ToString() + " key " + KeyName(key));
+      std::vector<Tuple> tuples = AdversarialTuples(schema, 400, ++seed);
+      TupleRefs expect = RefsOf(tuples);
+      TupleRefs got = expect;
+      int64_t expect_comp = 0, got_comp = 0;
+      reference::SortRunRange(&expect, key, &expect_comp);
+      KeyPrefixes prefixes;
+      SortRunRange(&got, key, &got_comp, &prefixes);
+      EXPECT_EQ(got_comp, expect_comp);
+      ASSERT_EQ(got, expect);  // the same permutation, equal keys included
+      EXPECT_EQ(prefixes, KeyPrefixesOf(got, key));
+    }
+  }
+}
+
+TEST(KeyPrefixParityTest, MergesMatchPlainComparator) {
+  uint64_t seed = 200;
+  for (const Schema& schema : ParitySchemas()) {
+    for (const std::vector<int>& key : kParityKeys) {
+      SCOPED_TRACE(schema.ToString() + " key " + KeyName(key));
+      std::vector<Tuple> left_tuples = AdversarialTuples(schema, 300, ++seed);
+      std::vector<Tuple> right_tuples = AdversarialTuples(schema, 250, ++seed);
+      // Shared tuples, so whole-tuple groups match too.
+      right_tuples.insert(right_tuples.end(), left_tuples.begin(),
+                          left_tuples.begin() + 60);
+      TupleRefs left = RefsOf(left_tuples), right = RefsOf(right_tuples);
+      KeyPrefixes lp, rp;
+      int64_t ignore = 0;
+      SortRunRange(&left, key, &ignore, &lp);
+      SortRunRange(&right, key, &ignore, &rp);
+
+      if (key.empty()) {
+        TupleRefs expect_out, got_out;
+        int64_t expect_n = 0;
+        int64_t expect_comp = reference::Merge(
+            left, key, right, key,
+            [&](size_t i, size_t i_end, size_t j, size_t j_end) {
+              expect_n += static_cast<int64_t>((i_end - i) * (j_end - j));
+              for (size_t a = i; a < i_end; ++a) {
+                expect_out.insert(expect_out.end(), j_end - j, left[a]);
+              }
+            });
+        int64_t got_comp = 0;
+        int64_t got_n =
+            MergeIntersectRange(left, lp, right, rp, &got_out, &got_comp);
+        EXPECT_GT(expect_n, 0);
+        EXPECT_EQ(got_n, expect_n);
+        EXPECT_EQ(got_comp, expect_comp);
+        EXPECT_EQ(got_out, expect_out);
+        // Dedup of the sorted left run: the same groups.
+        const std::vector<GroupCount> groups =
+            DedupSorted(left, lp, schema, nullptr, CostModel{}, nullptr);
+        size_t g = 0;
+        reference::Merge(left, key, left, key,
+                         [&](size_t i, size_t i_end, size_t, size_t) {
+                           ASSERT_LT(g, groups.size());
+                           EXPECT_EQ(groups[g].tuple, left[i]);
+                           EXPECT_EQ(groups[g].count,
+                                     static_cast<int64_t>(i_end - i));
+                           ++g;
+                         });
+        EXPECT_EQ(g, groups.size());
+      }
+
+      std::vector<Tuple> expect_rows, got_rows;
+      int64_t expect_n = 0;
+      int64_t expect_comp = reference::Merge(
+          left, key, right, key,
+          [&](size_t i, size_t i_end, size_t j, size_t j_end) {
+            expect_n += static_cast<int64_t>((i_end - i) * (j_end - j));
+            AppendJoined(left, i, i_end, right, j, j_end, &expect_rows);
+          });
+      int64_t got_comp = 0;
+      int64_t got_n = MergeJoinRange(left, lp, key, right, rp, key, &got_rows,
+                                     &got_comp);
+      EXPECT_EQ(got_n, expect_n);
+      EXPECT_EQ(got_comp, expect_comp);
+      EXPECT_EQ(got_rows, expect_rows);
+      int64_t count_comp = 0;
+      EXPECT_EQ(MergeJoinRange(left, lp, key, right, rp, key, nullptr,
+                               &count_comp),
+                expect_n);
+      EXPECT_EQ(count_comp, expect_comp);
+    }
+  }
+}
+
+// A join whose key sits at different positions on the two sides.
+TEST(KeyPrefixParityTest, CrossPositionJoinMatchesPlainComparator) {
+  const std::vector<Schema> schemas = ParitySchemas();
+  const Schema& ls = schemas[0];  // (i, d, s)
+  const Schema& rs = schemas[2];  // (s, i, d)
+  const std::vector<std::pair<std::vector<int>, std::vector<int>>> keys = {
+      {{0}, {1}}, {{2}, {0}}, {{2, 0}, {0, 1}}, {{1, 2}, {2, 0}}};
+  uint64_t seed = 300;
+  for (const auto& [lkey, rkey] : keys) {
+    SCOPED_TRACE("left key " + KeyName(lkey) + " right key " + KeyName(rkey));
+    std::vector<Tuple> left_tuples = AdversarialTuples(ls, 250, ++seed);
+    std::vector<Tuple> right_tuples = AdversarialTuples(rs, 250, ++seed);
+    TupleRefs left = RefsOf(left_tuples), right = RefsOf(right_tuples);
+    KeyPrefixes lp, rp;
+    int64_t ignore = 0;
+    SortRunRange(&left, lkey, &ignore, &lp);
+    SortRunRange(&right, rkey, &ignore, &rp);
+    std::vector<Tuple> expect_rows, got_rows;
+    int64_t expect_comp = reference::Merge(
+        left, lkey, right, rkey,
+        [&](size_t i, size_t i_end, size_t j, size_t j_end) {
+          AppendJoined(left, i, i_end, right, j, j_end, &expect_rows);
+        });
+    int64_t got_comp = 0;
+    MergeJoinRange(left, lp, lkey, right, rp, rkey, &got_rows, &got_comp);
+    EXPECT_EQ(got_comp, expect_comp);
+    EXPECT_EQ(got_rows, expect_rows);
+    for (size_t b = 0; b < left.size(); b += 7) {
+      EXPECT_EQ(LowerBoundCrossKey(right, rp, rkey, *left[b], lp[b], lkey),
+                reference::LowerBoundCrossKey(right, rkey, *left[b], lkey))
+          << b;
+    }
+  }
+}
+
+TEST(KeyPrefixParityTest, PartitionAndLowerBoundMatchPlainComparator) {
+  uint64_t seed = 400;
+  for (const Schema& schema : ParitySchemas()) {
+    for (const std::vector<int>& key : kParityKeys) {
+      SCOPED_TRACE(schema.ToString() + " key " + KeyName(key));
+      std::vector<Tuple> tuples = AdversarialTuples(schema, 500, ++seed);
+      TupleRefs run = RefsOf(tuples);
+      KeyPrefixes prefixes;
+      int64_t ignore = 0;
+      SortRunRange(&run, key, &ignore, &prefixes);
+      for (size_t min_chunk : {size_t{1}, size_t{7}, size_t{40}}) {
+        std::vector<size_t> bounds =
+            PartitionSortedRun(run, prefixes, key, 32, min_chunk);
+        EXPECT_EQ(bounds,
+                  reference::PartitionSortedRun(run, key, 32, min_chunk))
+            << min_chunk;
+      }
+      std::vector<Tuple> probes = AdversarialTuples(schema, 60, ++seed);
+      for (const Tuple& probe : probes) {
+        const std::vector<int> lead = {key.empty() ? 0 : key[0]};
+        const uint64_t probe_prefix = KeyPrefix(probe[static_cast<size_t>(lead[0])]);
+        EXPECT_EQ(
+            LowerBoundCrossKey(run, prefixes, key, probe, probe_prefix, key),
+            reference::LowerBoundCrossKey(run, key, probe, key));
+      }
+    }
+  }
 }
 
 }  // namespace

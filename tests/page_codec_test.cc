@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
+#include <limits>
 #include <span>
 
 #include "exec/exact.h"
@@ -364,6 +367,65 @@ TEST(RelationFileTest, CorruptedColumnarPageFailsWithDataLoss) {
   EXPECT_EQ(
       ConvertRelationFile(path, TempDir() + "/never_written.tcq", 2).code(),
       StatusCode::kDataLoss);
+}
+
+// A file whose page holds a NaN — written by another tool, since every
+// encoder validates — fails to load, at every checksummed version, with
+// an error naming the column, rather than entering a relation whose sorts
+// it would break.
+TEST(RelationFileTest, NaNInAPageFailsToLoadNamingItsColumn) {
+  Schema schema({{"id", DataType::kInt64, 0}, {"score", DataType::kDouble, 0}});
+  constexpr int kBlockBytes = 32;  // one page of two tuples
+  auto rel = Relation::Create("nan", schema, kBlockBytes);
+  ASSERT_TRUE(rel.ok());
+  const double marker = 1234.5;
+  ASSERT_TRUE(rel->Append({int64_t{1}, 0.5}).ok());
+  ASSERT_TRUE(rel->Append({int64_t{2}, marker}).ok());
+  for (uint32_t version : {2u, 3u}) {
+    std::string path = TempDir() + "/nan_v" + std::to_string(version) + ".tcq";
+    ASSERT_TRUE(SaveRelationAtVersion(*rel, path, version).ok()) << version;
+    std::vector<uint8_t> bytes;
+    {
+      std::FILE* f = std::fopen(path.c_str(), "rb");
+      ASSERT_NE(f, nullptr);
+      std::fseek(f, 0, SEEK_END);
+      bytes.resize(static_cast<size_t>(std::ftell(f)));
+      std::fseek(f, 0, SEEK_SET);
+      ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+      std::fclose(f);
+    }
+    // The file ends with the only page and its checksum. Overwrite the
+    // marker with a NaN and re-sign the page, so only the value is wrong.
+    const size_t page_at = bytes.size() - 8 - kBlockBytes;
+    std::vector<uint8_t> page(bytes.begin() + static_cast<ptrdiff_t>(page_at),
+                              bytes.end() - 8);
+    uint8_t marker_bytes[8];
+    std::memcpy(marker_bytes, &marker, sizeof(marker));
+    auto it = std::search(page.begin(), page.end(), std::begin(marker_bytes),
+                          std::end(marker_bytes));
+    ASSERT_NE(it, page.end()) << version;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::memcpy(&*it, &nan, sizeof(nan));
+    std::copy(page.begin(), page.end(),
+              bytes.begin() + static_cast<ptrdiff_t>(page_at));
+    const uint64_t sum = PageChecksum(page);
+    for (int i = 0; i < 8; ++i) {
+      bytes[bytes.size() - 8 + static_cast<size_t>(i)] =
+          static_cast<uint8_t>(sum >> (8 * i));
+    }
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+      std::fclose(f);
+    }
+    auto loaded = LoadRelation(path);
+    ASSERT_FALSE(loaded.ok()) << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << version;
+    EXPECT_NE(loaded.status().message().find("'score'"), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 TEST(RelationFileTest, LoadRejectsGarbage) {

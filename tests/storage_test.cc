@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 
@@ -134,6 +135,24 @@ TEST(RelationTest, AppendValidates) {
   EXPECT_TRUE(
       rel->Append({int64_t{1}, int64_t{2}, std::string("ok")}).ok());
   EXPECT_EQ(rel->NumTuples(), 1);
+}
+
+// NaN would break every sort over its column (CompareValues ties it with
+// every value), so it never enters a relation.
+TEST(RelationTest, AppendRejectsNaNNamingItsColumn) {
+  Schema schema({{"id", DataType::kInt64, 0}, {"score", DataType::kDouble, 0}});
+  auto rel = Relation::Create("r", schema);
+  ASSERT_TRUE(rel.ok());
+  Status status =
+      rel->Append({int64_t{1}, std::numeric_limits<double>::quiet_NaN()});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("'score'"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(rel->NumTuples(), 0);
+  EXPECT_TRUE(rel->Append({int64_t{1}, -0.0}).ok());
+  EXPECT_TRUE(
+      rel->Append({int64_t{2}, std::numeric_limits<double>::infinity()}).ok());
 }
 
 TEST(RelationTest, CreateRejectsBadGeometry) {
