@@ -85,27 +85,5 @@ int main(int argc, char** argv) {
                 trace_path);
   }
 
-  // 5. The same query under the columnar layout: batch predicate masks
-  //    and encoded-key merges instead of tuple-at-a-time evaluation.
-  //    Faster in wall-clock mode, and bit-identical otherwise — same
-  //    estimate, CI and stage schedule at the same seed (DESIGN.md §11).
-  auto columnar = session.Query(query)
-                      .WithQuota(5.0)
-                      .WithRiskMargin(24.0)
-                      .WithSeed(7)
-                      .WithLayout(Layout::kColumnar)
-                      .Run();
-  if (!columnar.ok()) {
-    std::fprintf(stderr, "query: %s\n",
-                 columnar.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("\ncolumnar layout: estimate %.1f, CI [%.1f, %.1f] — %s\n",
-              columnar->estimate, columnar->ci.lo, columnar->ci.hi,
-              columnar->estimate == result->estimate &&
-                      columnar->ci.lo == result->ci.lo &&
-                      columnar->ci.hi == result->ci.hi
-                  ? "bit-identical to the row run"
-                  : "DIVERGED (bug!)");
   return 0;
 }

@@ -21,7 +21,6 @@
 /// manage their own Catalog and options.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -151,18 +150,6 @@ class QueryBuilder {
     options_.use_wall_clock = on;
     return *this;
   }
-  /// Evaluation path of the operators (ExecutorOptions::layout):
-  /// Layout::kColumnar runs selections through batch predicate masks and
-  /// sort/merge through encoded-key kernels over the per-block column
-  /// arrays; Layout::kRow (the default) is the classic tuple-at-a-time
-  /// path. Estimates, variances, and stage schedules are bit-identical
-  /// across layouts at the same seed — only wall-clock speed (and the
-  /// wall-clock planner's initial cost coefficients) differ. EXPLAIN and
-  /// StageReport::layout report the choice.
-  QueryBuilder& WithLayout(Layout layout) {
-    options_.layout = layout;
-    return *this;
-  }
   /// Arms deterministic fault injection (ExecutorOptions::faults; see
   /// DESIGN.md §10): transient read errors retried with quota-charged
   /// backoff, permanently lost blocks dropped from the frame with the
@@ -261,19 +248,6 @@ class QueryBuilder {
   /// outlive Run()).
   QueryBuilder& WithObserver(ProgressObserver& observer) {
     options_.obs.observer = &observer;
-    return *this;
-  }
-
-  /// Escape hatch for arbitrary edits to the underlying ExecutorOptions.
-  /// Every field now has a typed With* setter — use those: they are
-  /// greppable, they keep admission control and EXPLAIN in sync with
-  /// what actually runs, and the `raw-options-edit` lint rule flags this
-  /// hatch outside tests.
-  [[deprecated(
-      "every ExecutorOptions field has a typed With* setter; use those "
-      "instead of raw edits")]]
-  QueryBuilder& With(const std::function<void(ExecutorOptions*)>& edit) {
-    edit(&options_);
     return *this;
   }
 

@@ -84,25 +84,20 @@ void AdaptiveCostModel::RestoreSnapshot(const Snapshot& snapshot) {
 double AdaptiveCostModel::Initial(CostStep step) const {
   const double scale = options_.initial_scale;
   const double bf = options_.assumed_blocking_factor;
-  // The evaluation steps a vectorized layout accelerates: their initial
-  // coefficients shrink by the configured speedup so stage planning
-  // reflects the cheaper path before any observation has been made.
-  const double eval = options_.eval_speedup > 1.0 ? options_.eval_speedup
-                                                  : 1.0;
   switch (step) {
     case CostStep::kFetch:
       return scale * physical_.block_read_s;
     case CostStep::kFilter:
       return scale * options_.assumed_comparisons *
-             physical_.predicate_compare_s / eval;
+             physical_.predicate_compare_s;
     case CostStep::kTempWrite:
     case CostStep::kOutput:
       return scale *
              (physical_.tuple_move_s + physical_.block_write_s / bf);
     case CostStep::kSort:
-      return scale * physical_.sort_compare_s / eval;
+      return scale * physical_.sort_compare_s;
     case CostStep::kMerge:
-      return scale * physical_.merge_compare_s / eval;
+      return scale * physical_.merge_compare_s;
     case CostStep::kSetup:
       return scale * physical_.op_setup_s;
     case CostStep::kNumSteps:

@@ -59,13 +59,6 @@ class AdaptiveCostModel {
     double assumed_blocking_factor = 2.0;
     /// Assumed comparisons per tuple in selection formulas.
     double assumed_comparisons = 2.0;
-    /// Divisor applied to the initial filter/sort/merge coefficients for
-    /// a faster evaluation path (the engine sets it to the physical
-    /// model's `columnar_eval_speedup` when planning a wall-clock
-    /// columnar run; 1 = the classic row path). Only the *initial*
-    /// values are scaled — fitted observations already measure the real
-    /// path.
-    double eval_speedup = 1.0;
   };
 
   /// Portable image of the fitted state: the per-(node, step) coefficient

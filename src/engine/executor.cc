@@ -248,17 +248,7 @@ Result<QueryResult> RunTimeConstrainedAggregate(
   // count), so only wall-clock planning sees the real width.
   CostModel physical = options.physical;
   physical.workers = wall ? width : 1;
-  // Layout-aware planning, wall-clock only: the columnar path evaluates
-  // the per-block filter/sort/merge steps faster, so the initial
-  // coefficients are divided by the measured speedup ratio. Simulated
-  // charges never depend on the layout — scaling them would change the
-  // planned fractions and with them the drawn blocks, breaking the
-  // row/columnar bit-identity guarantee.
-  AdaptiveCostModel::Options cost_options = options.cost;
-  if (wall && options.layout == Layout::kColumnar) {
-    cost_options.eval_speedup = physical.columnar_eval_speedup;
-  }
-  AdaptiveCostModel coefs(physical, cost_options);
+  AdaptiveCostModel coefs(physical, options.cost);
 
   // Warm start: with a session cache attached, begin from the fitted
   // cost coefficients of the last run of a canonically equal query (the
@@ -351,7 +341,6 @@ Result<QueryResult> RunTimeConstrainedAggregate(
     }
     if (wall) ev->MeasureStepsWith(&clock);
     ev->UseThreadPool(pool, max_width);
-    ev->SetLayout(options.layout);
     ev->SetObs(obs, static_cast<int>(evaluators.size()));
     std::vector<std::string> scans;
     CollectScans(term.expr, &scans);
@@ -1020,7 +1009,6 @@ Result<QueryResult> RunTimeConstrainedAggregate(
     report.estimate_after = combined.value;
     report.variance_after = combined.variance;
     report.quota_s = quota_s;
-    report.layout = options.layout;
     // In simulation the clock advances only inside the stage, so these
     // spends telescope: Σ ledger_spend_s over all reports equals the
     // query's elapsed_seconds (the acceptance identity).
@@ -1265,10 +1253,8 @@ std::string ExplainResult::ToString() const {
   std::string out;
   char line[160];
   std::snprintf(line, sizeof(line),
-                "time-constrained aggregate plan (strategy %s, quota %.3f s, "
-                "%s layout)\n",
-                strategy.c_str(), quota_s,
-                std::string(LayoutName(layout)).c_str());
+                "time-constrained aggregate plan (strategy %s, quota %.3f s)\n",
+                strategy.c_str(), quota_s);
   out += line;
   std::snprintf(
       line, sizeof(line),
@@ -1312,7 +1298,6 @@ Result<ExplainResult> ExplainTimeConstrainedAggregate(
   TCQ_RETURN_NOT_OK(options.Validate());
   ExplainResult out;
   out.quota_s = options.quota_s;
-  out.layout = options.layout;
   std::unique_ptr<TimeControlStrategy> strategy =
       MakeStrategy(options.strategy);
   out.strategy = std::string(strategy->name());
@@ -1343,13 +1328,7 @@ Result<ExplainResult> ExplainTimeConstrainedAggregate(
   // (nothing ever charges it — no stage executes).
   CostModel physical = options.physical;
   physical.workers = 1;
-  // Same layout-aware initial coefficients as the run path (wall-clock
-  // only; simulated plans are layout-independent by construction).
-  AdaptiveCostModel::Options cost_options = options.cost;
-  if (options.use_wall_clock && options.layout == Layout::kColumnar) {
-    cost_options.eval_speedup = physical.columnar_eval_speedup;
-  }
-  AdaptiveCostModel coefs(physical, cost_options);
+  AdaptiveCostModel coefs(physical, options.cost);
   CostLedger scratch_ledger;
   std::vector<std::unique_ptr<StagedTermEvaluator>> evaluators;
   std::map<std::string, int64_t> total_blocks;

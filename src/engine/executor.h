@@ -107,14 +107,6 @@ struct ExecutorOptions {
   /// serve metrics. 0 (the default) means "use quota_s". The standalone
   /// engine ignores it — quota_s alone bounds execution time.
   double serve_deadline_s = 0.0;
-  /// Physical evaluation path (DESIGN.md §11): Layout::kColumnar routes
-  /// selections through the batch-vectorized bitmap kernel and the
-  /// join/intersect sorts and merges through encoded-key columnar kernels.
-  /// Estimates, variances, stage reports and every simulated-time charge
-  /// are bit-identical to Layout::kRow at any seed and thread count —
-  /// only real elapsed time (and, in wall-clock mode, the measured step
-  /// times the cost model fits) changes.
-  Layout layout = Layout::kRow;
   /// Hybrid stage-0 selectivity prediction (DESIGN.md §12): a tournament
   /// chooser over the within-query observation, the warm-start prior and
   /// a query-stream history table, whose confidence also scales the sel⁺
@@ -140,11 +132,6 @@ struct ExecutorOptions {
   /// options. The Run* entry points call this before touching any data.
   [[nodiscard]] Status Validate() const;
 };
-
-/// What happened during one stage (Figure 3.1's while-loop body).
-/// `StageReport` (src/obs/report.h) is the record; the old `StageTrace`
-/// name stays as an alias for existing call sites.
-using StageTrace = StageReport;
 
 /// How the serving layer admitted a query (filled in by tcq::Server;
 /// every standalone engine run reports kStandalone with zeroed timings).
@@ -277,7 +264,6 @@ struct PredictorNodeView {
 struct ExplainResult {
   std::string strategy;       // time-control strategy name
   double quota_s = 0.0;       // T
-  Layout layout = Layout::kRow;  // chosen evaluation path
   int num_sampled_terms = 0;  // inclusion–exclusion terms to sample
   int num_constant_terms = 0;  // bare-scan terms answered from the catalog
   int64_t total_blocks = 0;   // across all scanned relations

@@ -50,23 +50,6 @@ void ChargeOutput(const Schema& schema, int64_t out_tuples,
   }
 }
 
-/// Charges the selection step of `n` input and `out_n` qualifying tuples;
-/// shared by the row and columnar kernels so both charge identically.
-void ChargeSelect(const BoundPredicate& predicate, const Schema& schema,
-                  int64_t n, int64_t out_n, CostLedger* ledger,
-                  const CostModel& model, OpMetrics* metrics) {
-  StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
-  ChargeScope charge(ledger, process);
-  charge.ChargeN(CostCategory::kPredicate, n * predicate.num_comparisons(),
-                 model.predicate_compare_s);
-  if (process != nullptr) {
-    process->in_tuples += n;
-    process->comparisons += n * predicate.num_comparisons();
-  }
-  ChargeOutput(schema, out_n, ledger, model,
-               metrics != nullptr ? &metrics->output : nullptr);
-}
-
 /// KeyPrefix, inlined into the per-tuple loops of the sort kernels.
 [[gnu::always_inline]] inline uint64_t PrefixOf(const Value& v) {
   if (const int64_t* i = std::get_if<int64_t>(&v)) {
@@ -206,32 +189,17 @@ TupleRefs SelectTuples(TupleRefSpan tuples, const BoundPredicate& predicate,
   for (const Tuple* t : tuples) {
     if (predicate.Eval(*t)) out.push_back(t);
   }
-  ChargeSelect(predicate, schema, static_cast<int64_t>(tuples.size()),
-               static_cast<int64_t>(out.size()), ledger, model, metrics);
-  return out;
-}
-
-TupleRefs SelectTuplesColumnar(TupleRefSpan tuples,
-                               std::span<const ColumnBatch* const> batches,
-                               const BoundPredicate& predicate,
-                               const Schema& schema, CostLedger* ledger,
-                               const CostModel& model, OpMetrics* metrics) {
-  TupleRefs out;
-  std::vector<uint8_t> mask;
-  size_t offset = 0;
-  for (const ColumnBatch* batch : batches) {
-    predicate.EvalBatch(*batch, &mask);
-    TCQ_DCHECK(offset + mask.size() <= tuples.size(),
-               "column batches hold more rows than the run");
-    for (size_t i = 0; i < mask.size(); ++i) {
-      if (mask[i] != 0) out.push_back(tuples[offset + i]);
-    }
-    offset += mask.size();
+  const auto n = static_cast<int64_t>(tuples.size());
+  StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
+  ChargeScope charge(ledger, process);
+  charge.ChargeN(CostCategory::kPredicate, n * predicate.num_comparisons(),
+                 model.predicate_compare_s);
+  if (process != nullptr) {
+    process->in_tuples += n;
+    process->comparisons += n * predicate.num_comparisons();
   }
-  TCQ_DCHECK(offset == tuples.size(),
-             "column batches do not cover the run");
-  ChargeSelect(predicate, schema, static_cast<int64_t>(tuples.size()),
-               static_cast<int64_t>(out.size()), ledger, model, metrics);
+  ChargeOutput(schema, static_cast<int64_t>(out.size()), ledger, model,
+               metrics != nullptr ? &metrics->output : nullptr);
   return out;
 }
 

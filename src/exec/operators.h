@@ -41,19 +41,6 @@ TupleRefs SelectTuples(TupleRefSpan tuples, const BoundPredicate& predicate,
                        const Schema& schema, CostLedger* ledger,
                        const CostModel& model, OpMetrics* metrics);
 
-/// Vectorized selection: evaluates the formula over each columnar batch
-/// (selection bitmap via BoundPredicate::EvalBatch), then gathers the
-/// references of the passing rows. `batches` must hold the rows of
-/// `tuples` in the same order — typically one batch per fetched block.
-/// Output and charges are identical to SelectTuples: selection cost is per
-/// formula leaf per input tuple in both paths, charged once over the whole
-/// run whatever the batch boundaries.
-TupleRefs SelectTuplesColumnar(TupleRefSpan tuples,
-                               std::span<const ColumnBatch* const> batches,
-                               const BoundPredicate& predicate,
-                               const Schema& schema, CostLedger* ledger,
-                               const CostModel& model, OpMetrics* metrics);
-
 /// Writes `tuples` to a temporary file (step 1 of the paper's intersect/
 /// join/project algorithms, Figures 4.4/4.6/4.7): charges one tuple move
 /// per tuple and one page write per output page.
@@ -63,18 +50,19 @@ void ChargeTempWrite(const Schema& schema, int64_t num_tuples,
 
 /// ---- Key prefixes -------------------------------------------------------
 ///
-/// Every row-layout sort keeps, beside each reference, an 8-byte
-/// order-preserving prefix of the tuple's leading key column (column 0 when
-/// the key is empty): the first 8 bytes of that column's encoded-key form
-/// (exec/vectorized.h), read as a big-endian integer — int64 with its sign
-/// bit flipped, double as its ordered bits (-0.0 normalized to +0.0), a
-/// string's first 8 bytes zero-padded. A smaller prefix means a smaller
-/// key; equal prefixes leave the order to the full key comparison, which
-/// the kernels then call. A numeric prefix is exact (equal prefixes, equal
-/// values), so a single numeric key column is never compared any other
-/// way. Every comparator returns the same sign as the plain tuple
-/// comparison for every pair, so sorts make the same decisions and the
-/// kernels count the same comparisons (DESIGN.md, "Run representation").
+/// Every sort keeps, beside each reference, an 8-byte order-preserving
+/// prefix of the tuple's leading key column (column 0 when the key is
+/// empty), compared as an unsigned integer: an int64 with its sign bit
+/// flipped; a double's IEEE-754 bits (-0.0 normalized to +0.0) with every
+/// bit flipped when negative and only the sign bit flipped otherwise; a
+/// string's first 8 bytes, big-endian, zero-padded. A smaller prefix means
+/// a smaller key; equal prefixes leave the order to the full key
+/// comparison, which the kernels then call. A numeric prefix is exact
+/// (equal prefixes, equal values), so a single numeric key column is never
+/// compared any other way. Every comparator returns the same sign as the
+/// plain tuple comparison for every pair, so sorts make the same decisions
+/// and the kernels count the same comparisons (DESIGN.md, "Run
+/// representation").
 
 /// Prefixes of a sorted run, index-aligned with its references.
 using KeyPrefixes = std::vector<uint64_t>;

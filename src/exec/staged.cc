@@ -7,9 +7,6 @@
 #include <set>
 #include <utility>
 
-#include "exec/vectorized.h"
-#include "obs/metric_names.h"
-#include "storage/column_batch.h"
 #include "util/check.h"
 
 namespace tcq {
@@ -160,12 +157,6 @@ void StagedTermEvaluator::SetObs(const ObsHandle& obs, int term_index) {
   tracer_ = obs.tracer;
   tuples_counter_ =
       obs.metering() ? obs.metrics->counter("exec.tuples_scanned") : nullptr;
-  vector_batches_counter_ =
-      obs.metering() ? obs.metrics->counter(metric_names::kVectorBatches)
-                     : nullptr;
-  vector_rows_counter_ =
-      obs.metering() ? obs.metrics->counter(metric_names::kVectorRows)
-                     : nullptr;
   term_index_ = term_index;
 }
 
@@ -337,38 +328,8 @@ Status StagedTermEvaluator::ExecuteNode(
       const StagedNode* child = node->left.get();
       OpMetrics om;
       double t0 = now();
-      TupleRefs run;
-      if (layout_ == Layout::kColumnar) {
-        // A scan child's run is its fetched blocks' rows in block order,
-        // so the predicate runs over each block's own column batch; any
-        // other child's run is first assembled into one batch.
-        std::vector<const ColumnBatch*> batches;
-        ColumnBatch assembled;
-        if (child->kind == ExprKind::kScan) {
-          for (const Block* b : new_blocks.at(child->rel->name())) {
-            batches.push_back(&BlockView(b).columns());
-          }
-        } else {
-          assembled.Configure(
-              child->out_schema,
-              static_cast<int64_t>(child->stage_out.size()));
-          for (const Tuple* t : child->stage_out) assembled.AppendRow(*t);
-          batches.push_back(&assembled);
-        }
-        run = SelectTuplesColumnar(child->stage_out, batches,
-                                   *node->predicate, node->out_schema,
-                                   ledger_, model_, &om);
-        if (vector_batches_counter_ != nullptr && !batches.empty()) {
-          vector_batches_counter_->Add(static_cast<int64_t>(batches.size()));
-        }
-        if (vector_rows_counter_ != nullptr && !child->stage_out.empty()) {
-          vector_rows_counter_->Add(
-              static_cast<int64_t>(child->stage_out.size()));
-        }
-      } else {
-        run = SelectTuples(child->stage_out, *node->predicate,
-                           node->out_schema, ledger_, model_, &om);
-      }
+      TupleRefs run = SelectTuples(child->stage_out, *node->predicate,
+                                   node->out_schema, ledger_, model_, &om);
       double t1 = now();
       rec.process = om.process;
       rec.output = om.output;
@@ -489,21 +450,6 @@ Status StagedTermEvaluator::ExecuteNode(
           is_join ? node->lkey : std::vector<int>{};
       const std::vector<int> rkey =
           is_join ? node->rkey : std::vector<int>{};
-      if (layout_ == Layout::kColumnar && node->sorted_left.empty()) {
-        // Decided once, before the first run is sorted, so every stage of
-        // the node takes the same path and the per-stage key buffers stay
-        // aligned with the sorted runs.
-        node->columnar_merge_ok =
-            !is_join ||
-            ColumnarJoinKeysCompatible(node->left->out_schema, node->lkey,
-                                       node->right->out_schema, node->rkey);
-        if (node->columnar_merge_ok) {
-          node->merge_key_width =
-              EncodedKeyWidth(node->left->out_schema, lkey);
-        }
-      }
-      const bool columnar =
-          layout_ == Layout::kColumnar && node->columnar_merge_ok;
       // Runs the prepared task batch on the pool (inline when none),
       // recording the section's span and the tasks' summed durations for
       // the parallel-efficiency fit. Charges never happen inside tasks.
@@ -518,38 +464,20 @@ Status StagedTermEvaluator::ExecuteNode(
       // Steps 1–2 parallel part: the two new runs sort on their own tasks;
       // the realized comparison counts are charged post-barrier in fixed
       // (left, right) order, mirroring the serial SortRun sequence. Each
-      // sorted run keeps its key prefixes (the columnar sort leaves its
-      // encoded keys too).
-      std::vector<uint8_t> lkeys_buf, rkeys_buf;
+      // sorted run keeps its key prefixes.
       KeyPrefixes lprefixes, rprefixes;
       {
         int64_t sort_comp[2] = {0, 0};
         std::vector<double> durs(2, 0.0);
         std::vector<std::function<void()>> tasks;
-        const Schema& lschema = node->left->out_schema;
-        const Schema& rschema = node->right->out_schema;
-        tasks.push_back([&new_l, &lkey, &sort_comp, &durs, columnar,
-                         &lschema, &lkeys_buf, &lprefixes] {
+        tasks.push_back([&new_l, &lkey, &sort_comp, &durs, &lprefixes] {
           auto start = std::chrono::steady_clock::now();
-          if (columnar) {
-            SortRunRangeColumnar(&new_l, lschema, lkey, &lkeys_buf,
-                                 &sort_comp[0]);
-            lprefixes = KeyPrefixesOf(new_l, lkey);
-          } else {
-            SortRunRange(&new_l, lkey, &sort_comp[0], &lprefixes);
-          }
+          SortRunRange(&new_l, lkey, &sort_comp[0], &lprefixes);
           durs[0] = SecondsSince(start);
         });
-        tasks.push_back([&new_r, &rkey, &sort_comp, &durs, columnar,
-                         &rschema, &rkeys_buf, &rprefixes] {
+        tasks.push_back([&new_r, &rkey, &sort_comp, &durs, &rprefixes] {
           auto start = std::chrono::steady_clock::now();
-          if (columnar) {
-            SortRunRangeColumnar(&new_r, rschema, rkey, &rkeys_buf,
-                                 &sort_comp[1]);
-            rprefixes = KeyPrefixesOf(new_r, rkey);
-          } else {
-            SortRunRange(&new_r, rkey, &sort_comp[1], &rprefixes);
-          }
+          SortRunRange(&new_r, rkey, &sort_comp[1], &rprefixes);
           durs[1] = SecondsSince(start);
         });
         run_section(&tasks, &durs);
@@ -572,10 +500,6 @@ Status StagedTermEvaluator::ExecuteNode(
       node->sorted_right.push_back(std::move(new_r));
       node->sorted_left_prefixes.push_back(std::move(lprefixes));
       node->sorted_right_prefixes.push_back(std::move(rprefixes));
-      if (columnar) {
-        node->sorted_left_keys.push_back(std::move(lkeys_buf));
-        node->sorted_right_keys.push_back(std::move(rkeys_buf));
-      }
 
       // Step 3: merge run pairs. Full fulfillment: every pair whose newest
       // run is this stage (Figure 4.5). Partial: new×new only. Each pair's
@@ -648,40 +572,18 @@ Status StagedTermEvaluator::ExecuteNode(
               node->sorted_right_prefixes[pairs[chunk->pair].second].data() +
                   chunk->rbeg,
               chunk->rend - chunk->rbeg);
-          const int kw = node->merge_key_width;
-          const uint8_t* lkptr =
-              columnar && chunk->lend > chunk->lbeg
-                  ? node->sorted_left_keys[pairs[chunk->pair].first].data() +
-                        chunk->lbeg * static_cast<size_t>(kw)
-                  : nullptr;
-          const uint8_t* rkptr =
-              columnar && chunk->rend > chunk->rbeg
-                  ? node->sorted_right_keys[pairs[chunk->pair].second]
-                            .data() +
-                        chunk->rbeg * static_cast<size_t>(kw)
-                  : nullptr;
           double* dur = &durs[t];
           tasks.push_back([chunk, lspan, rspan, lpspan, rpspan, is_join,
-                           emit, &lkey, &rkey, columnar, lkptr, rkptr, kw,
-                           dur] {
+                           emit, &lkey, &rkey, dur] {
             auto start = std::chrono::steady_clock::now();
             if (is_join) {
-              std::vector<Tuple>* out = emit ? &chunk->rows : nullptr;
-              chunk->out_count =
-                  columnar ? MergeJoinRangeColumnar(lspan, lkptr, rspan, rkptr,
-                                                    kw, out,
-                                                    &chunk->comparisons)
-                           : MergeJoinRange(lspan, lpspan, lkey, rspan,
-                                            rpspan, rkey, out,
-                                            &chunk->comparisons);
+              chunk->out_count = MergeJoinRange(
+                  lspan, lpspan, lkey, rspan, rpspan, rkey,
+                  emit ? &chunk->rows : nullptr, &chunk->comparisons);
             } else {
-              TupleRefs* out = emit ? &chunk->refs : nullptr;
-              chunk->out_count =
-                  columnar ? MergeIntersectRangeColumnar(
-                                 lspan, lkptr, rspan, rkptr, kw, out,
-                                 &chunk->comparisons)
-                           : MergeIntersectRange(lspan, lpspan, rspan, rpspan,
-                                                 out, &chunk->comparisons);
+              chunk->out_count = MergeIntersectRange(
+                  lspan, lpspan, rspan, rpspan,
+                  emit ? &chunk->refs : nullptr, &chunk->comparisons);
             }
             *dur = SecondsSince(start);
           });

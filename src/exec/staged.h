@@ -15,7 +15,6 @@
 #include "sim/cost_model.h"
 #include "sim/ledger.h"
 #include "storage/relation.h"
-#include "util/layout.h"
 #include "util/result.h"
 
 namespace tcq {
@@ -100,20 +99,10 @@ struct StagedNode {
   std::vector<TupleRefs> sorted_left;  // per-stage sorted runs
   std::vector<TupleRefs> sorted_right;
   // The key prefixes of each per-stage sorted run (indices aligned with
-  // sorted_left/sorted_right), kept in both layouts: the partition and
-  // lower-bound kernels, and the row merges, compare them first.
+  // sorted_left/sorted_right): the merge, partition and lower-bound
+  // kernels compare them first.
   std::vector<KeyPrefixes> sorted_left_prefixes;
   std::vector<KeyPrefixes> sorted_right_prefixes;
-
-  // Columnar mode (Layout::kColumnar) only: the encoded sort keys of each
-  // per-stage sorted run (indices aligned with sorted_left/sorted_right),
-  // their byte width, and whether the columnar merge kernels apply to this
-  // node's keys (join keys of mismatched type or width fall back to the
-  // row kernels — see ColumnarJoinKeysCompatible).
-  std::vector<std::vector<uint8_t>> sorted_left_keys;
-  std::vector<std::vector<uint8_t>> sorted_right_keys;
-  int merge_key_width = 0;
-  bool columnar_merge_ok = true;
 
   // kJoin: the concatenated output tuples, one vector per merge chunk.
   // Built only when something reads the join's output (a parent operator,
@@ -172,16 +161,6 @@ class StagedTermEvaluator {
     pool_ = pool;
     pool_max_width_ = max_width;
   }
-
-  /// Selects the evaluation path: Layout::kColumnar routes selections
-  /// through the batch-vectorized bitmap kernel and sorts/merges through
-  /// the encoded-key columnar kernels. Estimates, stage outputs and every
-  /// simulated-time charge are bit-identical to the row path (the columnar
-  /// kernels count comparisons at exactly the same points — DESIGN.md
-  /// §11); only real elapsed time differs. Set before the first stage and
-  /// keep fixed for the evaluator's lifetime.
-  void SetLayout(Layout layout) { layout_ = layout; }
-  Layout layout() const { return layout_; }
 
   /// Realized work/span of the last executed stage's sort and merge
   /// fan-out sections; the engine folds it into the stage's work/span.
@@ -275,10 +254,7 @@ class StagedTermEvaluator {
   const Clock* timing_clock_ = nullptr;
   Tracer* tracer_ = nullptr;
   Counter* tuples_counter_ = nullptr;
-  Counter* vector_batches_counter_ = nullptr;
-  Counter* vector_rows_counter_ = nullptr;
   int term_index_ = 0;
-  Layout layout_ = Layout::kRow;
   ThreadPool* pool_ = nullptr;
   int pool_max_width_ = 0;
   ParallelStats stage_parallel_;

@@ -99,11 +99,6 @@ inline constexpr char kTimectrlIntersectFallback[] =
 inline constexpr char kTimectrlSelectivity[] = "timectrl.selectivity";
 inline constexpr char kTimectrlSsdProbes[] = "timectrl.ssd_probes";
 
-// vector.* — vectorized (columnar-layout) evaluation path counters.
-// Deterministic at a fixed seed: batch boundaries follow the drawn blocks.
-inline constexpr char kVectorBatches[] = "vector.batches";
-inline constexpr char kVectorRows[] = "vector.rows";
-
 }  // namespace tcq::metric_names
 
 #endif  // TCQ_OBS_METRIC_NAMES_H_

@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "util/layout.h"
-
 namespace tcq {
 
 /// One operator's revised sample selectivity at the start of a stage
@@ -50,10 +48,6 @@ struct StageReport {
   double variance_after = 0.0;    // V̂ after this stage
 
   double quota_s = 0.0;            // T
-  /// Evaluation path the stage's operators ran on (ExecutorOptions::
-  /// layout). Constant across a run's stages; reported per stage so
-  /// report consumers need no side channel to the options.
-  Layout layout = Layout::kRow;
   double ledger_spend_s = 0.0;     // clock advance during this stage
   double cumulative_spend_s = 0.0; // clock advance since the query started
   /// Realized parallelism of the stage's fan-out sections — block draws,

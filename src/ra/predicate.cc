@@ -1,6 +1,5 @@
 #include "ra/predicate.h"
 
-#include <cstring>
 #include <string_view>
 #include <variant>
 
@@ -210,187 +209,6 @@ Status BoundPredicate::Build(const Predicate& p, const Schema& schema,
     }
   }
   return Status::Internal("unknown predicate kind");
-}
-
-namespace {
-
-/// Tight comparison loops with the operator switch hoisted out of the loop
-/// so each case auto-vectorizes over the contiguous column.
-template <typename T>
-void CompareLiteralMask(const T* v, size_t n, T lit, CompareOp op,
-                        uint8_t* out) {
-  switch (op) {
-    case CompareOp::kEq:
-      for (size_t i = 0; i < n; ++i) out[i] = v[i] == lit;
-      break;
-    case CompareOp::kNe:
-      for (size_t i = 0; i < n; ++i) out[i] = v[i] != lit;
-      break;
-    case CompareOp::kLt:
-      for (size_t i = 0; i < n; ++i) out[i] = v[i] < lit;
-      break;
-    case CompareOp::kLe:
-      for (size_t i = 0; i < n; ++i) out[i] = v[i] <= lit;
-      break;
-    case CompareOp::kGt:
-      for (size_t i = 0; i < n; ++i) out[i] = v[i] > lit;
-      break;
-    case CompareOp::kGe:
-      for (size_t i = 0; i < n; ++i) out[i] = v[i] >= lit;
-      break;
-  }
-}
-
-template <typename T>
-void CompareColumnsMask(const T* a, const T* b, size_t n, CompareOp op,
-                        uint8_t* out) {
-  switch (op) {
-    case CompareOp::kEq:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] == b[i];
-      break;
-    case CompareOp::kNe:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] != b[i];
-      break;
-    case CompareOp::kLt:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] < b[i];
-      break;
-    case CompareOp::kLe:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] <= b[i];
-      break;
-    case CompareOp::kGt:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] > b[i];
-      break;
-    case CompareOp::kGe:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] >= b[i];
-      break;
-  }
-}
-
-/// A fixed-width cell with its zero padding stripped — the decoded string's
-/// bytes (embedded NULs are not representable, see page_codec.h).
-std::string_view TrimmedCell(const uint8_t* p, size_t width) {
-  size_t len = width;
-  while (len > 0 && p[len - 1] == 0) --len;
-  return std::string_view(reinterpret_cast<const char*>(p), len);
-}
-
-int Sign(int c) { return c < 0 ? -1 : (c > 0 ? 1 : 0); }
-
-void CompareStringLiteralMask(const ColumnBatch& batch, int c, size_t n,
-                              const std::string& lit, CompareOp op,
-                              uint8_t* out) {
-  const size_t w = static_cast<size_t>(batch.width(c));
-  const uint8_t* data = batch.StringBytes(c).data();
-  if (lit.find('\0') != std::string::npos) {
-    // NUL-bearing literals defeat the padded-memcmp trick; compare the
-    // trimmed cells exactly as CompareValues would.
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = ApplyOp(op, Sign(TrimmedCell(data + i * w, w).compare(lit)));
-    }
-  } else if (lit.size() <= w) {
-    std::string padded = lit;
-    padded.resize(w, '\0');
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = ApplyOp(op, std::memcmp(data + i * w, padded.data(), w));
-    }
-  } else {
-    // Literal longer than the column: a cell equal through the column's
-    // width is a strict prefix of the literal, hence smaller.
-    for (size_t i = 0; i < n; ++i) {
-      int c = std::memcmp(data + i * w, lit.data(), w);
-      out[i] = ApplyOp(op, c != 0 ? c : -1);
-    }
-  }
-}
-
-void CompareStringColumnsMask(const ColumnBatch& batch, int a, int b,
-                              size_t n, CompareOp op, uint8_t* out) {
-  const size_t wa = static_cast<size_t>(batch.width(a));
-  const size_t wb = static_cast<size_t>(batch.width(b));
-  const uint8_t* da = batch.StringBytes(a).data();
-  const uint8_t* db = batch.StringBytes(b).data();
-  if (wa == wb) {
-    // Equal widths: both cells are zero-padded, so memcmp is exact 3-way.
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = ApplyOp(op, std::memcmp(da + i * wa, db + i * wa, wa));
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = ApplyOp(op, Sign(TrimmedCell(da + i * wa, wa)
-                                    .compare(TrimmedCell(db + i * wb, wb))));
-    }
-  }
-}
-
-}  // namespace
-
-void BoundPredicate::EvalBatch(const ColumnBatch& batch,
-                               std::vector<uint8_t>* out) const {
-  out->assign(static_cast<size_t>(batch.num_rows()), 0);
-  if (batch.num_rows() > 0) EvalNodeBatch(0, batch, out->data());
-}
-
-void BoundPredicate::EvalNodeBatch(int node, const ColumnBatch& batch,
-                                   uint8_t* out) const {
-  const Node& nd = nodes_[static_cast<size_t>(node)];
-  const size_t n = static_cast<size_t>(batch.num_rows());
-  switch (nd.kind) {
-    case Predicate::Kind::kCompareLiteral: {
-      const int c = nd.lhs_index;
-      switch (batch.type(c)) {
-        case DataType::kInt64:
-          CompareLiteralMask(batch.I64(c).data(), n,
-                             std::get<int64_t>(nd.literal), nd.op, out);
-          break;
-        case DataType::kDouble:
-          CompareLiteralMask(batch.F64(c).data(), n,
-                             std::get<double>(nd.literal), nd.op, out);
-          break;
-        case DataType::kString:
-          CompareStringLiteralMask(batch, c, n,
-                                   std::get<std::string>(nd.literal), nd.op,
-                                   out);
-          break;
-      }
-      return;
-    }
-    case Predicate::Kind::kCompareColumns: {
-      const int a = nd.lhs_index;
-      const int b = nd.rhs_index;
-      switch (batch.type(a)) {
-        case DataType::kInt64:
-          CompareColumnsMask(batch.I64(a).data(), batch.I64(b).data(), n,
-                             nd.op, out);
-          break;
-        case DataType::kDouble:
-          CompareColumnsMask(batch.F64(a).data(), batch.F64(b).data(), n,
-                             nd.op, out);
-          break;
-        case DataType::kString:
-          CompareStringColumnsMask(batch, a, b, n, nd.op, out);
-          break;
-      }
-      return;
-    }
-    case Predicate::Kind::kAnd: {
-      std::vector<uint8_t> rhs(n);
-      EvalNodeBatch(nd.left, batch, out);
-      EvalNodeBatch(nd.right, batch, rhs.data());
-      for (size_t i = 0; i < n; ++i) out[i] &= rhs[i];
-      return;
-    }
-    case Predicate::Kind::kOr: {
-      std::vector<uint8_t> rhs(n);
-      EvalNodeBatch(nd.left, batch, out);
-      EvalNodeBatch(nd.right, batch, rhs.data());
-      for (size_t i = 0; i < n; ++i) out[i] |= rhs[i];
-      return;
-    }
-    case Predicate::Kind::kNot:
-      EvalNodeBatch(nd.left, batch, out);
-      for (size_t i = 0; i < n; ++i) out[i] = out[i] == 0 ? 1 : 0;
-      return;
-  }
 }
 
 bool BoundPredicate::EvalNode(int node, const Tuple& tuple) const {

@@ -7,7 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "storage/column_batch.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 #include "util/result.h"
@@ -68,15 +67,6 @@ class BoundPredicate {
   /// Evaluates the formula on `tuple` (which must match the bound schema).
   bool Eval(const Tuple& tuple) const { return EvalNode(0, tuple); }
 
-  /// Vectorized evaluation over a columnar batch: resizes `*out` to
-  /// batch.num_rows() and fills it with the formula's truth value per row
-  /// (1/0). Per comparison node, one tight loop over the column's
-  /// contiguous array with the operator hoisted out; AND/OR/NOT combine
-  /// whole masks (no short-circuit — the formula is pure, so the result is
-  /// identical to Eval row by row, and selection cost is charged per leaf
-  /// per tuple in both paths anyway).
-  void EvalBatch(const ColumnBatch& batch, std::vector<uint8_t>* out) const;
-
   /// Number of comparison leaves — the paper's cost formulas charge per
   /// comparison in the selection formula.
   int num_comparisons() const { return num_comparisons_; }
@@ -93,7 +83,6 @@ class BoundPredicate {
   };
 
   bool EvalNode(int node, const Tuple& tuple) const;
-  void EvalNodeBatch(int node, const ColumnBatch& batch, uint8_t* out) const;
   [[nodiscard]] Status Build(const Predicate& p, const Schema& schema, int* out_index);
 
   std::vector<Node> nodes_;

@@ -64,14 +64,6 @@ struct CostModel {
   int workers = 1;
   double parallel_efficiency = 0.6;
 
-  /// Measured per-block evaluation speedup of the columnar (vectorized)
-  /// path over the row path for the filter/sort/merge steps (the vec-bench
-  /// gate enforces ≥ 2×). Wall-clock planning divides the initial
-  /// filter/sort/merge coefficients by this when
-  /// ExecutorOptions::layout == Layout::kColumnar; simulated charges never
-  /// consult it (the two layouts must stay bit-identical in virtual time).
-  double columnar_eval_speedup = 2.0;
-
   /// The calibration described above.
   static CostModel Sun360() { return CostModel{}; }
 

@@ -25,9 +25,9 @@ namespace tcq {
 /// (DESIGN.md §10) maps to a lost block. Version 1 files (no checksums)
 /// still load, skipping verification. Version 3 keeps v2's framing and
 /// per-page checksums but lays each page out column-major: column 0's n
-/// values contiguous, then column 1's, …, zero-padded to the block size —
-/// the layout the vectorized batch evaluation path (DESIGN.md §11) reads
-/// without per-tuple decoding. Writers default to v3;
+/// values contiguous, then column 1's, …, zero-padded to the block size.
+/// Every version decodes to row tuples at load; the in-memory block holds
+/// rows only (DESIGN.md, "Block storage"). Writers default to v3;
 /// `SaveRelationAtVersion` emits any supported version and
 /// `ConvertRelationFile` rewrites files between versions (tools/
 /// tcqf_convert is the CLI).

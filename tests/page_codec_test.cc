@@ -8,7 +8,7 @@
 #include <filesystem>
 #include <iterator>
 #include <limits>
-#include <span>
+#include <utility>
 
 #include "exec/exact.h"
 #include "workload/generators.h"
@@ -20,6 +20,19 @@ Schema Mixed() {
   return Schema({{"i", DataType::kInt64, 0},
                  {"d", DataType::kDouble, 0},
                  {"s", DataType::kString, 8}});
+}
+
+// A mixed int64/double/string relation (0–8-byte strings) in 100-byte
+// blocks of four tuples whose last block is partial.
+Result<Relation> MakeMixedRelation() {
+  auto rel = Relation::Create("mixed", Mixed(), /*block_bytes=*/100);
+  if (!rel.ok()) return rel;
+  for (int i = 0; i < 23; ++i) {
+    rel->AppendUnchecked({int64_t{7 * i - 50}, 0.5 * i - 3.0,
+                          std::string(static_cast<size_t>(i % 9),
+                                      static_cast<char>('a' + i % 26))});
+  }
+  return rel;
 }
 
 std::string TempDir() {
@@ -234,25 +247,38 @@ TEST(ColumnarPageCodecTest, ColumnMajorByteOrder) {
   EXPECT_EQ(u64_at(24), 4u);
 }
 
+// Every version round-trips two inputs row for row: the paper relation,
+// and a mixed int64/double/string relation (0–8-byte strings) in 100-byte
+// blocks whose last block is partial.
 TEST(RelationFileTest, ExplicitVersionRoundTrips) {
   auto w = MakeSelectionWorkload(50, 23);
   ASSERT_TRUE(w.ok());
-  auto rel = w->catalog.Find("r1");
-  ASSERT_TRUE(rel.ok());
-  for (uint32_t version : {1u, 2u, 3u}) {
-    std::string path =
-        TempDir() + "/v" + std::to_string(version) + "_explicit.tcq";
-    ASSERT_TRUE(SaveRelationAtVersion(**rel, path, version).ok()) << version;
-    auto loaded = LoadRelation(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    ASSERT_EQ(loaded->NumTuples(), (*rel)->NumTuples()) << version;
-    for (int64_t b = 0; b < loaded->NumBlocks(); ++b) {
-      BlockView orig = (*rel)->ViewBlock(b);
-      BlockView copy = loaded->ViewBlock(b);
-      ASSERT_EQ(orig.rows().size(), copy.rows().size());
-      for (size_t i = 0; i < orig.rows().size(); ++i) {
-        ASSERT_EQ(CompareTuples(orig.rows()[i], copy.rows()[i]), 0)
-            << "version " << version << " block " << b;
+  auto paper = w->catalog.Find("r1");
+  ASSERT_TRUE(paper.ok());
+  auto mixed = MakeMixedRelation();
+  ASSERT_TRUE(mixed.ok());
+  ASSERT_EQ(mixed->blocking_factor(), 4);
+  ASSERT_EQ(mixed->ViewBlock(mixed->NumBlocks() - 1).num_rows(), 3);
+  const std::pair<std::string, const Relation*> inputs[] = {
+      {"explicit", paper->get()}, {"mixed", &*mixed}};
+  for (const auto& [label, rel] : inputs) {
+    for (uint32_t version : {1u, 2u, 3u}) {
+      std::string path =
+          TempDir() + "/v" + std::to_string(version) + "_" + label + ".tcq";
+      ASSERT_TRUE(SaveRelationAtVersion(*rel, path, version).ok())
+          << label << " " << version;
+      auto loaded = LoadRelation(path);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ASSERT_EQ(loaded->NumTuples(), rel->NumTuples()) << label << version;
+      ASSERT_EQ(loaded->NumBlocks(), rel->NumBlocks()) << label << version;
+      for (int64_t b = 0; b < loaded->NumBlocks(); ++b) {
+        BlockView orig = rel->ViewBlock(b);
+        BlockView copy = loaded->ViewBlock(b);
+        ASSERT_EQ(orig.rows().size(), copy.rows().size());
+        for (size_t i = 0; i < orig.rows().size(); ++i) {
+          ASSERT_EQ(CompareTuples(orig.rows()[i], copy.rows()[i]), 0)
+              << label << " version " << version << " block " << b;
+        }
       }
     }
   }
@@ -263,42 +289,30 @@ TEST(RelationFileTest, ExplicitVersionRoundTrips) {
             std::filesystem::file_size(TempDir() + "/v3_explicit.tcq"));
 }
 
-template <typename T>
-bool SameBytes(std::span<const T> a, std::span<const T> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
-}
-
-// Loading rebuilds every block's column page; whichever version wrote the
-// file, each column's bytes equal the source page's, partial last block
-// included.
+// Whichever version wrote the file, every loaded block encodes to the same
+// TCQF v3 column page as its source block, byte for byte, partial last
+// block included.
 TEST(RelationFileTest, EveryVersionLoadsByteEqualColumnPages) {
-  auto rel = Relation::Create("mixed", Mixed(), /*block_bytes=*/100);
+  auto rel = MakeMixedRelation();
   ASSERT_TRUE(rel.ok());
   ASSERT_EQ(rel->blocking_factor(), 4);
-  for (int i = 0; i < 23; ++i) {
-    rel->AppendUnchecked({int64_t{7 * i - 50}, 0.5 * i - 3.0,
-                          std::string(static_cast<size_t>(i % 9),
-                                      static_cast<char>('a' + i % 26))});
-  }
+  ASSERT_EQ(rel->ViewBlock(rel->NumBlocks() - 1).num_rows(), 3);
   for (uint32_t version : {1u, 2u, 3u}) {
     std::string path =
         TempDir() + "/v" + std::to_string(version) + "_pages.tcq";
     ASSERT_TRUE(SaveRelationAtVersion(*rel, path, version).ok()) << version;
     auto loaded = LoadRelation(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded->block_bytes(), rel->block_bytes()) << version;
     ASSERT_EQ(loaded->NumBlocks(), rel->NumBlocks()) << version;
     for (int64_t b = 0; b < rel->NumBlocks(); ++b) {
-      const ColumnBatch& want = rel->ViewBlock(b).columns();
-      const ColumnBatch& got = loaded->ViewBlock(b).columns();
-      ASSERT_EQ(got.num_rows(), want.num_rows());
-      ASSERT_EQ(got.capacity(), want.capacity());
-      EXPECT_TRUE(SameBytes(got.I64(0), want.I64(0)))
-          << "version " << version << " block " << b;
-      EXPECT_TRUE(SameBytes(got.F64(1), want.F64(1)))
-          << "version " << version << " block " << b;
-      EXPECT_TRUE(SameBytes(got.StringBytes(2), want.StringBytes(2)))
-          << "version " << version << " block " << b;
+      auto want = EncodePageColumnar(*rel->ViewBlock(b).raw(), rel->schema(),
+                                     rel->block_bytes());
+      auto got = EncodePageColumnar(*loaded->ViewBlock(b).raw(),
+                                    loaded->schema(), loaded->block_bytes());
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *want) << "version " << version << " block " << b;
     }
   }
 }

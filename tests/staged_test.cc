@@ -355,7 +355,7 @@ class JoinMaterializationTest : public ::testing::Test {
   }
 
   /// Everything one full-sampling run leaves behind that must not depend
-  /// on the thread count or the layout.
+  /// on the thread count.
   struct Outcome {
     int64_t hits = 0;
     double points = 0.0;
@@ -367,8 +367,7 @@ class JoinMaterializationTest : public ::testing::Test {
   };
 
   /// Samples every block of every relation in two uneven stages.
-  Outcome RunFull(const ExprPtr& term, int threads, Layout layout,
-                  int value_col = -1) {
+  Outcome RunFull(const ExprPtr& term, int threads, int value_col = -1) {
     Outcome out;
     VirtualClock clock;
     CostLedger ledger(&clock);
@@ -379,7 +378,6 @@ class JoinMaterializationTest : public ::testing::Test {
     std::unique_ptr<StagedTermEvaluator> ev = std::move(*created);
     ThreadPool pool(threads - 1);
     ev->UseThreadPool(&pool);
-    ev->SetLayout(layout);
     if (value_col >= 0) {
       EXPECT_TRUE(ev->TrackValueColumn(value_col).ok());
     }
@@ -407,35 +405,31 @@ class JoinMaterializationTest : public ::testing::Test {
     return out;
   }
 
-  /// Runs `term` at threads 1 | 4 | 8 under both layouts; every run must
-  /// equal the serial row run bit for bit. Returns the serial row run.
+  /// Runs `term` at threads 1 | 4 | 8; every run must equal the serial
+  /// run bit for bit. Returns the serial run.
   Outcome ExpectIdenticalEverywhere(const ExprPtr& term, int value_col = -1) {
-    Outcome base = RunFull(term, 1, Layout::kRow, value_col);
+    Outcome base = RunFull(term, 1, value_col);
     for (int threads : {1, 4, 8}) {
-      for (Layout layout : {Layout::kRow, Layout::kColumnar}) {
-        Outcome o = RunFull(term, threads, layout, value_col);
-        SCOPED_TRACE(testing::Message() << "threads " << threads << " layout "
-                                        << static_cast<int>(layout));
-        EXPECT_EQ(o.hits, base.hits);
-        EXPECT_EQ(o.points, base.points);
-        EXPECT_EQ(o.value_sum, base.value_sum);
-        EXPECT_EQ(o.value_sq_sum, base.value_sq_sum);
-        EXPECT_EQ(o.charged, base.charged);
-        EXPECT_EQ(o.tasks, base.tasks);
-        EXPECT_EQ(o.records.size(), base.records.size());
-        for (size_t i = 0; i < std::min(o.records.size(),
-                                         base.records.size());
-             ++i) {
-          const NodeStageRecord& r = o.records[i];
-          const NodeStageRecord& b = base.records[i];
-          EXPECT_EQ(r.new_tuples, b.new_tuples) << "record " << i;
-          EXPECT_EQ(r.new_points, b.new_points) << "record " << i;
-          EXPECT_EQ(r.sort.comparisons, b.sort.comparisons) << "record " << i;
-          EXPECT_EQ(r.process.comparisons, b.process.comparisons)
-              << "record " << i;
-          EXPECT_EQ(r.output.out_pages, b.output.out_pages) << "record " << i;
-          EXPECT_EQ(r.seconds, b.seconds) << "record " << i;
-        }
+      Outcome o = RunFull(term, threads, value_col);
+      SCOPED_TRACE(testing::Message() << "threads " << threads);
+      EXPECT_EQ(o.hits, base.hits);
+      EXPECT_EQ(o.points, base.points);
+      EXPECT_EQ(o.value_sum, base.value_sum);
+      EXPECT_EQ(o.value_sq_sum, base.value_sq_sum);
+      EXPECT_EQ(o.charged, base.charged);
+      EXPECT_EQ(o.tasks, base.tasks);
+      EXPECT_EQ(o.records.size(), base.records.size());
+      for (size_t i = 0; i < std::min(o.records.size(), base.records.size());
+           ++i) {
+        const NodeStageRecord& r = o.records[i];
+        const NodeStageRecord& b = base.records[i];
+        EXPECT_EQ(r.new_tuples, b.new_tuples) << "record " << i;
+        EXPECT_EQ(r.new_points, b.new_points) << "record " << i;
+        EXPECT_EQ(r.sort.comparisons, b.sort.comparisons) << "record " << i;
+        EXPECT_EQ(r.process.comparisons, b.process.comparisons)
+            << "record " << i;
+        EXPECT_EQ(r.output.out_pages, b.output.out_pages) << "record " << i;
+        EXPECT_EQ(r.seconds, b.seconds) << "record " << i;
       }
     }
     return base;

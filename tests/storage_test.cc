@@ -2,10 +2,8 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <string>
 
-#include "storage/column_batch.h"
 #include "storage/relation.h"
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -161,85 +159,15 @@ TEST(RelationTest, CreateRejectsBadGeometry) {
   EXPECT_FALSE(Relation::Create("r", wide, 1024).ok());
 }
 
-TEST(ColumnBatchTest, PaperBlocksAreSizedToTheBlockingFactor) {
-  // Every block's page holds exactly blocking-factor rows — the partial
-  // last block included, so its page is no larger than a full one's.
-  auto rel = Relation::Create("r1", PaperSchema());
-  ASSERT_TRUE(rel.ok());
-  for (int i = 0; i < 10003; ++i) {
-    rel->AppendUnchecked({int64_t{i}, int64_t{i % 100}, std::string("p")});
-  }
-  ASSERT_EQ(rel->NumBlocks(), 2001);
-  for (int64_t b = 0; b < rel->NumBlocks(); ++b) {
-    const ColumnBatch& page = rel->ViewBlock(b).columns();
-    ASSERT_EQ(page.capacity(), rel->blocking_factor()) << "block " << b;
-    ASSERT_EQ(page.num_rows(), rel->ViewBlock(b).num_rows()) << "block " << b;
-  }
-  EXPECT_EQ(rel->ViewBlock(2000).columns().num_rows(), 3);
-}
-
-TEST(ColumnBatchTest, NumericSpansStayAlignedAfterOddWidthStrings) {
-  // A leading CHAR(13) column leaves 13·capacity bytes before the next
-  // column; its start is rounded up so the int64/double spans are read in
-  // place without a misaligned load (the ubsan build checks each read).
-  Schema schema({{"tag", DataType::kString, 13},
-                 {"i", DataType::kInt64, 0},
-                 {"d", DataType::kDouble, 0},
-                 {"code", DataType::kString, 3},
-                 {"j", DataType::kInt64, 0}});
-  ColumnBatch batch;
-  batch.Configure(schema, 5);
-  for (int r = 0; r < 5; ++r) {
-    batch.AppendRow({std::string(static_cast<size_t>(r) * 3, 't'),
-                     int64_t{-7 * r}, 1.25 * r, std::string("ab"),
-                     int64_t{r}});
-  }
-  for (int c : {1, 4}) {
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(batch.I64(c).data()) %
-                  alignof(int64_t),
-              0u)
-        << "column " << c;
-  }
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(batch.F64(2).data()) % alignof(double),
-            0u);
-  ASSERT_EQ(batch.I64(1).size(), 5u);
-  for (size_t r = 0; r < 5; ++r) {
-    const auto row = static_cast<int64_t>(r);
-    EXPECT_EQ(batch.I64(1)[r], -7 * row);
-    EXPECT_EQ(batch.F64(2)[r], 1.25 * static_cast<double>(row));
-    EXPECT_EQ(batch.I64(4)[r], row);
-  }
-  // String cells are zero-padded to their width, back to back.
-  std::span<const uint8_t> tags = batch.StringBytes(0);
-  ASSERT_EQ(tags.size(), 5u * 13u);
-  EXPECT_EQ(tags[2 * 13 + 5], 't');
-  EXPECT_EQ(tags[2 * 13 + 6], 0);
-  std::span<const uint8_t> codes = batch.StringBytes(3);
-  ASSERT_EQ(codes.size(), 5u * 3u);
-  EXPECT_EQ(codes[4 * 3 + 1], 'b');
-  EXPECT_EQ(codes[4 * 3 + 2], 0);
-}
-
-TEST(ColumnBatchDeathTest, OverwideStringAbortsNamingItsColumn) {
+TEST(RelationDeathTest, OverwideStringAbortsNamingItsColumn) {
   // Unchecked appends skip schema validation; a string wider than its
-  // column must stop the process rather than overrun the block's page.
+  // column must stop the process rather than break the block geometry.
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto rel = Relation::Create("r", PaperSchema());
   ASSERT_TRUE(rel.ok());
   EXPECT_DEATH(rel->AppendUnchecked(
                    {int64_t{1}, int64_t{2}, std::string(185, 'x')}),
                "185-byte string does not fit column 2, a CHAR.184.");
-}
-
-TEST(ColumnBatchDeathTest, AppendPastCapacityAborts) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ColumnBatch batch;
-  batch.Configure(PaperSchema(), 2);
-  const Tuple row{int64_t{1}, int64_t{2}, std::string("p")};
-  batch.AppendRow(row);
-  batch.AppendRow(row);
-  EXPECT_EQ(batch.num_rows(), batch.capacity());
-  EXPECT_DEATH(batch.AppendRow(row), "the batch is full");
 }
 
 TEST(CatalogTest, RegisterAndFind) {

@@ -46,20 +46,6 @@ enforces them statically:
                      test covers every byte any query can emit; other
                      layers record through the Tracer API and export via
                      Tracer::ExportToFile.
-  raw-options-edit   The deprecated QueryBuilder::With(edit) escape hatch
-                     outside tests/. Every ExecutorOptions field has a
-                     typed With* setter; raw edits are ungreppable and let
-                     a query drift from what EXPLAIN and the tcq::Server
-                     admission fit probe planned against. Tests may use
-                     the hatch deliberately (e.g. to prove the typed
-                     setters configure the very same options).
-  raw-tuple-scan     Tuple-at-a-time block access in src/exec/: reaching
-                     into a Block's `tuples` member (`b->tuples`).
-                     Operators consume blocks through BlockView
-                     (`ViewBlock()/ReadBlock()`), whose rows()/columns()
-                     keep the row and columnar layouts interchangeable —
-                     a raw scan silently pins code to the row layout and
-                     escapes the vectorized path's bit-identity tests.
   status-discarded-in-storage
                      A storage I/O call (SaveRelation, LoadCatalog,
                      EncodePage, ...) used as a bare statement — or behind
@@ -558,44 +544,6 @@ def rule_nodiscard_status(relpath, lines, code_lines):
                    "in an exception-free library")
 
 
-# Member-call spelling only: `builder.With(...)` / chained `.With (...)`.
-# Typed setters (`.WithQuota(`) have letters between "With" and the
-# parenthesis and do not match; the declaration in api/tcq.h has no
-# preceding dot.
-RAW_OPTIONS_EDIT_TOKENS = re.compile(r"\.\s*With\s*\(")
-
-
-def rule_raw_options_edit(relpath, lines, code_lines):
-    if _norm(relpath).startswith("tests/"):
-        return
-    for no, code in enumerate(code_lines, 1):
-        m = RAW_OPTIONS_EDIT_TOKENS.search(code)
-        if m:
-            yield no, ("'.With(' — the deprecated raw-ExecutorOptions "
-                       "escape hatch; use the typed With* setters so the "
-                       "configuration stays greppable and in sync with "
-                       "EXPLAIN and admission control (tests excepted)")
-
-
-# Block-internals access only: `->tuples` (blocks travel through exec as
-# `const Block*`, so member access on one is an arrow). TupleSet-style
-# value members (`out.tuples`), StepMetrics fields (`->in_tuples`,
-# `->out_tuples`) and BlockView calls (`ViewBlock(`) do not match.
-RAW_TUPLE_SCAN_TOKENS = re.compile(r"->\s*tuples\b")
-
-
-def rule_raw_tuple_scan(relpath, lines, code_lines):
-    if not _norm(relpath).startswith("src/exec/"):
-        return
-    for no, code in enumerate(code_lines, 1):
-        m = RAW_TUPLE_SCAN_TOKENS.search(code)
-        if m:
-            yield no, (f"'{m.group(0).strip()}' — tuple-at-a-time block "
-                       "access; operators consume blocks through BlockView "
-                       "(ViewBlock()/ReadBlock()) so the row and columnar "
-                       "layouts stay interchangeable and bit-identical")
-
-
 # The Status/Result-returning storage entry points (page_codec.h,
 # relation.h). All carry [[nodiscard]], but a `(void)` cast compiles
 # cleanly and a missed wrapper macro is easy to write; with per-page
@@ -843,8 +791,6 @@ LINE_RULES = {
     "thread-outside-parallel": rule_thread_outside_parallel,
     "cache-key-canonical": rule_cache_key_canonical,
     "trace-format-outside-obs": rule_trace_format_outside_obs,
-    "raw-options-edit": rule_raw_options_edit,
-    "raw-tuple-scan": rule_raw_tuple_scan,
     "status-discarded-in-storage": rule_status_discarded_in_storage,
 }
 

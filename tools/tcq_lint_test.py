@@ -54,13 +54,6 @@ EXPECTED = {
         (14, "trace-format-outside-obs"),
         (15, "trace-format-outside-obs"),
     ],
-    "src/engine/bad_raw_options_edit.cc": [
-        (9, "raw-options-edit"),
-        (11, "raw-options-edit"),
-    ],
-    "src/exec/bad_raw_tuple_scan.cc": [
-        (7, "raw-tuple-scan"),
-    ],
     "src/storage/bad_discard.cc": [
         (7, "status-discarded-in-storage"),
         (8, "status-discarded-in-storage"),
@@ -83,7 +76,6 @@ EXPECTED = {
         (7, "stale-allow"),
     ],
     # Scope and suppression cases: must come back clean.
-    "tests/ok_raw_options_edit.cc": [],
     "src/util/random.cc": [],
     "src/timectrl/ok_clock.cc": [],
     "src/parallel/ok_thread.cc": [],
@@ -99,7 +91,6 @@ EXPECTED = {
     "src/sim/ok_ledger_internal.cc": [],
     "src/engine/ok_metric_name.cc": [],
     "src/exec/ok_allow.cc": [],
-    "src/exec/ok_block_view.cc": [],
     # The fixture registry headers the cross-file rules resolve against;
     # both must themselves lint clean.
     "src/sim/ledger.h": [],
