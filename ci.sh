@@ -51,7 +51,14 @@
 #                 build/artifacts/perfbench_smoke.txt. Then a 5 s
 #                 serve_small run at seed 1, which must check every
 #                 served answer correct with none failed; archives its
-#                 report at build/artifacts/perfbench_serve_smoke.txt
+#                 report at build/artifacts/perfbench_serve_smoke.txt.
+#                 Then a 5 s traced wall_deadline run at seed 1, which
+#                 must exit 0: its decomposed drives re-run each traced
+#                 query serially with no pool, and run.py fails when a
+#                 drive's estimate or variance differs from the 4-thread
+#                 engine's, so the chunked scan/selection/prefix passes
+#                 and the forked sort are checked on 100k-tuple runs;
+#                 archives build/artifacts/perfbench_wall_smoke.txt
 #   tsan          ThreadSanitizer build + ctest (contracts armed)
 #   asan          AddressSanitizer build + ctest (contracts armed)
 #   ubsan         UndefinedBehaviorSanitizer build + ctest (contracts armed)
@@ -322,7 +329,9 @@ stage_perfbench_smoke() {
   # resident catalogs, so a block that grows a second in-memory copy of
   # its tuples (pushing them past 550 MB) fails here too. Then the serve
   # path's answer checks: every answer a short serve_small run serves
-  # must pass them, with none failed.
+  # must pass them, with none failed. Last, a traced wall_deadline run
+  # checks the parallel path at paper scale: every decomposed drive
+  # (serial, no pool) must reproduce the 4-thread engine's estimate.
   mkdir -p build/artifacts &&
     python3 perfbench/test_benchlib.py &&
     python3 perfbench/run.py --workload paper_sim --seed 1 --seconds 5 \
@@ -356,7 +365,7 @@ print(f"perfbench-smoke: digest and {len(baseline) - 1} sim.ops totals "
 EOF_PY
     python3 perfbench/run.py --workload serve_small --seed 1 --seconds 5 \
       --trace 0 | tee build/artifacts/perfbench_serve_smoke.txt &&
-    python3 - <<'EOF_PY'
+    python3 - <<'EOF_PY' &&
 import json
 with open("build/artifacts/perfbench_serve_smoke.txt") as f:
     result = json.loads(f.read().strip().splitlines()[-1])
@@ -367,6 +376,8 @@ assert result["failed"] == 0, \
 print(f"perfbench-smoke: serve_small {result['attempted']} answers checked, "
       "none failed")
 EOF_PY
+    python3 perfbench/run.py --workload wall_deadline --seed 1 --seconds 5 \
+      --trace 1 | tee build/artifacts/perfbench_wall_smoke.txt
 }
 
 stage_tsan() {

@@ -1,8 +1,12 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <bit>
+#include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "util/check.h"
 
@@ -180,15 +184,312 @@ int64_t MergePrefixedRuns(TupleRefSpan left, KeyPrefixSpan left_prefixes,
   return comps;
 }
 
+/// A pass over a reference run chases two pointers per tuple: to the
+/// Tuple (a vector header beside its block-mates), then to its cell array.
+/// Prefetching the header twice this many tuples ahead and the cell the
+/// pass reads this many ahead overlaps those misses.
+constexpr size_t kPrefetchAhead = 8;
+
+/// Prefetches for step i of a pass over run[lo, hi) that reads `column`.
+[[gnu::always_inline]] inline void PrefetchAhead(TupleRefSpan run, size_t i,
+                                                 size_t hi, size_t column) {
+  if (i + 2 * kPrefetchAhead < hi) {
+    __builtin_prefetch(run[i + 2 * kPrefetchAhead]);
+  }
+  if (i + kPrefetchAhead < hi) {
+    __builtin_prefetch(run[i + kPrefetchAhead]->data() + column);
+  }
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// The chunks of `chunk` items a pass over `n` items splits into: one,
+/// run inline with no task, when n fits in a chunk or there is no fan-out.
+size_t PassChunks(const FanOut* fan_out, size_t n, size_t chunk) {
+  return fan_out == nullptr || n <= chunk ? 1 : (n + chunk - 1) / chunk;
+}
+
+/// ---- Introsort -----------------------------------------------------------
+///
+/// libstdc++'s std::sort, step for step (bits/stl_algo.h, stl_heap.h):
+/// the same comparisons on the same positions in the same order, so the
+/// permutation and the comparison count equal std::sort's. `less` counts
+/// every comparison it makes.
+
+/// Runs of at most this many elements are left to the insertion pass
+/// (_S_threshold).
+constexpr ptrdiff_t kInsertionRun = 16;
+
+template <typename T, typename Less>
+void MoveMedianToFirst(T* result, T* a, T* b, T* c, Less& less) {
+  if (less(*a, *b)) {
+    if (less(*b, *c)) {
+      std::iter_swap(result, b);
+    } else if (less(*a, *c)) {
+      std::iter_swap(result, c);
+    } else {
+      std::iter_swap(result, a);
+    }
+  } else if (less(*a, *c)) {
+    std::iter_swap(result, a);
+  } else if (less(*b, *c)) {
+    std::iter_swap(result, c);
+  } else {
+    std::iter_swap(result, b);
+  }
+}
+
+/// Partitions [first, last) around `*pivot` (at first − 1, which bounds
+/// the scans), returning the cut: nothing before it is greater than the
+/// pivot, nothing from it on is less.
+template <typename T, typename Less>
+T* UnguardedPartition(T* first, T* last, T* pivot, Less& less) {
+  for (;;) {
+    while (less(*first, *pivot)) ++first;
+    --last;
+    while (less(*pivot, *last)) --last;
+    if (!(first < last)) return first;
+    std::iter_swap(first, last);
+    ++first;
+  }
+}
+
+template <typename T, typename Less>
+T* UnguardedPartitionPivot(T* first, T* last, Less& less) {
+  T* mid = first + (last - first) / 2;
+  MoveMedianToFirst(first, first + 1, mid, last - 1, less);
+  return UnguardedPartition(first + 1, last, first, less);
+}
+
+/// std::__adjust_heap followed by its std::__push_heap.
+template <typename T, typename Less>
+void AdjustHeap(T* first, ptrdiff_t hole, ptrdiff_t len, T value,
+                Less& less) {
+  const ptrdiff_t top = hole;
+  ptrdiff_t child = hole;
+  while (child < (len - 1) / 2) {
+    child = 2 * (child + 1);
+    if (less(first[child], first[child - 1])) --child;
+    first[hole] = std::move(first[child]);
+    hole = child;
+  }
+  if ((len & 1) == 0 && child == (len - 2) / 2) {
+    child = 2 * (child + 1);
+    first[hole] = std::move(first[child - 1]);
+    hole = child - 1;
+  }
+  ptrdiff_t parent = (hole - 1) / 2;
+  while (hole > top && less(first[parent], value)) {
+    first[hole] = std::move(first[parent]);
+    hole = parent;
+    parent = (hole - 1) / 2;
+  }
+  first[hole] = std::move(value);
+}
+
+/// The depth-limit fallback, std::partial_sort(first, last, last):
+/// make_heap, then sort_heap.
+template <typename T, typename Less>
+void HeapSort(T* first, T* last, Less& less) {
+  const ptrdiff_t len = last - first;
+  if (len >= 2) {
+    for (ptrdiff_t parent = (len - 2) / 2;; --parent) {
+      T value = std::move(first[parent]);
+      AdjustHeap(first, parent, len, std::move(value), less);
+      if (parent == 0) break;
+    }
+  }
+  while (last - first > 1) {
+    --last;
+    T value = std::move(*last);
+    *last = std::move(*first);
+    AdjustHeap(first, ptrdiff_t{0}, last - first, std::move(value), less);
+  }
+}
+
+template <typename T, typename Less>
+void IntroSortLoop(T* first, T* last, ptrdiff_t depth, Less& less) {
+  while (last - first > kInsertionRun) {
+    if (depth == 0) {
+      HeapSort(first, last, less);
+      return;
+    }
+    --depth;
+    T* cut = UnguardedPartitionPivot(first, last, less);
+    IntroSortLoop(cut, last, depth, less);
+    last = cut;
+  }
+}
+
+/// std::sort's depth limit for `n` elements: 2·⌊log₂ n⌋.
+ptrdiff_t DepthLimit(size_t n) {
+  return 2 * static_cast<ptrdiff_t>(std::bit_width(n) - 1);
+}
+
+/// The final insertion pass (std::__final_insertion_sort) restricted to
+/// the leaf range [lo, hi) of the array `a`, after IntroSortLoop sorted
+/// every leaf: positions below 16 take std::__insertion_sort's guarded
+/// step, which first compares against a[0]; the rest insert unguarded.
+/// No element of a later leaf is less than one of an earlier leaf, so a
+/// comparison against a[0] from a leaf with lo > 0, and the comparison an
+/// insertion makes on reaching a[lo − 1], are always false: they are
+/// counted without being made. Returns that count.
+template <typename T, typename Less>
+int64_t InsertionPass(T* a, size_t lo, size_t hi, Less& less) {
+  int64_t skipped = 0;
+  for (size_t i = std::max<size_t>(lo, 1); i < hi; ++i) {
+    if (i < static_cast<size_t>(kInsertionRun)) {
+      if (lo > 0) {
+        ++skipped;
+      } else if (less(a[i], a[0])) {
+        T value = std::move(a[i]);
+        std::move_backward(a, a + i, a + i + 1);
+        a[0] = std::move(value);
+        continue;
+      }
+    }
+    T value = std::move(a[i]);
+    size_t j = i;
+    while (j > lo && less(value, a[j - 1])) {
+      a[j] = std::move(a[j - 1]);
+      --j;
+    }
+    if (j == lo && lo > 0) ++skipped;
+    a[j] = std::move(value);
+  }
+  return skipped;
+}
+
+/// A reference with its key prefix: the element the sort kernel permutes.
+/// No default member initializers: a run's buffer is allocated for
+/// overwrite and filled in one (chunked) pass.
+struct Keyed {
+  uint64_t prefix;
+  const Tuple* tuple;
+};
+
+/// The counting prefix-first comparator of the sort kernel. Unequal
+/// prefixes decide inline; only a tie calls into PrefixCompare.
+class KeyedLess {
+ public:
+  explicit KeyedLess(const PrefixCompare& cmp) : cmp_(cmp) {}
+  bool operator()(const Keyed& a, const Keyed& b) {
+    ++count_;
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    return cmp_(a.prefix, *a.tuple, b.prefix, *b.tuple) < 0;
+  }
+  int64_t count() const { return count_; }
+
+ private:
+  const PrefixCompare& cmp_;
+  int64_t count_ = 0;
+};
+
+/// One sort of keyed elements, writing the sorted references and prefixes
+/// back to `run` and `prefixes` (when non-null) leaf by leaf.
+struct SortJob {
+  Keyed* items;
+  const PrefixCompare* cmp;
+  TupleRefs* run;
+  KeyPrefixes* prefixes;
+};
+
+/// Sorts job.items[lo, hi) with `depth` levels left, forking both halves
+/// of a partition above kSortForkCutoff when `fan_out` is given. Returns
+/// the comparisons std::sort makes on the range.
+int64_t SortRange(const SortJob& job, size_t lo, size_t hi, ptrdiff_t depth,
+                  FanOut* fan_out) {
+  KeyedLess less(*job.cmp);
+  if (fan_out != nullptr && hi - lo > kSortForkCutoff && depth > 0) {
+    Keyed* cut = UnguardedPartitionPivot(job.items + lo, job.items + hi, less);
+    const auto mid = static_cast<size_t>(cut - job.items);
+    int64_t halves[2] = {0, 0};
+    RunSection(fan_out, 2, [&](size_t i, FanOut* inner) {
+      halves[i] = i == 0 ? SortRange(job, mid, hi, depth - 1, inner)
+                         : SortRange(job, lo, mid, depth - 1, inner);
+    });
+    return less.count() + halves[0] + halves[1];
+  }
+  IntroSortLoop(job.items + lo, job.items + hi, depth, less);
+  const int64_t skipped = InsertionPass(job.items, lo, hi, less);
+  for (size_t i = lo; i < hi; ++i) (*job.run)[i] = job.items[i].tuple;
+  if (job.prefixes != nullptr) {
+    for (size_t i = lo; i < hi; ++i) (*job.prefixes)[i] = job.items[i].prefix;
+  }
+  return less.count() + skipped;
+}
+
 }  // namespace
+
+void RunSection(FanOut* fan_out, size_t count,
+                const std::function<void(size_t, FanOut*)>& body) {
+  std::vector<ParallelStats> inner(count);
+  std::vector<double> work(count, 0.0);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    tasks.push_back([fan_out, &body, &inner, &work, i] {
+      FanOut sub{fan_out->pool, fan_out->max_width, {}};
+      auto start = std::chrono::steady_clock::now();
+      body(i, &sub);
+      work[i] = SecondsSince(start) - sub.stats.span_seconds +
+                sub.stats.work_seconds;
+      inner[i] = sub.stats;
+    });
+  }
+  auto start = std::chrono::steady_clock::now();
+  RunTasks(fan_out->pool, &tasks, fan_out->max_width);
+  fan_out->stats.span_seconds += SecondsSince(start);
+  fan_out->stats.tasks += static_cast<int>(count);
+  for (size_t i = 0; i < count; ++i) {
+    fan_out->stats.work_seconds += work[i];
+    fan_out->stats.tasks += inner[i].tasks;
+  }
+}
+
+TupleRefs CollectChunks(
+    FanOut* fan_out, size_t n, size_t chunk, size_t refs_per_item,
+    const std::function<void(size_t, size_t, TupleRefs*)>& fill) {
+  TupleRefs out;
+  const size_t chunks = PassChunks(fan_out, n, chunk);
+  if (chunks == 1) {
+    fill(0, n, &out);
+    return out;
+  }
+  std::vector<TupleRefs> parts(chunks);
+  for (size_t c = 0; c < chunks; ++c) {
+    parts[c].reserve((std::min(n, (c + 1) * chunk) - c * chunk) *
+                     refs_per_item);
+  }
+  RunSection(fan_out, chunks, [&](size_t c, FanOut*) {
+    fill(c * chunk, std::min(n, (c + 1) * chunk), &parts[c]);
+  });
+  size_t total = 0;
+  for (const TupleRefs& part : parts) total += part.size();
+  out.reserve(total);
+  for (const TupleRefs& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
 
 TupleRefs SelectTuples(TupleRefSpan tuples, const BoundPredicate& predicate,
                        const Schema& schema, CostLedger* ledger,
-                       const CostModel& model, OpMetrics* metrics) {
-  TupleRefs out;
-  for (const Tuple* t : tuples) {
-    if (predicate.Eval(*t)) out.push_back(t);
-  }
+                       const CostModel& model, OpMetrics* metrics,
+                       FanOut* fan_out) {
+  TupleRefs out = CollectChunks(
+      fan_out, tuples.size(), kPassChunk, /*refs_per_item=*/1,
+      [tuples, &predicate](size_t lo, size_t hi, TupleRefs* part) {
+        const auto column = static_cast<size_t>(predicate.first_column());
+        for (size_t i = lo; i < hi; ++i) {
+          PrefetchAhead(tuples, i, hi, column);
+          if (predicate.Eval(*tuples[i])) part->push_back(tuples[i]);
+        }
+      });
   const auto n = static_cast<int64_t>(tuples.size());
   StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
   ChargeScope charge(ledger, process);
@@ -227,29 +528,30 @@ KeyPrefixes KeyPrefixesOf(TupleRefSpan run, const std::vector<int>& key) {
 }
 
 void SortRunRange(TupleRefs* run, const std::vector<int>& key,
-                  int64_t* comparisons, KeyPrefixes* prefixes) {
-  struct Keyed {
-    uint64_t prefix = 0;
-    const Tuple* tuple = nullptr;
-  };
+                  int64_t* comparisons, KeyPrefixes* prefixes,
+                  FanOut* fan_out) {
   const size_t n = run->size();
-  std::vector<Keyed> items(n);
-  for (size_t i = 0; i < n; ++i) {
-    items[i] = Keyed{LeadPrefix(*(*run)[i], key), (*run)[i]};
+  if (prefixes != nullptr) prefixes->resize(n);
+  if (n == 0) return;
+  const auto items = std::make_unique_for_overwrite<Keyed[]>(n);
+  const size_t lead = key.empty() ? 0 : static_cast<size_t>(key[0]);
+  auto fill = [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      PrefetchAhead(*run, i, hi, lead);
+      items[i] = Keyed{LeadPrefix(*(*run)[i], key), (*run)[i]};
+    }
+  };
+  const size_t chunks = PassChunks(fan_out, n, kPassChunk);
+  if (chunks == 1) {
+    fill(0, n);
+  } else {
+    RunSection(fan_out, chunks, [&](size_t c, FanOut*) {
+      fill(c * kPassChunk, std::min(n, (c + 1) * kPassChunk));
+    });
   }
   const PrefixCompare cmp(key, key, *run);
-  int64_t comps = 0;
-  std::sort(items.begin(), items.end(),
-            [&comps, &cmp](const Keyed& a, const Keyed& b) {
-              ++comps;
-              return cmp(a.prefix, *a.tuple, b.prefix, *b.tuple) < 0;
-            });
-  *comparisons += comps;
-  for (size_t i = 0; i < n; ++i) (*run)[i] = items[i].tuple;
-  if (prefixes != nullptr) {
-    prefixes->resize(n);
-    for (size_t i = 0; i < n; ++i) (*prefixes)[i] = items[i].prefix;
-  }
+  const SortJob job{items.get(), &cmp, run, prefixes};
+  *comparisons += SortRange(job, 0, n, DepthLimit(n), fan_out);
 }
 
 void SortRun(TupleRefs* run, const std::vector<int>& key, CostLedger* ledger,

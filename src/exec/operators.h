@@ -1,11 +1,14 @@
 #ifndef TCQ_EXEC_OPERATORS_H_
 #define TCQ_EXEC_OPERATORS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "exec/tuple_set.h"
+#include "parallel/thread_pool.h"
 #include "ra/predicate.h"
 #include "sim/cost_model.h"
 #include "sim/ledger.h"
@@ -32,14 +35,82 @@ struct OpMetrics {
   StepMetrics output;   // tuple moves and page writes of the results
 };
 
+/// ---- Fan-out ------------------------------------------------------------
+///
+/// The staged evaluator's passes over a run — the scan's reference fill,
+/// selection, the sort's prefix build and the sort itself — split into
+/// tasks whose boundaries depend only on the data: fixed-size chunks, and
+/// the sort's own partition cuts. A null pool runs the identical task list
+/// inline, so every output, count and charge is the same at any width
+/// (DESIGN.md, "Threading model"). A pass that fits in one chunk runs
+/// inline with no task at all.
+
+/// Tuples per chunk of a chunked pass (selection, a sort's prefix build,
+/// and — in blocks of that many rows — a scan's reference fill).
+inline constexpr size_t kPassChunk = 16384;
+
+/// A sort forks both halves of every partition of more than this many
+/// tuples; smaller ranges sort serially on one task.
+inline constexpr size_t kSortForkCutoff = 8192;
+
+/// Realized work/span of parallel sections: `work` is the sum of per-task
+/// durations, `span` the elapsed time of the fan-out sections. work/span
+/// is the realized speedup the engine feeds to
+/// AdaptiveCostModel::ObserveParallelism in wall-clock mode.
+struct ParallelStats {
+  double work_seconds = 0.0;
+  double span_seconds = 0.0;
+  int tasks = 0;
+
+  void Add(const ParallelStats& other) {
+    work_seconds += other.work_seconds;
+    span_seconds += other.span_seconds;
+    tasks += other.tasks;
+  }
+};
+
+/// Where a kernel may fan out, and what it ran there. `stats` gathers the
+/// sections the kernel ran on the calling thread: their span, their tasks'
+/// summed work and the task count (nested sections folded into their
+/// task's work, never into the span).
+struct FanOut {
+  ThreadPool* pool = nullptr;  // null: the same tasks run inline, in order
+  int max_width = 0;           // forwarded to RunTasks
+  ParallelStats stats;
+};
+
+/// Runs `count` tasks as one section on `fan_out`'s pool: task i calls
+/// `body(i, inner)`, where `inner` is a fresh FanOut on the same pool for
+/// the kernels the task calls. A task's work is its duration less the
+/// span of its inner sections plus their work. Adds the section's span,
+/// its tasks' work and their count (inner tasks included) to
+/// `fan_out->stats`.
+void RunSection(FanOut* fan_out, size_t count,
+                const std::function<void(size_t, FanOut*)>& body);
+
+/// Runs `fill(lo, hi, out)` over the items [0, n) in chunks of `chunk`,
+/// each call appending at most `refs_per_item` references per item to
+/// `*out`, and returns them in item order. When n fits in one chunk or
+/// `fan_out` is null, one call fills the result inline; otherwise each
+/// chunk fills its own run on its own task (RunSection) and the runs
+/// concatenate in chunk order. The chunk runs are reserved to their bound
+/// on the calling thread, so the tasks do not allocate.
+TupleRefs CollectChunks(
+    FanOut* fan_out, size_t n, size_t chunk, size_t refs_per_item,
+    const std::function<void(size_t, size_t, TupleRefs*)>& fill);
+
 /// Evaluates a selection formula over `tuples`, charging one predicate
 /// comparison per formula leaf per tuple plus output-page writes, and
 /// returns the references of the qualifying tuples. The input tuples are
 /// assumed already paid for (block fetch happens at sampling time;
-/// intermediate inputs were paid for by the producer).
+/// intermediate inputs were paid for by the producer). Given `fan_out`, a
+/// run of more than kPassChunk tuples evaluates chunk by chunk on its
+/// pool; the survivors concatenate in chunk order and the charges come
+/// from the totals after the barrier, as in one pass.
 TupleRefs SelectTuples(TupleRefSpan tuples, const BoundPredicate& predicate,
                        const Schema& schema, CostLedger* ledger,
-                       const CostModel& model, OpMetrics* metrics);
+                       const CostModel& model, OpMetrics* metrics,
+                       FanOut* fan_out = nullptr);
 
 /// Writes `tuples` to a temporary file (step 1 of the paper's intersect/
 /// join/project algorithms, Figures 4.4/4.6/4.7): charges one tuple move
@@ -107,8 +178,23 @@ void SortRun(TupleRefs* run, const std::vector<int>& key, CostLedger* ledger,
 /// prefixes in `*prefixes` when non-null. Same comparator decisions —
 /// hence the same permutation and comparison count — as sorting the
 /// tuples themselves. No cost accounting.
+///
+/// The sort is an in-repo introsort that repeats libstdc++'s std::sort
+/// step for step (median of three moved to the front, unguarded
+/// partition, a 2·⌊log₂ n⌋ depth limit with a heap-sort fallback, a final
+/// insertion pass over 16-element runs), so whichever standard library
+/// builds it, it makes the comparisons libstdc++'s std::sort makes, on
+/// which the simulated sort charges were pinned. Given `fan_out`, the prefix
+/// build runs in kPassChunk chunks on its pool and both halves of every
+/// partition above kSortForkCutoff fork; each leaf range sorts serially
+/// and runs its own slice of the insertion pass. The one comparison an
+/// insertion would make across a leaf's left cut is always false (the
+/// partitions are ordered), so the leaf counts it without making it: no
+/// task reads outside its range, and permutation, count and prefixes
+/// equal std::sort's at any width.
 void SortRunRange(TupleRefs* run, const std::vector<int>& key,
-                  int64_t* comparisons, KeyPrefixes* prefixes = nullptr);
+                  int64_t* comparisons, KeyPrefixes* prefixes = nullptr,
+                  FanOut* fan_out = nullptr);
 
 /// Merge-join kernel over sorted ranges: appends one concatenated tuple
 /// per matching (left, right) pair to `*out` (if non-null) and the

@@ -1,9 +1,7 @@
 #include "exec/staged.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <functional>
 #include <set>
 #include <utility>
 
@@ -27,12 +25,6 @@ double SortUnits(double n) {
 /// one chunk, preserving the exact serial merge arithmetic.
 constexpr size_t kMinMergeChunk = 2048;
 constexpr size_t kMaxMergeChunks = 64;
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 }  // namespace
 
@@ -277,6 +269,9 @@ Status StagedTermEvaluator::ExecuteNode(
   auto now = [this] {
     return timing_clock_ != nullptr ? timing_clock_->Now() : 0.0;
   };
+  // Each fan-out section runs on the evaluator's pool; its realized
+  // work/span folds into the stage's tally.
+  auto fan_out = [this] { return FanOut{pool_, pool_max_width_, {}}; };
   auto split_delta = [](double delta, StepMetrics* process,
                         StepMetrics* output) {
     double total = process->seconds + output->seconds;
@@ -297,17 +292,25 @@ Status StagedTermEvaluator::ExecuteNode(
                                        node->rel->name() + "'");
       }
       // The run references the fetched blocks' resident rows, which the
-      // relation this node holds keeps alive.
+      // relation this node holds keeps alive. A stage of more than
+      // kPassChunk rows fills in chunks of blocks on the pool.
       double t0 = now();
-      size_t rows = 0;
-      for (const Block* b : it->second) {
-        rows += static_cast<size_t>(BlockView(b).num_rows());
-      }
-      TupleRefs run;
-      run.reserve(rows);
-      for (const Block* b : it->second) {
-        for (const Tuple& t : BlockView(b).rows()) run.push_back(&t);
-      }
+      const std::vector<const Block*>& blocks = it->second;
+      const auto rows_per_block =
+          static_cast<size_t>(node->rel->blocking_factor());
+      FanOut fan = fan_out();
+      TupleRefs run = CollectChunks(
+          &fan, blocks.size(), std::max<size_t>(1, kPassChunk / rows_per_block),
+          rows_per_block,
+          [&blocks, rows_per_block](size_t lo, size_t hi, TupleRefs* out) {
+            out->reserve(out->size() + (hi - lo) * rows_per_block);
+            for (size_t b = lo; b < hi; ++b) {
+              for (const Tuple& t : BlockView(blocks[b]).rows()) {
+                out->push_back(&t);
+              }
+            }
+          });
+      stage_parallel_.Add(fan.stats);
       if (timing_clock_ != nullptr) rec.seconds = now() - t0;
       node->cum_blocks += static_cast<int64_t>(it->second.size());
       rec.new_blocks = static_cast<int64_t>(it->second.size());
@@ -328,9 +331,12 @@ Status StagedTermEvaluator::ExecuteNode(
       const StagedNode* child = node->left.get();
       OpMetrics om;
       double t0 = now();
+      FanOut fan = fan_out();
       TupleRefs run = SelectTuples(child->stage_out, *node->predicate,
-                                   node->out_schema, ledger_, model_, &om);
+                                   node->out_schema, ledger_, model_, &om,
+                                   &fan);
       double t1 = now();
+      stage_parallel_.Add(fan.stats);
       rec.process = om.process;
       rec.output = om.output;
       rec.new_points = child->stages[s].new_points;
@@ -450,37 +456,23 @@ Status StagedTermEvaluator::ExecuteNode(
           is_join ? node->lkey : std::vector<int>{};
       const std::vector<int> rkey =
           is_join ? node->rkey : std::vector<int>{};
-      // Runs the prepared task batch on the pool (inline when none),
-      // recording the section's span and the tasks' summed durations for
-      // the parallel-efficiency fit. Charges never happen inside tasks.
-      auto run_section = [&](std::vector<std::function<void()>>* tasks,
-                             const std::vector<double>* durations) {
-        auto start = std::chrono::steady_clock::now();
-        RunTasks(pool_, tasks, pool_max_width_);
-        stage_parallel_.span_seconds += SecondsSince(start);
-        for (double d : *durations) stage_parallel_.work_seconds += d;
-        stage_parallel_.tasks += static_cast<int>(tasks->size());
-      };
-      // Steps 1–2 parallel part: the two new runs sort on their own tasks;
-      // the realized comparison counts are charged post-barrier in fixed
-      // (left, right) order, mirroring the serial SortRun sequence. Each
-      // sorted run keeps its key prefixes.
+      // Steps 1–2 parallel part: the two new runs sort on their own tasks,
+      // each forking further on the pool when large; the realized
+      // comparison counts are charged post-barrier in fixed (left, right)
+      // order, mirroring the serial SortRun sequence. Each sorted run
+      // keeps its key prefixes.
       KeyPrefixes lprefixes, rprefixes;
       {
         int64_t sort_comp[2] = {0, 0};
-        std::vector<double> durs(2, 0.0);
-        std::vector<std::function<void()>> tasks;
-        tasks.push_back([&new_l, &lkey, &sort_comp, &durs, &lprefixes] {
-          auto start = std::chrono::steady_clock::now();
-          SortRunRange(&new_l, lkey, &sort_comp[0], &lprefixes);
-          durs[0] = SecondsSince(start);
+        FanOut fan = fan_out();
+        RunSection(&fan, 2, [&](size_t k, FanOut* inner) {
+          if (k == 0) {
+            SortRunRange(&new_l, lkey, &sort_comp[0], &lprefixes, inner);
+          } else {
+            SortRunRange(&new_r, rkey, &sort_comp[1], &rprefixes, inner);
+          }
         });
-        tasks.push_back([&new_r, &rkey, &sort_comp, &durs, &rprefixes] {
-          auto start = std::chrono::steady_clock::now();
-          SortRunRange(&new_r, rkey, &sort_comp[1], &rprefixes);
-          durs[1] = SecondsSince(start);
-        });
-        run_section(&tasks, &durs);
+        stage_parallel_.Add(fan.stats);
         for (int k = 0; k < 2; ++k) {
           if (ledger_ != nullptr) {
             ledger_->ChargeN(CostCategory::kSortCompare, sort_comp[k],
@@ -552,43 +544,29 @@ Status StagedTermEvaluator::ExecuteNode(
         }
       }
       {
-        std::vector<double> durs(chunks.size(), 0.0);
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(chunks.size());
-        for (size_t t = 0; t < chunks.size(); ++t) {
-          MergeChunk* chunk = &chunks[t];
-          const TupleRefs& lrun = node->sorted_left[pairs[chunk->pair].first];
-          const TupleRefs& rrun =
-              node->sorted_right[pairs[chunk->pair].second];
-          TupleRefSpan lspan(lrun.data() + chunk->lbeg,
-                             chunk->lend - chunk->lbeg);
-          TupleRefSpan rspan(rrun.data() + chunk->rbeg,
-                             chunk->rend - chunk->rbeg);
+        FanOut fan = fan_out();
+        RunSection(&fan, chunks.size(), [&](size_t t, FanOut*) {
+          MergeChunk& chunk = chunks[t];
+          const auto [l, r] = pairs[chunk.pair];
+          const size_t lsize = chunk.lend - chunk.lbeg;
+          const size_t rsize = chunk.rend - chunk.rbeg;
+          TupleRefSpan lspan(node->sorted_left[l].data() + chunk.lbeg, lsize);
+          TupleRefSpan rspan(node->sorted_right[r].data() + chunk.rbeg, rsize);
           KeyPrefixSpan lpspan(
-              node->sorted_left_prefixes[pairs[chunk->pair].first].data() +
-                  chunk->lbeg,
-              chunk->lend - chunk->lbeg);
+              node->sorted_left_prefixes[l].data() + chunk.lbeg, lsize);
           KeyPrefixSpan rpspan(
-              node->sorted_right_prefixes[pairs[chunk->pair].second].data() +
-                  chunk->rbeg,
-              chunk->rend - chunk->rbeg);
-          double* dur = &durs[t];
-          tasks.push_back([chunk, lspan, rspan, lpspan, rpspan, is_join,
-                           emit, &lkey, &rkey, dur] {
-            auto start = std::chrono::steady_clock::now();
-            if (is_join) {
-              chunk->out_count = MergeJoinRange(
-                  lspan, lpspan, lkey, rspan, rpspan, rkey,
-                  emit ? &chunk->rows : nullptr, &chunk->comparisons);
-            } else {
-              chunk->out_count = MergeIntersectRange(
-                  lspan, lpspan, rspan, rpspan,
-                  emit ? &chunk->refs : nullptr, &chunk->comparisons);
-            }
-            *dur = SecondsSince(start);
-          });
-        }
-        run_section(&tasks, &durs);
+              node->sorted_right_prefixes[r].data() + chunk.rbeg, rsize);
+          if (is_join) {
+            chunk.out_count = MergeJoinRange(
+                lspan, lpspan, lkey, rspan, rpspan, rkey,
+                emit ? &chunk.rows : nullptr, &chunk.comparisons);
+          } else {
+            chunk.out_count = MergeIntersectRange(
+                lspan, lpspan, rspan, rpspan, emit ? &chunk.refs : nullptr,
+                &chunk.comparisons);
+          }
+        });
+        stage_parallel_.Add(fan.stats);
       }
       // Fixed-order reduction: per pair, sum the chunk counts and charge
       // merge comparisons + output writes exactly as the serial

@@ -31,22 +31,6 @@ enum class Fulfillment {
   kPartial,
 };
 
-/// Realized work/span of the parallel sections of one stage: `work` is the
-/// sum of per-task durations, `span` the elapsed time of the fan-out
-/// sections. work/span is the realized speedup the engine feeds to
-/// AdaptiveCostModel::ObserveParallelism in wall-clock mode.
-struct ParallelStats {
-  double work_seconds = 0.0;
-  double span_seconds = 0.0;
-  int tasks = 0;
-
-  void Add(const ParallelStats& other) {
-    work_seconds += other.work_seconds;
-    span_seconds += other.span_seconds;
-    tasks += other.tasks;
-  }
-};
-
 /// Realized per-stage execution record of one operator node.
 struct NodeStageRecord {
   double new_points = 0.0;   // newly covered points of this node's space
@@ -148,9 +132,10 @@ class StagedTermEvaluator {
   /// same clock the engine's deadline uses.
   void MeasureStepsWith(const Clock* clock) { timing_clock_ = clock; }
 
-  /// Fans the per-stage run sorts and merge-pair partitions out across
-  /// `pool` workers (null or 0-worker pool = inline execution). The task
-  /// decomposition depends only on the data — chunks split at key-group
+  /// Fans each stage's scan fills, selections, run sorts and merge-pair
+  /// partitions out across `pool` workers (null or 0-worker pool = inline
+  /// execution). The task decomposition depends only on the data —
+  /// fixed-size chunks, partition cuts, chunks split at key-group
   /// boundaries — and all cost charges happen post-barrier in a fixed
   /// order, so results and simulated charges are bit-identical for any
   /// pool width. `pool` is not owned and must outlive this evaluator.
@@ -162,8 +147,9 @@ class StagedTermEvaluator {
     pool_max_width_ = max_width;
   }
 
-  /// Realized work/span of the last executed stage's sort and merge
-  /// fan-out sections; the engine folds it into the stage's work/span.
+  /// Realized work/span of the last executed stage's fan-out sections
+  /// (scan, selection, sort and merge); the engine folds it into the
+  /// stage's work/span.
   const ParallelStats& last_stage_parallelism() const {
     return stage_parallel_;
   }

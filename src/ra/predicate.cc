@@ -23,26 +23,6 @@ std::string_view CompareOpSymbol(CompareOp op) {
   return "?";
 }
 
-namespace {
-bool ApplyOp(CompareOp op, int cmp) {
-  switch (op) {
-    case CompareOp::kEq:
-      return cmp == 0;
-    case CompareOp::kNe:
-      return cmp != 0;
-    case CompareOp::kLt:
-      return cmp < 0;
-    case CompareOp::kLe:
-      return cmp <= 0;
-    case CompareOp::kGt:
-      return cmp > 0;
-    case CompareOp::kGe:
-      return cmp >= 0;
-  }
-  return false;
-}
-}  // namespace
-
 std::string Predicate::BinaryToString(std::string_view op) const {
   std::string out = "(";
   out += left->ToString();
@@ -148,6 +128,11 @@ Result<BoundPredicate> BoundPredicate::Bind(const PredicatePtr& predicate,
   if (root != 0) {
     return Status::Internal("predicate root not at index 0");
   }
+  const Node* first = &bound.nodes_[0];
+  while (first->left >= 0) {
+    first = &bound.nodes_[static_cast<size_t>(first->left)];
+  }
+  bound.first_column_ = first->lhs_index;
   return bound;
 }
 
@@ -155,7 +140,6 @@ Status BoundPredicate::Build(const Predicate& p, const Schema& schema,
                              int* out_index) {
   int index = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
-  nodes_[static_cast<size_t>(index)].kind = p.kind;
   *out_index = index;
 
   switch (p.kind) {
@@ -168,7 +152,20 @@ Status BoundPredicate::Build(const Predicate& p, const Schema& schema,
       Node& n = nodes_[static_cast<size_t>(index)];
       n.lhs_index = lhs;
       n.op = p.op;
-      n.literal = p.literal;
+      switch (ValueType(p.literal)) {
+        case DataType::kInt64:
+          n.code = Code::kInt64Literal;
+          n.int64_literal = std::get<int64_t>(p.literal);
+          break;
+        case DataType::kDouble:
+          n.code = Code::kDoubleLiteral;
+          n.double_literal = std::get<double>(p.literal);
+          break;
+        case DataType::kString:
+          n.code = Code::kStringLiteral;
+          n.string_literal = std::get<std::string>(p.literal);
+          break;
+      }
       ++num_comparisons_;
       return Status::OK();
     }
@@ -183,6 +180,17 @@ Status BoundPredicate::Build(const Predicate& p, const Schema& schema,
       n.lhs_index = lhs;
       n.rhs_index = rhs;
       n.op = p.op;
+      switch (schema.column(lhs).type) {
+        case DataType::kInt64:
+          n.code = Code::kInt64Columns;
+          break;
+        case DataType::kDouble:
+          n.code = Code::kDoubleColumns;
+          break;
+        case DataType::kString:
+          n.code = Code::kStringColumns;
+          break;
+      }
       ++num_comparisons_;
       return Status::OK();
     }
@@ -191,6 +199,8 @@ Status BoundPredicate::Build(const Predicate& p, const Schema& schema,
       if (p.left == nullptr || p.right == nullptr) {
         return Status::InvalidArgument("binary predicate with null child");
       }
+      nodes_[static_cast<size_t>(index)].code =
+          p.kind == Predicate::Kind::kAnd ? Code::kAnd : Code::kOr;
       int left = -1, right = -1;
       TCQ_RETURN_NOT_OK(Build(*p.left, schema, &left));
       TCQ_RETURN_NOT_OK(Build(*p.right, schema, &right));
@@ -202,6 +212,7 @@ Status BoundPredicate::Build(const Predicate& p, const Schema& schema,
       if (p.left == nullptr) {
         return Status::InvalidArgument("NOT with null child");
       }
+      nodes_[static_cast<size_t>(index)].code = Code::kNot;
       int left = -1;
       TCQ_RETURN_NOT_OK(Build(*p.left, schema, &left));
       nodes_[static_cast<size_t>(index)].left = left;
@@ -209,27 +220,6 @@ Status BoundPredicate::Build(const Predicate& p, const Schema& schema,
     }
   }
   return Status::Internal("unknown predicate kind");
-}
-
-bool BoundPredicate::EvalNode(int node, const Tuple& tuple) const {
-  const Node& n = nodes_[static_cast<size_t>(node)];
-  switch (n.kind) {
-    case Predicate::Kind::kCompareLiteral:
-      return ApplyOp(
-          n.op, CompareValues(tuple[static_cast<size_t>(n.lhs_index)],
-                              n.literal));
-    case Predicate::Kind::kCompareColumns:
-      return ApplyOp(
-          n.op, CompareValues(tuple[static_cast<size_t>(n.lhs_index)],
-                              tuple[static_cast<size_t>(n.rhs_index)]));
-    case Predicate::Kind::kAnd:
-      return EvalNode(n.left, tuple) && EvalNode(n.right, tuple);
-    case Predicate::Kind::kOr:
-      return EvalNode(n.left, tuple) || EvalNode(n.right, tuple);
-    case Predicate::Kind::kNot:
-      return !EvalNode(n.left, tuple);
-  }
-  return false;
 }
 
 }  // namespace tcq

@@ -1,6 +1,6 @@
 #include "storage/value.h"
 
-#include <cassert>
+#include "util/check.h"
 
 namespace tcq {
 
@@ -27,17 +27,9 @@ DataType ValueType(const Value& v) {
   }
 }
 
-namespace {
-template <typename T>
-int Compare3(const T& a, const T& b) {
-  if (a < b) return -1;
-  if (b < a) return 1;
-  return 0;
-}
-}  // namespace
-
 int CompareValues(const Value& a, const Value& b) {
-  assert(a.index() == b.index());
+  TCQ_DCHECK(a.index() == b.index(),
+             "values of different types compared");
   switch (a.index()) {
     case 0:
       return Compare3(std::get<int64_t>(a), std::get<int64_t>(b));
@@ -62,8 +54,9 @@ std::string ValueToString(const Value& v) {
 int CompareTuplesOnKey(const Tuple& a, const Tuple& b,
                        const std::vector<int>& key) {
   for (int idx : key) {
-    assert(idx >= 0 && static_cast<size_t>(idx) < a.size() &&
-           static_cast<size_t>(idx) < b.size());
+    TCQ_DCHECK(idx >= 0 && static_cast<size_t>(idx) < a.size() &&
+                   static_cast<size_t>(idx) < b.size(),
+               "key column out of range of a compared tuple");
     int c = CompareValues(a[static_cast<size_t>(idx)],
                           b[static_cast<size_t>(idx)]);
     if (c != 0) return c;
@@ -72,7 +65,7 @@ int CompareTuplesOnKey(const Tuple& a, const Tuple& b,
 }
 
 int CompareTuples(const Tuple& a, const Tuple& b) {
-  assert(a.size() == b.size());
+  TCQ_DCHECK(a.size() == b.size(), "tuples of different arity compared");
   for (size_t i = 0; i < a.size(); ++i) {
     int c = CompareValues(a[i], b[i]);
     if (c != 0) return c;

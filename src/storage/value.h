@@ -22,11 +22,21 @@ std::string_view DataTypeName(DataType type);
 ///
 /// Values are passive data; ordering and equality follow the underlying
 /// type. Comparing values of different alternatives is a programming error
-/// guarded by assertions in the comparison helpers below.
+/// guarded by debug contracts (TCQ_DCHECK, armed in the sanitizer builds)
+/// in the comparison helpers below.
 using Value = std::variant<int64_t, double, std::string>;
 
 /// Returns the DataType of the alternative held by `v`.
 DataType ValueType(const Value& v);
+
+/// Three-way comparison of two values of one alternative's type: -1, 0 or
+/// 1. CompareValues applies it to the alternative both values hold.
+template <typename T>
+int Compare3(const T& a, const T& b) {
+  if (a < b) return -1;
+  if (b < a) return 1;
+  return 0;
+}
 
 /// Three-way comparison; requires both values to hold the same alternative.
 int CompareValues(const Value& a, const Value& b);

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "exec/tuple_set.h"
+#include "parallel/thread_pool.h"
 #include "util/random.h"
 
 namespace tcq {
@@ -411,23 +414,138 @@ TEST(KeyPrefixTest, PrefixOrderAgreesWithCompareValues) {
   }
 }
 
+// Runs of this many tuples fork at several levels.
+constexpr size_t kForkingRun = 3 * kSortForkCutoff + 123;
+
+Tuple KeyedTuple(int64_t key) { return Tuple{key, 0.5, std::string("x")}; }
+
+#ifdef __GLIBCXX__
+// True when std::sort over `run` enters its depth-limit fallback: only
+// libstdc++'s heap phase (std::__push_heap) calls the comparator with an
+// element of the array first and a value held outside it second.
+bool StdSortReachesHeapFallback(TupleRefs run) {
+  const std::less<const Tuple* const*> before;
+  const Tuple* const* begin = run.data();
+  const Tuple* const* end = begin + run.size();
+  auto inside = [&](const Tuple* const* p) {
+    return !before(p, begin) && before(p, end);
+  };
+  bool heap = false;
+  std::sort(run.begin(), run.end(),
+            [&](const Tuple* const& a, const Tuple* const& b) {
+              if (inside(&a) && !inside(&b)) heap = true;
+              return CompareTuples(*a, *b) < 0;
+            });
+  return heap;
+}
+#endif
+
+// McIlroy's "killer adversary for quicksort" run against std::sort: values
+// stay undecided ("gas") until the sort compares two of them, and the
+// pivot candidate is then frozen to the next smallest value. The frozen
+// values, every other one left at the largest, are an input on which
+// std::sort makes the same comparisons and partitions lopsidedly down to
+// its depth limit.
+std::vector<int64_t> AntiQsortKeys(size_t n) {
+  const auto gas = static_cast<int64_t>(n);
+  std::vector<int64_t> val(n, gas);
+  int64_t solid = 0;
+  size_t candidate = 0;
+  std::vector<size_t> items(n);
+  for (size_t i = 0; i < n; ++i) items[i] = i;
+  std::sort(items.begin(), items.end(), [&](size_t x, size_t y) {
+    if (val[x] == gas && val[y] == gas) val[x == candidate ? x : y] = solid++;
+    if (val[x] == gas) {
+      candidate = x;
+    } else if (val[y] == gas) {
+      candidate = y;
+    }
+    return val[x] < val[y];
+  });
+  return val;
+}
+
+// The sort kernel pins every simulated sort charge. Unforked and on pools
+// of 0, 1, 3 and 7 workers, a run must come out in the same permutation,
+// with the same comparison count and prefixes, at every width; and, on
+// libstdc++, the library the simulated charges were pinned on, equal to
+// std::sort with the plain comparator.
+class SortParity {
+ public:
+  SortParity() {
+    for (int workers : {0, 1, 3, 7}) {
+      pools_.push_back(std::make_unique<ThreadPool>(workers));
+    }
+  }
+
+  void Check(const std::vector<Tuple>& tuples, const std::vector<int>& key) {
+    TupleRefs serial = RefsOf(tuples);
+    int64_t serial_comp = 0;
+    KeyPrefixes serial_prefixes;
+    SortRunRange(&serial, key, &serial_comp, &serial_prefixes);
+    EXPECT_EQ(serial_prefixes, KeyPrefixesOf(serial, key));
+#ifdef __GLIBCXX__
+    TupleRefs expect = RefsOf(tuples);
+    int64_t expect_comp = 0;
+    reference::SortRunRange(&expect, key, &expect_comp);
+    EXPECT_EQ(serial_comp, expect_comp);
+    ASSERT_EQ(serial, expect);  // the same permutation, equal keys included
+#endif
+    for (const auto& pool : pools_) {
+      SCOPED_TRACE("pool of " + std::to_string(pool->workers()) + " workers");
+      FanOut fan{pool.get(), 0, {}};
+      TupleRefs got = RefsOf(tuples);
+      int64_t got_comp = 0;
+      KeyPrefixes got_prefixes;
+      SortRunRange(&got, key, &got_comp, &got_prefixes, &fan);
+      EXPECT_EQ(got_comp, serial_comp);
+      ASSERT_EQ(got, serial);
+      EXPECT_EQ(got_prefixes, serial_prefixes);
+      EXPECT_EQ(fan.stats.tasks > 0, tuples.size() > kPassChunk);
+    }
+  }
+
+ private:
+  std::vector<std::unique_ptr<ThreadPool>> pools_;
+};
+
 TEST(KeyPrefixParityTest, SortMatchesPlainComparator) {
+  SortParity parity;
   uint64_t seed = 100;
   for (const Schema& schema : ParitySchemas()) {
     for (const std::vector<int>& key : kParityKeys) {
       SCOPED_TRACE(schema.ToString() + " key " + KeyName(key));
-      std::vector<Tuple> tuples = AdversarialTuples(schema, 400, ++seed);
-      TupleRefs expect = RefsOf(tuples);
-      TupleRefs got = expect;
-      int64_t expect_comp = 0, got_comp = 0;
-      reference::SortRunRange(&expect, key, &expect_comp);
-      KeyPrefixes prefixes;
-      SortRunRange(&got, key, &got_comp, &prefixes);
-      EXPECT_EQ(got_comp, expect_comp);
-      ASSERT_EQ(got, expect);  // the same permutation, equal keys included
-      EXPECT_EQ(prefixes, KeyPrefixesOf(got, key));
+      parity.Check(AdversarialTuples(schema, 400, ++seed), key);
+    }
+    for (const std::vector<int>& key : {std::vector<int>{}, {0}}) {
+      SCOPED_TRACE(schema.ToString() + " forking run, key " + KeyName(key));
+      parity.Check(AdversarialTuples(schema, kForkingRun, ++seed), key);
     }
   }
+
+  const std::vector<int> lead = {0};
+  Rng rng(seed);
+  std::vector<Tuple> duplicates, equal, sorted, reversed;
+  for (size_t k = 0; k < kForkingRun; ++k) {
+    duplicates.push_back(KeyedTuple(static_cast<int64_t>(rng.Uniform(8))));
+    equal.push_back(KeyedTuple(7));
+    sorted.push_back(KeyedTuple(static_cast<int64_t>(k / 3)));
+    reversed.push_back(KeyedTuple(static_cast<int64_t>((kForkingRun - k) / 3)));
+  }
+  for (const auto& [name, tuples] :
+       {std::pair{"duplicate-heavy", &duplicates}, {"all-equal", &equal},
+        {"sorted", &sorted}, {"reverse-sorted", &reversed}}) {
+    SCOPED_TRACE(name);
+    parity.Check(*tuples, lead);
+  }
+
+  std::vector<Tuple> killer;
+  for (int64_t v : AntiQsortKeys(kForkingRun)) killer.push_back(KeyedTuple(v));
+#ifdef __GLIBCXX__
+  ASSERT_TRUE(StdSortReachesHeapFallback(RefsOf(killer)));
+#endif
+  SCOPED_TRACE("antiqsort adversary");
+  parity.Check(killer, lead);
 }
 
 TEST(KeyPrefixParityTest, MergesMatchPlainComparator) {

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "engine/executor.h"
+#include "exec/operators.h"
+#include "obs/metrics.h"
 #include "ra/expr.h"
 #include "workload/generators.h"
 
@@ -149,6 +155,76 @@ TEST(ParallelDeterminismTest, StageTaskCountIncludesEvaluatorFanOut) {
     }
   }
   EXPECT_EQ(counts[0], counts[1]);
+}
+
+// A run's per-category ledger op counts: the engine's shared ledger, then
+// the per-term operator ledgers.
+struct MeteredRun {
+  QueryResult result;
+  std::vector<double> ops;
+};
+
+MeteredRun RunMetered(const Workload& workload, double quota_s, int threads) {
+  Metrics metrics;
+  ExecutorOptions options = BaseOptions(threads);
+  options.obs.metrics = &metrics;
+  MeteredRun run{MustRun(workload.query, workload.catalog, quota_s, options),
+                 {}};
+  for (const std::string prefix : {"ledger.", "ledger.terms."}) {
+    for (size_t c = 0; c < static_cast<size_t>(CostCategory::kNumCategories);
+         ++c) {
+      const std::string name =
+          prefix +
+          std::string(CostCategoryName(static_cast<CostCategory>(c))) +
+          "_ops";
+      run.ops.push_back(metrics.gauge(name)->value());
+    }
+  }
+  return run;
+}
+
+// Runs the workload at widths 1, 4 and 8; all must be bit-identical with
+// equal ledger op counts, and some stage must draw more than `min_rows`
+// rows from each relation.
+void ExpectIdenticalAtEveryWidth(const Workload& workload, double quota_s,
+                                 int relations, size_t min_rows) {
+  const MeteredRun serial = RunMetered(workload, quota_s, /*threads=*/1);
+  ASSERT_GT(serial.result.stages_counted, 0);
+  int64_t most_blocks = 0;
+  for (const StageReport& stage : serial.result.stages()) {
+    most_blocks = std::max(most_blocks, stage.blocks_drawn);
+  }
+  auto r1 = workload.catalog.Find("r1");
+  ASSERT_TRUE(r1.ok());
+  EXPECT_GT(most_blocks / relations * (*r1)->blocking_factor(),
+            static_cast<int64_t>(min_rows));
+  for (int threads : {4, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const MeteredRun parallel = RunMetered(workload, quota_s, threads);
+    ExpectBitIdentical(serial.result, parallel.result);
+    EXPECT_EQ(serial.ops, parallel.ops);
+  }
+}
+
+// The chunked scan fill and selection fire only on stages of more than
+// kPassChunk tuples, which the relations above never reach: 100,000
+// tuples do.
+TEST(ParallelDeterminismTest, ChunkedSelectionAtScale) {
+  auto workload = MakeSelectionWorkload(20000, /*seed=*/41,
+                                        /*num_tuples=*/100000);
+  ASSERT_TRUE(workload.ok());
+  ExpectIdenticalAtEveryWidth(*workload, 400.0, /*relations=*/1,
+                              kPassChunk);
+}
+
+// Sorted runs above kPassChunk take the chunked prefix build and fork
+// their partitions (kSortForkCutoff is smaller).
+TEST(ParallelDeterminismTest, ForkedSortIntersectionAtScale) {
+  auto workload = MakeIntersectionWorkload(20000, /*seed=*/43,
+                                           /*num_tuples=*/100000);
+  ASSERT_TRUE(workload.ok());
+  ExpectIdenticalAtEveryWidth(*workload, 3000.0, /*relations=*/2,
+                              kPassChunk);
 }
 
 }  // namespace
