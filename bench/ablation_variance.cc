@@ -50,7 +50,7 @@ int Main(int argc, char** argv) {
       int64_t hits = 0, points = 0;
       for (uint32_t i : idx) {
         int64_t y = 0;
-        for (const Tuple& t : (*rel)->ViewBlock(i).rows()) {
+        for (Row t : (*rel)->ViewBlock(i).rows()) {
           if (pred->Eval(t)) ++y;
         }
         block_hits.push_back(y);

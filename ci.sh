@@ -46,8 +46,8 @@
 #                 test_benchlib.py), then a 5 s paper_sim run at seed 1
 #                 whose result digest and simulated-operation totals must
 #                 equal the baseline in perfbench/workloads.json and whose
-#                 peak_rss_mb must not exceed 550 (the resident paper
-#                 catalogs, one row copy per block); archives the report at
+#                 peak_rss_mb must not exceed 300 (the resident paper
+#                 catalogs, one cell array per block); archives the report at
 #                 build/artifacts/perfbench_smoke.txt. Then a 5 s
 #                 serve_small run at seed 1, which must check every
 #                 served answer correct with none failed; archives its
@@ -326,8 +326,10 @@ stage_perfbench_smoke() {
   # A pure speed change never moves the simulated work: the first 32
   # paper_sim queries at seed 1 must reproduce the recorded digest and
   # operation totals exactly. The run's peak RSS is dominated by the
-  # resident catalogs, so a block that grows a second in-memory copy of
-  # its tuples (pushing them past 550 MB) fails here too. Then the serve
+  # resident catalogs, one flat cell array per block (about 261 MB), so a
+  # block that goes back to one heap allocation per row, or grows a
+  # second in-memory copy of its rows, pushes it past 300 MB and fails
+  # here too. Then the serve
   # path's answer checks: every answer a short serve_small run serves
   # must pass them, with none failed. Last, a traced wall_deadline run
   # checks the parallel path at paper scale: every decomposed drive
@@ -352,7 +354,7 @@ for m in re.finditer(r"^(sim\.ops\.\w+) total (\d+)$", report, re.M):
     found[m.group(1)] = int(m.group(2))
 diffs = [f"{k}: expected {v}, got {found.get(k)}"
          for k, v in baseline.items() if found.get(k) != v]
-PEAK_RSS_LIMIT_MB = 550.0
+PEAK_RSS_LIMIT_MB = 300.0
 peak_rss_mb = json.loads(report.strip().splitlines()[-1])["metrics"][
     "peak_rss_mb"]["value"]
 if peak_rss_mb > PEAK_RSS_LIMIT_MB:

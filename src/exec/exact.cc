@@ -1,6 +1,8 @@
 #include "exec/exact.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "exec/operators.h"
 
@@ -8,75 +10,101 @@ namespace tcq {
 
 namespace {
 
-void SortAll(std::vector<Tuple>* tuples) {
-  std::sort(tuples->begin(), tuples->end(),
-            [](const Tuple& a, const Tuple& b) {
-              return CompareTuples(a, b) < 0;
-            });
+/// An exact intermediate result: the handles of its rows, which live in
+/// the catalog's blocks or in cells this result owns. A join or projection
+/// creates its rows' cells; every other operator forwards handles (and the
+/// ownership of its inputs' cells). The oracle thus copies no row it does
+/// not create, and materializes tuples only at the EvaluateExact edge.
+struct RowSet {
+  Schema schema;
+  Rows rows;
+  std::vector<std::vector<Value>> owned;
+
+  size_t arity() const { return static_cast<size_t>(schema.num_columns()); }
+};
+
+/// Three-way comparison of two rows over all `arity` columns.
+int CompareRows(Row a, Row b, size_t arity) {
+  for (size_t c = 0; c < arity; ++c) {
+    int cmp = CompareValues(a[c], b[c]);
+    if (cmp != 0) return cmp;
+  }
+  return 0;
 }
 
-void DedupAll(std::vector<Tuple>* tuples) {
-  tuples->erase(std::unique(tuples->begin(), tuples->end(),
-                            [](const Tuple& a, const Tuple& b) {
-                              return CompareTuples(a, b) == 0;
-                            }),
-                tuples->end());
+/// Sorts the rows on all columns and drops duplicates.
+void SortDistinct(RowSet* set) {
+  const size_t arity = set->arity();
+  std::sort(set->rows.begin(), set->rows.end(), [arity](Row a, Row b) {
+    return CompareRows(a, b, arity) < 0;
+  });
+  set->rows.erase(std::unique(set->rows.begin(), set->rows.end(),
+                              [arity](Row a, Row b) {
+                                return CompareRows(a, b, arity) == 0;
+                              }),
+                  set->rows.end());
 }
 
-}  // namespace
+/// Takes over the cells `from` owns, keeping every handle into them valid
+/// (moving a vector keeps its buffer).
+void AdoptCells(RowSet* from, RowSet* to) {
+  for (std::vector<Value>& cells : from->owned) {
+    to->owned.push_back(std::move(cells));
+  }
+}
 
-Result<TupleSet> EvaluateExact(const ExprPtr& expr, const Catalog& catalog) {
+/// The rows of `cells`, `arity` cells each, owned by `set`.
+void OwnRows(std::vector<Value> cells, size_t arity, RowSet* set) {
+  const std::vector<Value>& stored = set->owned.emplace_back(std::move(cells));
+  const RowRange rows(stored.data(), arity, stored.size() / arity);
+  set->rows.insert(set->rows.end(), rows.begin(), rows.end());
+}
+
+Result<RowSet> Evaluate(const ExprPtr& expr, const Catalog& catalog) {
   if (expr == nullptr) return Status::InvalidArgument("null expression");
   switch (expr->kind) {
     case ExprKind::kScan: {
       TCQ_ASSIGN_OR_RETURN(RelationPtr rel, catalog.Find(expr->relation));
-      TupleSet out;
+      RowSet out;
       out.schema = rel->schema();
-      out.tuples.reserve(static_cast<size_t>(rel->NumTuples()));
+      out.rows.reserve(static_cast<size_t>(rel->NumTuples()));
       for (int64_t b = 0; b < rel->NumBlocks(); ++b) {
-        BlockView view = rel->ViewBlock(b);
-        out.tuples.insert(out.tuples.end(), view.rows().begin(),
-                          view.rows().end());
+        const RowRange rows = rel->ViewBlock(b).rows();
+        out.rows.insert(out.rows.end(), rows.begin(), rows.end());
       }
       return out;
     }
     case ExprKind::kSelect: {
-      TCQ_ASSIGN_OR_RETURN(TupleSet child,
-                           EvaluateExact(expr->left, catalog));
+      TCQ_ASSIGN_OR_RETURN(RowSet child, Evaluate(expr->left, catalog));
       TCQ_ASSIGN_OR_RETURN(
           BoundPredicate bound,
           BoundPredicate::Bind(expr->predicate, child.schema));
-      TupleSet out;
+      RowSet out;
       out.schema = child.schema;
-      for (Tuple& t : child.tuples) {
-        if (bound.Eval(t)) out.tuples.push_back(std::move(t));
+      for (Row row : child.rows) {
+        if (bound.Eval(row)) out.rows.push_back(row);
       }
+      AdoptCells(&child, &out);
       return out;
     }
     case ExprKind::kProject: {
-      TCQ_ASSIGN_OR_RETURN(TupleSet child,
-                           EvaluateExact(expr->left, catalog));
+      TCQ_ASSIGN_OR_RETURN(RowSet child, Evaluate(expr->left, catalog));
       std::vector<int> indices;
       for (const std::string& name : expr->columns) {
         TCQ_ASSIGN_OR_RETURN(int idx, child.schema.IndexOf(name));
         indices.push_back(idx);
       }
-      TupleSet out;
+      RowSet out;
       out.schema = child.schema.SelectColumns(indices);
-      out.tuples.reserve(child.tuples.size());
-      for (const Tuple& t : child.tuples) {
-        Tuple projected;
-        projected.reserve(indices.size());
-        for (int c : indices) projected.push_back(t[static_cast<size_t>(c)]);
-        out.tuples.push_back(std::move(projected));
-      }
-      SortAll(&out.tuples);
-      DedupAll(&out.tuples);
+      OwnRows(ProjectColumns(child.rows, indices, nullptr, CostModel{},
+                             nullptr),
+              indices.size(), &out);
+      SortDistinct(&out);
       return out;
     }
     case ExprKind::kJoin: {
-      TCQ_ASSIGN_OR_RETURN(TupleSet l, EvaluateExact(expr->left, catalog));
-      TCQ_ASSIGN_OR_RETURN(TupleSet r, EvaluateExact(expr->right, catalog));
+      TCQ_ASSIGN_OR_RETURN(RowSet l, Evaluate(expr->left, catalog));
+      TCQ_ASSIGN_OR_RETURN(RowSet r, Evaluate(expr->right, catalog));
       std::vector<int> lkey, rkey;
       for (const auto& [lname, rname] : expr->join_keys) {
         TCQ_ASSIGN_OR_RETURN(int li, l.schema.IndexOf(lname));
@@ -84,99 +112,104 @@ Result<TupleSet> EvaluateExact(const ExprPtr& expr, const Catalog& catalog) {
         lkey.push_back(li);
         rkey.push_back(ri);
       }
-      TupleRefs lrefs = RefsOf(l.tuples);
-      TupleRefs rrefs = RefsOf(r.tuples);
       KeyPrefixes lprefixes, rprefixes;
       int64_t comparisons = 0;  // uncharged: no ledger
-      SortRunRange(&lrefs, lkey, &comparisons, &lprefixes);
-      SortRunRange(&rrefs, rkey, &comparisons, &rprefixes);
-      TupleSet out;
+      SortRunRange(&l.rows, lkey, &comparisons, &lprefixes);
+      SortRunRange(&r.rows, rkey, &comparisons, &rprefixes);
+      JoinedCells joined;
+      joined.left_arity = l.arity();
+      joined.right_arity = r.arity();
+      MergeJoinRange(l.rows, lprefixes, lkey, r.rows, rprefixes, rkey,
+                     &joined, &comparisons);
+      RowSet out;
       out.schema = l.schema.ConcatForJoin(r.schema);
-      MergeJoinRange(lrefs, lprefixes, lkey, rrefs, rprefixes, rkey,
-                     &out.tuples, &comparisons);
+      OwnRows(std::move(joined.cells), joined.arity(), &out);
       return out;
     }
     case ExprKind::kIntersect:
     case ExprKind::kUnion:
     case ExprKind::kDifference: {
-      TCQ_ASSIGN_OR_RETURN(TupleSet l, EvaluateExact(expr->left, catalog));
-      TCQ_ASSIGN_OR_RETURN(TupleSet r, EvaluateExact(expr->right, catalog));
+      TCQ_ASSIGN_OR_RETURN(RowSet l, Evaluate(expr->left, catalog));
+      TCQ_ASSIGN_OR_RETURN(RowSet r, Evaluate(expr->right, catalog));
       if (!l.schema.CompatibleWith(r.schema)) {
         return Status::InvalidArgument("set operands incompatible");
       }
-      SortAll(&l.tuples);
-      DedupAll(&l.tuples);
-      SortAll(&r.tuples);
-      DedupAll(&r.tuples);
-      TupleSet out;
+      SortDistinct(&l);
+      SortDistinct(&r);
+      RowSet out;
       out.schema = l.schema;
+      const size_t arity = l.arity();
+      auto less = [arity](Row a, Row b) {
+        return CompareRows(a, b, arity) < 0;
+      };
+      auto into = std::back_inserter(out.rows);
       if (expr->kind == ExprKind::kUnion) {
-        std::merge(
-            l.tuples.begin(), l.tuples.end(), r.tuples.begin(),
-            r.tuples.end(), std::back_inserter(out.tuples),
-            [](const Tuple& a, const Tuple& b) {
-              return CompareTuples(a, b) < 0;
-            });
-        DedupAll(&out.tuples);
+        std::set_union(l.rows.begin(), l.rows.end(), r.rows.begin(),
+                       r.rows.end(), into, less);
       } else if (expr->kind == ExprKind::kIntersect) {
-        std::set_intersection(
-            l.tuples.begin(), l.tuples.end(), r.tuples.begin(),
-            r.tuples.end(), std::back_inserter(out.tuples),
-            [](const Tuple& a, const Tuple& b) {
-              return CompareTuples(a, b) < 0;
-            });
+        std::set_intersection(l.rows.begin(), l.rows.end(), r.rows.begin(),
+                              r.rows.end(), into, less);
       } else {
-        std::set_difference(
-            l.tuples.begin(), l.tuples.end(), r.tuples.begin(),
-            r.tuples.end(), std::back_inserter(out.tuples),
-            [](const Tuple& a, const Tuple& b) {
-              return CompareTuples(a, b) < 0;
-            });
+        std::set_difference(l.rows.begin(), l.rows.end(), r.rows.begin(),
+                            r.rows.end(), into, less);
       }
+      AdoptCells(&l, &out);
+      AdoptCells(&r, &out);
       return out;
     }
   }
   return Status::Internal("unknown expression kind");
 }
 
-Result<int64_t> ExactCount(const ExprPtr& expr, const Catalog& catalog) {
-  TCQ_ASSIGN_OR_RETURN(TupleSet result, EvaluateExact(expr, catalog));
-  return result.size();
-}
-
-Result<double> ExactSum(const ExprPtr& expr, const std::string& column,
-                        const Catalog& catalog) {
-  TCQ_ASSIGN_OR_RETURN(TupleSet result, EvaluateExact(expr, catalog));
+/// Σ of the numeric `column` over the exact output `result`.
+Result<double> SumColumn(const RowSet& result, const std::string& column,
+                         const char* aggregate) {
   TCQ_ASSIGN_OR_RETURN(int col, result.schema.IndexOf(column));
   if (result.schema.column(col).type == DataType::kString) {
-    return Status::InvalidArgument("SUM column must be numeric");
+    return Status::InvalidArgument(std::string(aggregate) +
+                                   " column must be numeric");
   }
   double sum = 0.0;
-  for (const Tuple& t : result.tuples) {
-    const Value& v = t[static_cast<size_t>(col)];
+  for (Row row : result.rows) {
+    const Value& v = row[static_cast<size_t>(col)];
     sum += v.index() == 0 ? static_cast<double>(std::get<int64_t>(v))
                           : std::get<double>(v);
   }
   return sum;
 }
 
+}  // namespace
+
+Result<TupleSet> EvaluateExact(const ExprPtr& expr, const Catalog& catalog) {
+  TCQ_ASSIGN_OR_RETURN(RowSet result, Evaluate(expr, catalog));
+  TupleSet out;
+  out.schema = result.schema;
+  out.tuples.reserve(result.rows.size());
+  for (Row row : result.rows) {
+    out.tuples.push_back(ToTuple(row, result.arity()));
+  }
+  return out;
+}
+
+Result<int64_t> ExactCount(const ExprPtr& expr, const Catalog& catalog) {
+  TCQ_ASSIGN_OR_RETURN(RowSet result, Evaluate(expr, catalog));
+  return static_cast<int64_t>(result.rows.size());
+}
+
+Result<double> ExactSum(const ExprPtr& expr, const std::string& column,
+                        const Catalog& catalog) {
+  TCQ_ASSIGN_OR_RETURN(RowSet result, Evaluate(expr, catalog));
+  return SumColumn(result, column, "SUM");
+}
+
 Result<double> ExactAvg(const ExprPtr& expr, const std::string& column,
                         const Catalog& catalog) {
-  TCQ_ASSIGN_OR_RETURN(TupleSet result, EvaluateExact(expr, catalog));
-  if (result.tuples.empty()) {
+  TCQ_ASSIGN_OR_RETURN(RowSet result, Evaluate(expr, catalog));
+  if (result.rows.empty()) {
     return Status::InvalidArgument("AVG over an empty result");
   }
-  TCQ_ASSIGN_OR_RETURN(int col, result.schema.IndexOf(column));
-  if (result.schema.column(col).type == DataType::kString) {
-    return Status::InvalidArgument("AVG column must be numeric");
-  }
-  double sum = 0.0;
-  for (const Tuple& t : result.tuples) {
-    const Value& v = t[static_cast<size_t>(col)];
-    sum += v.index() == 0 ? static_cast<double>(std::get<int64_t>(v))
-                          : std::get<double>(v);
-  }
-  return sum / static_cast<double>(result.tuples.size());
+  TCQ_ASSIGN_OR_RETURN(double sum, SumColumn(result, column, "AVG"));
+  return sum / static_cast<double>(result.rows.size());
 }
 
 }  // namespace tcq

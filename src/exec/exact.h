@@ -16,7 +16,10 @@ namespace tcq {
 ///
 /// This is the ground-truth evaluator: tests and benches compare the
 /// sampling estimator against `ExactCount`. It deliberately performs no
-/// cost accounting.
+/// cost accounting. It evaluates over row handles into the catalog's
+/// blocks, creating cells only for join and projection outputs, and
+/// copies rows into tuples only for the TupleSet it returns: ExactCount,
+/// ExactSum and ExactAvg materialize no tuple at all.
 [[nodiscard]] Result<TupleSet> EvaluateExact(const ExprPtr& expr, const Catalog& catalog);
 
 /// COUNT(E) under the same semantics.

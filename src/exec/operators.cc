@@ -6,6 +6,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "util/check.h"
@@ -80,51 +81,47 @@ void ChargeOutput(const Schema& schema, int64_t out_tuples,
   return u;
 }
 
-/// The prefix of `t`'s leading key column (column 0 when `key` is empty).
+/// The prefix of `row`'s leading key column.
 [[gnu::always_inline]] inline uint64_t LeadPrefix(
-    const Tuple& t, const std::vector<int>& key) {
-  if (key.empty()) return t.empty() ? 0 : PrefixOf(t[0]);
-  return PrefixOf(t[static_cast<size_t>(key[0])]);
+    Row row, const std::vector<int>& key) {
+  return PrefixOf(row[static_cast<size_t>(key[0])]);
 }
 
-/// Prefix-first three-way comparison of two tuples' keys, `a` read through
-/// `a_key` and `b` through `b_key` (an empty key is all columns). Unequal
-/// prefixes decide. Equal ones fall through to the key columns — from the
-/// leading column when it is a string, whose prefix holds only its first
-/// bytes, and from the next one when it is numeric, whose prefix is exact
-/// — so a single numeric key column never reaches a tuple. Same sign as
-/// CompareTuples/CompareTuplesOnKey for every pair.
+/// Prefix-first three-way comparison of two rows' keys, `a` read through
+/// `a_key` and `b` through `b_key` (keys of one length, the arity of the
+/// comparison). Unequal prefixes decide. Equal ones fall through to the
+/// key columns — from the leading column when it is a string, whose prefix
+/// holds only its first bytes, and from the next one when it is numeric,
+/// whose prefix is exact — so a single numeric key column never reaches a
+/// cell. Same sign as CompareTuples/CompareTuplesOnKey for every pair.
 class PrefixCompare {
  public:
-  /// `run`'s first tuple, read through `a_key`, fixes the key arity and the
-  /// leading column's type; an empty run leaves nothing to compare.
+  /// The leading key cell of `run`'s first row fixes the leading column's
+  /// type; an empty run leaves nothing to compare.
   PrefixCompare(const std::vector<int>& a_key, const std::vector<int>& b_key,
-                TupleRefSpan run)
+                RowSpan run)
       : a_key_(a_key), b_key_(b_key) {
+    TCQ_DCHECK(!a_key.empty() && a_key.size() == b_key.size(),
+               "compared keys are empty or differ in length");
     if (run.empty()) return;
-    const Tuple& t = *run[0];
-    arity_ = a_key.empty() ? t.size() : a_key.size();
-    if (arity_ > 0 &&
-        ValueType(t[Column(a_key, 0)]) != DataType::kString) {
+    arity_ = a_key.size();
+    if (ValueType(run[0][static_cast<size_t>(a_key[0])]) !=
+        DataType::kString) {
       first_ = 1;
     }
   }
 
-  int operator()(uint64_t pa, const Tuple& a, uint64_t pb,
-                 const Tuple& b) const {
+  int operator()(uint64_t pa, Row a, uint64_t pb, Row b) const {
     if (pa != pb) return pa < pb ? -1 : 1;
     for (size_t k = first_; k < arity_; ++k) {
-      int c = CompareValues(a[Column(a_key_, k)], b[Column(b_key_, k)]);
+      int c = CompareValues(a[static_cast<size_t>(a_key_[k])],
+                            b[static_cast<size_t>(b_key_[k])]);
       if (c != 0) return c;
     }
     return 0;
   }
 
  private:
-  static size_t Column(const std::vector<int>& key, size_t k) {
-    return key.empty() ? k : static_cast<size_t>(key[k]);
-  }
-
   const std::vector<int>& a_key_;
   const std::vector<int>& b_key_;
   size_t arity_ = 0;
@@ -137,9 +134,9 @@ class PrefixCompare {
 /// `on_group`. Returns the comparison count: one per cross probe and one
 /// per group-extension probe.
 template <typename OnGroup>
-int64_t MergePrefixedRuns(TupleRefSpan left, KeyPrefixSpan left_prefixes,
+int64_t MergePrefixedRuns(RowSpan left, KeyPrefixSpan left_prefixes,
                           const std::vector<int>& left_key,
-                          TupleRefSpan right, KeyPrefixSpan right_prefixes,
+                          RowSpan right, KeyPrefixSpan right_prefixes,
                           const std::vector<int>& right_key,
                           OnGroup&& on_group) {
   TCQ_DCHECK(left_prefixes.size() == left.size() &&
@@ -152,7 +149,7 @@ int64_t MergePrefixedRuns(TupleRefSpan left, KeyPrefixSpan left_prefixes,
   int64_t comps = 0;
   while (i < left.size() && j < right.size()) {
     ++comps;
-    int c = cross(left_prefixes[i], *left[i], right_prefixes[j], *right[j]);
+    int c = cross(left_prefixes[i], left[i], right_prefixes[j], right[j]);
     if (c != 0) {
       // Exactly one side advances, as in a branchy merge.
       i += static_cast<size_t>(c < 0);
@@ -162,8 +159,8 @@ int64_t MergePrefixedRuns(TupleRefSpan left, KeyPrefixSpan left_prefixes,
     size_t i_end = i + 1;
     while (i_end < left.size()) {
       ++comps;
-      if (left_self(left_prefixes[i_end], *left[i_end], left_prefixes[i],
-                    *left[i]) != 0) {
+      if (left_self(left_prefixes[i_end], left[i_end], left_prefixes[i],
+                    left[i]) != 0) {
         break;
       }
       ++i_end;
@@ -171,8 +168,8 @@ int64_t MergePrefixedRuns(TupleRefSpan left, KeyPrefixSpan left_prefixes,
     size_t j_end = j + 1;
     while (j_end < right.size()) {
       ++comps;
-      if (right_self(right_prefixes[j_end], *right[j_end], right_prefixes[j],
-                     *right[j]) != 0) {
+      if (right_self(right_prefixes[j_end], right[j_end], right_prefixes[j],
+                     right[j]) != 0) {
         break;
       }
       ++j_end;
@@ -184,20 +181,16 @@ int64_t MergePrefixedRuns(TupleRefSpan left, KeyPrefixSpan left_prefixes,
   return comps;
 }
 
-/// A pass over a reference run chases two pointers per tuple: to the
-/// Tuple (a vector header beside its block-mates), then to its cell array.
-/// Prefetching the header twice this many tuples ahead and the cell the
-/// pass reads this many ahead overlaps those misses.
+/// A pass over a run reads the handles in order and chases one pointer
+/// per row, into a block's cell array scattered over the heap. Prefetching
+/// the cell the pass reads this many rows ahead overlaps those misses.
 constexpr size_t kPrefetchAhead = 8;
 
 /// Prefetches for step i of a pass over run[lo, hi) that reads `column`.
-[[gnu::always_inline]] inline void PrefetchAhead(TupleRefSpan run, size_t i,
+[[gnu::always_inline]] inline void PrefetchAhead(RowSpan run, size_t i,
                                                  size_t hi, size_t column) {
-  if (i + 2 * kPrefetchAhead < hi) {
-    __builtin_prefetch(run[i + 2 * kPrefetchAhead]);
-  }
   if (i + kPrefetchAhead < hi) {
-    __builtin_prefetch(run[i + kPrefetchAhead]->data() + column);
+    __builtin_prefetch(run[i + kPrefetchAhead].data() + column);
   }
 }
 
@@ -364,13 +357,15 @@ int64_t InsertionPass(T* a, size_t lo, size_t hi, Less& less) {
   return skipped;
 }
 
-/// A reference with its key prefix: the element the sort kernel permutes.
-/// No default member initializers: a run's buffer is allocated for
-/// overwrite and filled in one (chunked) pass.
+/// A row's first cell with its key prefix: the element the sort kernel
+/// permutes. Trivially constructible, unlike Row, whose handle starts out
+/// null: a run's buffer is allocated for overwrite and filled in one
+/// (chunked) pass.
 struct Keyed {
   uint64_t prefix;
-  const Tuple* tuple;
+  const Value* row;
 };
+static_assert(std::is_trivially_default_constructible_v<Keyed>);
 
 /// The counting prefix-first comparator of the sort kernel. Unequal
 /// prefixes decide inline; only a tie calls into PrefixCompare.
@@ -380,7 +375,7 @@ class KeyedLess {
   bool operator()(const Keyed& a, const Keyed& b) {
     ++count_;
     if (a.prefix != b.prefix) return a.prefix < b.prefix;
-    return cmp_(a.prefix, *a.tuple, b.prefix, *b.tuple) < 0;
+    return cmp_(a.prefix, Row(a.row), b.prefix, Row(b.row)) < 0;
   }
   int64_t count() const { return count_; }
 
@@ -389,12 +384,12 @@ class KeyedLess {
   int64_t count_ = 0;
 };
 
-/// One sort of keyed elements, writing the sorted references and prefixes
+/// One sort of keyed elements, writing the sorted handles and prefixes
 /// back to `run` and `prefixes` (when non-null) leaf by leaf.
 struct SortJob {
   Keyed* items;
   const PrefixCompare* cmp;
-  TupleRefs* run;
+  Rows* run;
   KeyPrefixes* prefixes;
 };
 
@@ -416,7 +411,7 @@ int64_t SortRange(const SortJob& job, size_t lo, size_t hi, ptrdiff_t depth,
   }
   IntroSortLoop(job.items + lo, job.items + hi, depth, less);
   const int64_t skipped = InsertionPass(job.items, lo, hi, less);
-  for (size_t i = lo; i < hi; ++i) (*job.run)[i] = job.items[i].tuple;
+  for (size_t i = lo; i < hi; ++i) (*job.run)[i] = Row(job.items[i].row);
   if (job.prefixes != nullptr) {
     for (size_t i = lo; i < hi; ++i) (*job.prefixes)[i] = job.items[i].prefix;
   }
@@ -451,43 +446,43 @@ void RunSection(FanOut* fan_out, size_t count,
   }
 }
 
-TupleRefs CollectChunks(
-    FanOut* fan_out, size_t n, size_t chunk, size_t refs_per_item,
-    const std::function<void(size_t, size_t, TupleRefs*)>& fill) {
-  TupleRefs out;
+Rows CollectChunks(FanOut* fan_out, size_t n, size_t chunk,
+                   size_t rows_per_item,
+                   const std::function<void(size_t, size_t, Rows*)>& fill) {
+  Rows out;
   const size_t chunks = PassChunks(fan_out, n, chunk);
   if (chunks == 1) {
     fill(0, n, &out);
     return out;
   }
-  std::vector<TupleRefs> parts(chunks);
+  std::vector<Rows> parts(chunks);
   for (size_t c = 0; c < chunks; ++c) {
     parts[c].reserve((std::min(n, (c + 1) * chunk) - c * chunk) *
-                     refs_per_item);
+                     rows_per_item);
   }
   RunSection(fan_out, chunks, [&](size_t c, FanOut*) {
     fill(c * chunk, std::min(n, (c + 1) * chunk), &parts[c]);
   });
   size_t total = 0;
-  for (const TupleRefs& part : parts) total += part.size();
+  for (const Rows& part : parts) total += part.size();
   out.reserve(total);
-  for (const TupleRefs& part : parts) {
+  for (const Rows& part : parts) {
     out.insert(out.end(), part.begin(), part.end());
   }
   return out;
 }
 
-TupleRefs SelectTuples(TupleRefSpan tuples, const BoundPredicate& predicate,
-                       const Schema& schema, CostLedger* ledger,
-                       const CostModel& model, OpMetrics* metrics,
-                       FanOut* fan_out) {
-  TupleRefs out = CollectChunks(
-      fan_out, tuples.size(), kPassChunk, /*refs_per_item=*/1,
-      [tuples, &predicate](size_t lo, size_t hi, TupleRefs* part) {
+Rows SelectTuples(RowSpan tuples, const BoundPredicate& predicate,
+                  const Schema& schema, CostLedger* ledger,
+                  const CostModel& model, OpMetrics* metrics,
+                  FanOut* fan_out) {
+  Rows out = CollectChunks(
+      fan_out, tuples.size(), kPassChunk, /*rows_per_item=*/1,
+      [tuples, &predicate](size_t lo, size_t hi, Rows* part) {
         const auto column = static_cast<size_t>(predicate.first_column());
         for (size_t i = lo; i < hi; ++i) {
           PrefetchAhead(tuples, i, hi, column);
-          if (predicate.Eval(*tuples[i])) part->push_back(tuples[i]);
+          if (predicate.Eval(tuples[i])) part->push_back(tuples[i]);
         }
       });
   const auto n = static_cast<int64_t>(tuples.size());
@@ -520,25 +515,31 @@ void ChargeTempWrite(const Schema& schema, int64_t num_tuples,
 
 uint64_t KeyPrefix(const Value& v) { return PrefixOf(v); }
 
-KeyPrefixes KeyPrefixesOf(TupleRefSpan run, const std::vector<int>& key) {
+std::vector<int> AllColumns(size_t arity) {
+  std::vector<int> key(arity);
+  for (size_t c = 0; c < arity; ++c) key[c] = static_cast<int>(c);
+  return key;
+}
+
+KeyPrefixes KeyPrefixesOf(RowSpan run, const std::vector<int>& key) {
   KeyPrefixes out;
   out.reserve(run.size());
-  for (const Tuple* t : run) out.push_back(LeadPrefix(*t, key));
+  for (Row row : run) out.push_back(LeadPrefix(row, key));
   return out;
 }
 
-void SortRunRange(TupleRefs* run, const std::vector<int>& key,
+void SortRunRange(Rows* run, const std::vector<int>& key,
                   int64_t* comparisons, KeyPrefixes* prefixes,
                   FanOut* fan_out) {
   const size_t n = run->size();
   if (prefixes != nullptr) prefixes->resize(n);
   if (n == 0) return;
   const auto items = std::make_unique_for_overwrite<Keyed[]>(n);
-  const size_t lead = key.empty() ? 0 : static_cast<size_t>(key[0]);
+  const auto lead = static_cast<size_t>(key[0]);
   auto fill = [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       PrefetchAhead(*run, i, hi, lead);
-      items[i] = Keyed{LeadPrefix(*(*run)[i], key), (*run)[i]};
+      items[i] = Keyed{LeadPrefix((*run)[i], key), (*run)[i].data()};
     }
   };
   const size_t chunks = PassChunks(fan_out, n, kPassChunk);
@@ -554,7 +555,7 @@ void SortRunRange(TupleRefs* run, const std::vector<int>& key,
   *comparisons += SortRange(job, 0, n, DepthLimit(n), fan_out);
 }
 
-void SortRun(TupleRefs* run, const std::vector<int>& key, CostLedger* ledger,
+void SortRun(Rows* run, const std::vector<int>& key, CostLedger* ledger,
              const CostModel& model, StepMetrics* metrics,
              KeyPrefixes* prefixes) {
   int64_t comparisons = 0;
@@ -569,24 +570,22 @@ void SortRun(TupleRefs* run, const std::vector<int>& key, CostLedger* ledger,
   }
 }
 
-void AppendJoined(TupleRefSpan left, size_t lbeg, size_t lend,
-                  TupleRefSpan right, size_t rbeg, size_t rend,
-                  std::vector<Tuple>* out) {
+void AppendJoined(RowSpan left, size_t lbeg, size_t lend, RowSpan right,
+                  size_t rbeg, size_t rend, JoinedCells* out) {
   for (size_t a = lbeg; a < lend; ++a) {
     for (size_t b = rbeg; b < rend; ++b) {
-      Tuple joined;
-      joined.reserve(left[a]->size() + right[b]->size());
-      joined.insert(joined.end(), left[a]->begin(), left[a]->end());
-      joined.insert(joined.end(), right[b]->begin(), right[b]->end());
-      out->push_back(std::move(joined));
+      out->cells.insert(out->cells.end(), left[a].data(),
+                        left[a].data() + out->left_arity);
+      out->cells.insert(out->cells.end(), right[b].data(),
+                        right[b].data() + out->right_arity);
     }
   }
 }
 
-int64_t MergeIntersectRange(TupleRefSpan left, KeyPrefixSpan left_prefixes,
-                            TupleRefSpan right, KeyPrefixSpan right_prefixes,
-                            TupleRefs* out, int64_t* comparisons) {
-  const std::vector<int> all_columns;
+int64_t MergeIntersectRange(RowSpan left, KeyPrefixSpan left_prefixes,
+                            RowSpan right, KeyPrefixSpan right_prefixes,
+                            size_t arity, Rows* out, int64_t* comparisons) {
+  const std::vector<int> all_columns = AllColumns(arity);
   int64_t emitted = 0;
   *comparisons += MergePrefixedRuns(
       left, left_prefixes, all_columns, right, right_prefixes, all_columns,
@@ -602,17 +601,19 @@ int64_t MergeIntersectRange(TupleRefSpan left, KeyPrefixSpan left_prefixes,
   return emitted;
 }
 
-int64_t MergeIntersectRange(TupleRefSpan left, TupleRefSpan right,
-                            TupleRefs* out, int64_t* comparisons) {
-  return MergeIntersectRange(left, KeyPrefixesOf(left, {}), right,
-                             KeyPrefixesOf(right, {}), out, comparisons);
+int64_t MergeIntersectRange(RowSpan left, RowSpan right, size_t arity,
+                            Rows* out, int64_t* comparisons) {
+  const std::vector<int> all_columns = AllColumns(arity);
+  return MergeIntersectRange(left, KeyPrefixesOf(left, all_columns), right,
+                             KeyPrefixesOf(right, all_columns), arity, out,
+                             comparisons);
 }
 
-int64_t MergeJoinRange(TupleRefSpan left, KeyPrefixSpan left_prefixes,
-                       const std::vector<int>& left_key, TupleRefSpan right,
+int64_t MergeJoinRange(RowSpan left, KeyPrefixSpan left_prefixes,
+                       const std::vector<int>& left_key, RowSpan right,
                        KeyPrefixSpan right_prefixes,
-                       const std::vector<int>& right_key,
-                       std::vector<Tuple>* out, int64_t* comparisons) {
+                       const std::vector<int>& right_key, JoinedCells* out,
+                       int64_t* comparisons) {
   TCQ_DCHECK(left_key.size() == right_key.size(),
              "join key lists differ in length");
   int64_t emitted = 0;
@@ -625,18 +626,18 @@ int64_t MergeJoinRange(TupleRefSpan left, KeyPrefixSpan left_prefixes,
   return emitted;
 }
 
-int64_t MergeJoinRange(TupleRefSpan left, const std::vector<int>& left_key,
-                       TupleRefSpan right, const std::vector<int>& right_key,
-                       std::vector<Tuple>* out, int64_t* comparisons) {
+int64_t MergeJoinRange(RowSpan left, const std::vector<int>& left_key,
+                       RowSpan right, const std::vector<int>& right_key,
+                       JoinedCells* out, int64_t* comparisons) {
   return MergeJoinRange(left, KeyPrefixesOf(left, left_key), left_key, right,
                         KeyPrefixesOf(right, right_key), right_key, out,
                         comparisons);
 }
 
-void MergeSortedRuns(TupleRefSpan first, KeyPrefixSpan first_prefixes,
-                     TupleRefSpan second, KeyPrefixSpan second_prefixes,
-                     TupleRefs* out, KeyPrefixes* out_prefixes) {
-  const std::vector<int> all_columns;
+void MergeSortedRuns(RowSpan first, KeyPrefixSpan first_prefixes,
+                     RowSpan second, KeyPrefixSpan second_prefixes,
+                     size_t arity, Rows* out, KeyPrefixes* out_prefixes) {
+  const std::vector<int> all_columns = AllColumns(arity);
   const PrefixCompare cmp(all_columns, all_columns,
                           first.empty() ? second : first);
   const size_t n = first.size() + second.size();
@@ -646,8 +647,7 @@ void MergeSortedRuns(TupleRefSpan first, KeyPrefixSpan first_prefixes,
   out_prefixes->reserve(n);
   size_t i = 0, j = 0;
   while (i < first.size() && j < second.size()) {
-    if (cmp(second_prefixes[j], *second[j], first_prefixes[i], *first[i]) <
-        0) {
+    if (cmp(second_prefixes[j], second[j], first_prefixes[i], first[i]) < 0) {
       out->push_back(second[j]);
       out_prefixes->push_back(second_prefixes[j++]);
     } else {
@@ -667,7 +667,7 @@ void MergeSortedRuns(TupleRefSpan first, KeyPrefixSpan first_prefixes,
                        second_prefixes.end());
 }
 
-std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
+std::vector<size_t> PartitionSortedRun(RowSpan run,
                                        KeyPrefixSpan prefixes,
                                        const std::vector<int>& key,
                                        size_t max_parts, size_t min_chunk) {
@@ -684,8 +684,8 @@ std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
     // Advance to the start of the next key group so equal keys stay in
     // one chunk.
     while (target < n && target > 0 &&
-           cmp(prefixes[target - 1], *run[target - 1], prefixes[target],
-               *run[target]) == 0) {
+           cmp(prefixes[target - 1], run[target - 1], prefixes[target],
+               run[target]) == 0) {
       ++target;
     }
     if (target > bounds.back() && target < n) bounds.push_back(target);
@@ -694,15 +694,15 @@ std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
   return bounds;
 }
 
-size_t LowerBoundCrossKey(TupleRefSpan run, KeyPrefixSpan run_prefixes,
-                          const std::vector<int>& run_key,
-                          const Tuple& probe, uint64_t probe_prefix,
+size_t LowerBoundCrossKey(RowSpan run, KeyPrefixSpan run_prefixes,
+                          const std::vector<int>& run_key, Row probe,
+                          uint64_t probe_prefix,
                           const std::vector<int>& probe_key) {
   const PrefixCompare cmp(run_key, probe_key, run);
   size_t lo = 0, hi = run.size();
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    if (cmp(run_prefixes[mid], *run[mid], probe_prefix, probe) < 0) {
+    if (cmp(run_prefixes[mid], run[mid], probe_prefix, probe) < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -711,13 +711,15 @@ size_t LowerBoundCrossKey(TupleRefSpan run, KeyPrefixSpan run_prefixes,
   return lo;
 }
 
-TupleRefs MergeIntersect(TupleRefSpan left, TupleRefSpan right,
-                         const Schema& schema, CostLedger* ledger,
-                         const CostModel& model, OpMetrics* metrics) {
+Rows MergeIntersect(RowSpan left, RowSpan right, const Schema& schema,
+                    CostLedger* ledger, const CostModel& model,
+                    OpMetrics* metrics) {
   StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
   int64_t comparisons = 0;
-  TupleRefs out;
-  MergeIntersectRange(left, right, &out, &comparisons);
+  Rows out;
+  MergeIntersectRange(left, right,
+                      static_cast<size_t>(schema.num_columns()), &out,
+                      &comparisons);
   ChargeScope charge(ledger, process);
   charge.ChargeN(CostCategory::kMergeCompare, comparisons,
                  model.merge_compare_s);
@@ -730,16 +732,17 @@ TupleRefs MergeIntersect(TupleRefSpan left, TupleRefSpan right,
   return out;
 }
 
-std::vector<Tuple> MergeJoin(TupleRefSpan left,
-                             const std::vector<int>& left_key,
-                             const Schema& left_schema, TupleRefSpan right,
-                             const std::vector<int>& right_key,
-                             const Schema& right_schema, CostLedger* ledger,
-                             const CostModel& model, OpMetrics* metrics) {
+JoinedCells MergeJoin(RowSpan left, const std::vector<int>& left_key,
+                      const Schema& left_schema, RowSpan right,
+                      const std::vector<int>& right_key,
+                      const Schema& right_schema, CostLedger* ledger,
+                      const CostModel& model, OpMetrics* metrics) {
   StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
   Schema out_schema = left_schema.ConcatForJoin(right_schema);
   int64_t comparisons = 0;
-  std::vector<Tuple> out;
+  JoinedCells out;
+  out.left_arity = static_cast<size_t>(left_schema.num_columns());
+  out.right_arity = static_cast<size_t>(right_schema.num_columns());
   MergeJoinRange(left, left_key, right, right_key, &out, &comparisons);
   ChargeScope charge(ledger, process);
   charge.ChargeN(CostCategory::kMergeCompare, comparisons,
@@ -753,7 +756,7 @@ std::vector<Tuple> MergeJoin(TupleRefSpan left,
   return out;
 }
 
-std::vector<GroupCount> DedupSorted(TupleRefSpan tuples,
+std::vector<GroupCount> DedupSorted(RowSpan tuples,
                                     KeyPrefixSpan prefixes,
                                     const Schema& schema, CostLedger* ledger,
                                     const CostModel& model,
@@ -761,7 +764,8 @@ std::vector<GroupCount> DedupSorted(TupleRefSpan tuples,
   TCQ_DCHECK(prefixes.size() == tuples.size(),
              "prefixes do not match the run");
   StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
-  const std::vector<int> all_columns;
+  const std::vector<int> all_columns =
+      AllColumns(static_cast<size_t>(schema.num_columns()));
   const PrefixCompare cmp(all_columns, all_columns, tuples);
   std::vector<GroupCount> out;
   int64_t comparisons = 0;
@@ -769,7 +773,7 @@ std::vector<GroupCount> DedupSorted(TupleRefSpan tuples,
   for (size_t i = 0; i < tuples.size(); ++i) {
     if (!out.empty()) {
       ++comparisons;
-      if (cmp(prefixes[head], *tuples[head], prefixes[i], *tuples[i]) == 0) {
+      if (cmp(prefixes[head], tuples[head], prefixes[i], tuples[i]) == 0) {
         ++out.back().count;
         continue;
       }
@@ -789,24 +793,21 @@ std::vector<GroupCount> DedupSorted(TupleRefSpan tuples,
   return out;
 }
 
-std::vector<Tuple> ProjectColumns(TupleRefSpan tuples,
+std::vector<Value> ProjectColumns(RowSpan tuples,
                                   const std::vector<int>& columns,
                                   CostLedger* ledger, const CostModel& model,
                                   StepMetrics* metrics) {
-  std::vector<Tuple> out;
-  out.reserve(tuples.size());
-  for (const Tuple* t : tuples) {
-    Tuple projected;
-    projected.reserve(columns.size());
-    for (int c : columns) projected.push_back((*t)[static_cast<size_t>(c)]);
-    out.push_back(std::move(projected));
+  std::vector<Value> out;
+  out.reserve(tuples.size() * columns.size());
+  for (Row row : tuples) {
+    for (int c : columns) out.push_back(row[static_cast<size_t>(c)]);
   }
   ChargeScope charge(ledger, metrics);
   charge.ChargeN(CostCategory::kTupleMove,
                  static_cast<int64_t>(tuples.size()), model.tuple_move_s);
   if (metrics != nullptr) {
     metrics->in_tuples += static_cast<int64_t>(tuples.size());
-    metrics->out_tuples += static_cast<int64_t>(out.size());
+    metrics->out_tuples += static_cast<int64_t>(tuples.size());
   }
   return out;
 }

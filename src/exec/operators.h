@@ -37,7 +37,7 @@ struct OpMetrics {
 
 /// ---- Fan-out ------------------------------------------------------------
 ///
-/// The staged evaluator's passes over a run — the scan's reference fill,
+/// The staged evaluator's passes over a run — the scan's row fill,
 /// selection, the sort's prefix build and the sort itself — split into
 /// tasks whose boundaries depend only on the data: fixed-size chunks, and
 /// the sort's own partition cuts. A null pool runs the identical task list
@@ -46,7 +46,7 @@ struct OpMetrics {
 /// inline with no task at all.
 
 /// Tuples per chunk of a chunked pass (selection, a sort's prefix build,
-/// and — in blocks of that many rows — a scan's reference fill).
+/// and — in blocks of that many rows — a scan's row fill).
 inline constexpr size_t kPassChunk = 16384;
 
 /// A sort forks both halves of every partition of more than this many
@@ -89,28 +89,28 @@ void RunSection(FanOut* fan_out, size_t count,
                 const std::function<void(size_t, FanOut*)>& body);
 
 /// Runs `fill(lo, hi, out)` over the items [0, n) in chunks of `chunk`,
-/// each call appending at most `refs_per_item` references per item to
-/// `*out`, and returns them in item order. When n fits in one chunk or
+/// each call appending at most `rows_per_item` rows per item to `*out`,
+/// and returns them in item order. When n fits in one chunk or
 /// `fan_out` is null, one call fills the result inline; otherwise each
 /// chunk fills its own run on its own task (RunSection) and the runs
 /// concatenate in chunk order. The chunk runs are reserved to their bound
 /// on the calling thread, so the tasks do not allocate.
-TupleRefs CollectChunks(
-    FanOut* fan_out, size_t n, size_t chunk, size_t refs_per_item,
-    const std::function<void(size_t, size_t, TupleRefs*)>& fill);
+Rows CollectChunks(FanOut* fan_out, size_t n, size_t chunk,
+                   size_t rows_per_item,
+                   const std::function<void(size_t, size_t, Rows*)>& fill);
 
 /// Evaluates a selection formula over `tuples`, charging one predicate
 /// comparison per formula leaf per tuple plus output-page writes, and
-/// returns the references of the qualifying tuples. The input tuples are
+/// returns the handles of the qualifying rows. The input tuples are
 /// assumed already paid for (block fetch happens at sampling time;
 /// intermediate inputs were paid for by the producer). Given `fan_out`, a
 /// run of more than kPassChunk tuples evaluates chunk by chunk on its
 /// pool; the survivors concatenate in chunk order and the charges come
 /// from the totals after the barrier, as in one pass.
-TupleRefs SelectTuples(TupleRefSpan tuples, const BoundPredicate& predicate,
-                       const Schema& schema, CostLedger* ledger,
-                       const CostModel& model, OpMetrics* metrics,
-                       FanOut* fan_out = nullptr);
+Rows SelectTuples(RowSpan tuples, const BoundPredicate& predicate,
+                  const Schema& schema, CostLedger* ledger,
+                  const CostModel& model, OpMetrics* metrics,
+                  FanOut* fan_out = nullptr);
 
 /// Writes `tuples` to a temporary file (step 1 of the paper's intersect/
 /// join/project algorithms, Figures 4.4/4.6/4.7): charges one tuple move
@@ -121,12 +121,18 @@ void ChargeTempWrite(const Schema& schema, int64_t num_tuples,
 
 /// ---- Key prefixes -------------------------------------------------------
 ///
-/// Every sort keeps, beside each reference, an 8-byte order-preserving
-/// prefix of the tuple's leading key column (column 0 when the key is
-/// empty), compared as an unsigned integer: an int64 with its sign bit
-/// flipped; a double's IEEE-754 bits (-0.0 normalized to +0.0) with every
-/// bit flipped when negative and only the sign bit flipped otherwise; a
-/// string's first 8 bytes, big-endian, zero-padded. A smaller prefix means
+/// A key lists the columns a kernel compares, in order, and is never
+/// empty: an intersection, a projection's dedup and the oracle's set
+/// operations compare every column, AllColumns(arity). A key's length is
+/// the arity of its comparisons, so no kernel reads a row's width from
+/// the row.
+///
+/// Every sort keeps, beside each handle, an 8-byte order-preserving
+/// prefix of the row's leading key column, compared as an unsigned
+/// integer: an int64 with its sign bit flipped; a double's IEEE-754 bits
+/// (-0.0 normalized to +0.0) with every bit flipped when negative and only
+/// the sign bit flipped otherwise; a string's first 8 bytes, big-endian,
+/// zero-padded. A smaller prefix means
 /// a smaller key; equal prefixes leave the order to the full key
 /// comparison, which the kernels then call. A numeric prefix is exact
 /// (equal prefixes, equal values), so a single numeric key column is never
@@ -135,7 +141,10 @@ void ChargeTempWrite(const Schema& schema, int64_t num_tuples,
 /// and the kernels count the same comparisons (DESIGN.md, "Run
 /// representation").
 
-/// Prefixes of a sorted run, index-aligned with its references.
+/// The key of every column of an `arity`-column row, in order.
+std::vector<int> AllColumns(size_t arity);
+
+/// Prefixes of a sorted run, index-aligned with its handles.
 using KeyPrefixes = std::vector<uint64_t>;
 using KeyPrefixSpan = std::span<const uint64_t>;
 
@@ -143,16 +152,14 @@ using KeyPrefixSpan = std::span<const uint64_t>;
 /// rejects it at every entry point (Schema::ValidateTuple, page decoding).
 uint64_t KeyPrefix(const Value& v);
 
-/// The prefixes of `run`'s leading key column (column 0 when `key` is
-/// empty), in run order.
-KeyPrefixes KeyPrefixesOf(TupleRefSpan run, const std::vector<int>& key);
+/// The prefixes of `run`'s leading key column, in run order.
+KeyPrefixes KeyPrefixesOf(RowSpan run, const std::vector<int>& key);
 
-/// Sorts the run in place on the given key columns (all columns when
-/// `key` is empty), charging each realized comparison (step 2, external
-/// sort; eq. 4.3's `C2·n·log n + C3·n` shape emerges from the realized
-/// comparison count). Leaves the sorted run's prefixes in `*prefixes`
-/// when non-null.
-void SortRun(TupleRefs* run, const std::vector<int>& key, CostLedger* ledger,
+/// Sorts the run in place on the given key columns, charging each
+/// realized comparison (step 2, external sort; eq. 4.3's
+/// `C2·n·log n + C3·n` shape emerges from the realized comparison count).
+/// Leaves the sorted run's prefixes in `*prefixes` when non-null.
+void SortRun(Rows* run, const std::vector<int>& key, CostLedger* ledger,
              const CostModel& model, StepMetrics* metrics,
              KeyPrefixes* prefixes = nullptr);
 
@@ -169,15 +176,15 @@ void SortRun(TupleRefs* run, const std::vector<int>& key, CostLedger* ledger,
 /// count. Each merge kernel returns its output count and appends the
 /// output to `*out` only when `out` is non-null: a result nobody reads
 /// (the root of a COUNT term) is counted, never built. The prefix spans
-/// run beside their reference spans (same length); the overloads without
-/// them encode the prefixes first.
+/// run beside their row spans (same length); the overloads without them
+/// encode the prefixes first.
 
-/// Sort kernel: sorts the run in place on `key` (all columns when empty)
-/// as (prefix, reference) pairs, appending the comparison count to
-/// `*comparisons` (must be non-null) and leaving the sorted run's
-/// prefixes in `*prefixes` when non-null. Same comparator decisions —
-/// hence the same permutation and comparison count — as sorting the
-/// tuples themselves. No cost accounting.
+/// Sort kernel: sorts the run in place on `key` as (prefix, handle)
+/// pairs, appending the comparison count to `*comparisons` (must be
+/// non-null) and leaving the sorted run's prefixes in `*prefixes` when
+/// non-null. Same comparator decisions —
+/// hence the same permutation and comparison count — as sorting the rows
+/// themselves. No cost accounting.
 ///
 /// The sort is an in-repo introsort that repeats libstdc++'s std::sort
 /// step for step (median of three moved to the front, unguarded
@@ -192,89 +199,101 @@ void SortRun(TupleRefs* run, const std::vector<int>& key, CostLedger* ledger,
 /// partitions are ordered), so the leaf counts it without making it: no
 /// task reads outside its range, and permutation, count and prefixes
 /// equal std::sort's at any width.
-void SortRunRange(TupleRefs* run, const std::vector<int>& key,
+void SortRunRange(Rows* run, const std::vector<int>& key,
                   int64_t* comparisons, KeyPrefixes* prefixes = nullptr,
                   FanOut* fan_out = nullptr);
 
-/// Merge-join kernel over sorted ranges: appends one concatenated tuple
-/// per matching (left, right) pair to `*out` (if non-null) and the
-/// comparison count to `*comparisons` (must be non-null).
-int64_t MergeJoinRange(TupleRefSpan left, KeyPrefixSpan left_prefixes,
-                       const std::vector<int>& left_key, TupleRefSpan right,
+/// The rows a join creates, cell by cell: each row is a left row's
+/// `left_arity` cells followed by a right row's `right_arity` cells.
+struct JoinedCells {
+  size_t left_arity = 0;
+  size_t right_arity = 0;
+  std::vector<Value> cells;
+
+  size_t arity() const { return left_arity + right_arity; }
+  size_t size() const { return arity() == 0 ? 0 : cells.size() / arity(); }
+  bool empty() const { return cells.empty(); }
+  Row row(size_t i) const { return Row(cells.data() + i * arity()); }
+  bool operator==(const JoinedCells&) const = default;
+};
+
+/// Merge-join kernel over sorted ranges: appends one concatenated row per
+/// matching (left, right) pair to `*out` (if non-null) and the comparison
+/// count to `*comparisons` (must be non-null).
+int64_t MergeJoinRange(RowSpan left, KeyPrefixSpan left_prefixes,
+                       const std::vector<int>& left_key, RowSpan right,
                        KeyPrefixSpan right_prefixes,
-                       const std::vector<int>& right_key,
-                       std::vector<Tuple>* out, int64_t* comparisons);
-int64_t MergeJoinRange(TupleRefSpan left, const std::vector<int>& left_key,
-                       TupleRefSpan right, const std::vector<int>& right_key,
-                       std::vector<Tuple>* out, int64_t* comparisons);
+                       const std::vector<int>& right_key, JoinedCells* out,
+                       int64_t* comparisons);
+int64_t MergeJoinRange(RowSpan left, const std::vector<int>& left_key,
+                       RowSpan right, const std::vector<int>& right_key,
+                       JoinedCells* out, int64_t* comparisons);
 
 /// Appends the concatenation of every (left[a], right[b]) pair, a in
 /// [lbeg, lend) and b in [rbeg, rend), to `*out` in left-major order: the
 /// output of one matching key group of a merge join.
-void AppendJoined(TupleRefSpan left, size_t lbeg, size_t lend,
-                  TupleRefSpan right, size_t rbeg, size_t rend,
-                  std::vector<Tuple>* out);
+void AppendJoined(RowSpan left, size_t lbeg, size_t lend, RowSpan right,
+                  size_t rbeg, size_t rend, JoinedCells* out);
 
-/// Merge-intersect kernel over ranges sorted on all columns: each matching
-/// group contributes (left multiplicity × right multiplicity) outputs, the
-/// left tuples' references, appended to `*out` (if non-null). Appends the
-/// comparison count to `*comparisons` (must be non-null).
-int64_t MergeIntersectRange(TupleRefSpan left, KeyPrefixSpan left_prefixes,
-                            TupleRefSpan right, KeyPrefixSpan right_prefixes,
-                            TupleRefs* out, int64_t* comparisons);
-int64_t MergeIntersectRange(TupleRefSpan left, TupleRefSpan right,
-                            TupleRefs* out, int64_t* comparisons);
+/// Merge-intersect kernel over ranges of `arity`-column rows sorted on all
+/// columns: each matching group contributes (left multiplicity × right
+/// multiplicity) outputs, the left rows' handles, appended to `*out` (if
+/// non-null). Appends the comparison count to `*comparisons` (must be
+/// non-null).
+int64_t MergeIntersectRange(RowSpan left, KeyPrefixSpan left_prefixes,
+                            RowSpan right, KeyPrefixSpan right_prefixes,
+                            size_t arity, Rows* out, int64_t* comparisons);
+int64_t MergeIntersectRange(RowSpan left, RowSpan right, size_t arity,
+                            Rows* out, int64_t* comparisons);
 
-/// Merges two runs sorted on all columns, with their prefixes, into one
-/// sorted run and its prefixes, as std::merge does: on equal keys the
-/// tuples of `first` come first. Counts nothing (a projection charges its
-/// merge per output tuple).
-void MergeSortedRuns(TupleRefSpan first, KeyPrefixSpan first_prefixes,
-                     TupleRefSpan second, KeyPrefixSpan second_prefixes,
-                     TupleRefs* out, KeyPrefixes* out_prefixes);
+/// Merges two runs of `arity`-column rows sorted on all columns, with
+/// their prefixes, into one sorted run and its prefixes, as std::merge
+/// does: on equal keys the rows of `first` come first. Counts nothing (a
+/// projection charges its merge per output tuple).
+void MergeSortedRuns(RowSpan first, KeyPrefixSpan first_prefixes,
+                     RowSpan second, KeyPrefixSpan second_prefixes,
+                     size_t arity, Rows* out, KeyPrefixes* out_prefixes);
 
-/// Splits a run sorted on `key` (all columns when empty) into at most
+/// Splits a run sorted on `key` into at most
 /// `max_parts` contiguous chunks of roughly equal size, each at least
 /// `min_chunk` tuples, with every boundary on a key-group start (equal-key
 /// tuples never straddle chunks). Returns the boundary indices, starting
 /// with 0 and ending with run.size(); size() - 1 is the chunk count.
 /// Depends only on the data — not on the worker count — so a partitioned
 /// evaluation is bit-identical at any parallelism.
-std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
+std::vector<size_t> PartitionSortedRun(RowSpan run,
                                        KeyPrefixSpan prefixes,
                                        const std::vector<int>& key,
                                        size_t max_parts, size_t min_chunk);
 
 /// First index in `run` (sorted on `run_key`) whose key compares >= the
 /// probe's key (probe read through `probe_key`, its prefix
-/// `probe_prefix`). Empty keys compare whole tuples. Binary search;
-/// charges nothing.
-size_t LowerBoundCrossKey(TupleRefSpan run, KeyPrefixSpan run_prefixes,
-                          const std::vector<int>& run_key,
-                          const Tuple& probe, uint64_t probe_prefix,
+/// `probe_prefix`). Binary search; charges nothing.
+size_t LowerBoundCrossKey(RowSpan run, KeyPrefixSpan run_prefixes,
+                          const std::vector<int>& run_key, Row probe,
+                          uint64_t probe_prefix,
                           const std::vector<int>& probe_key);
 
-/// Merge-intersects two runs sorted on all columns. Each matching group
-/// contributes (left multiplicity × right multiplicity) output references
-/// — the number of 1-points in the point space. Charges merge comparisons
-/// and output-page writes.
-TupleRefs MergeIntersect(TupleRefSpan left, TupleRefSpan right,
+/// Merge-intersects two runs of `schema` rows sorted on all columns. Each
+/// matching group contributes (left multiplicity × right multiplicity)
+/// output handles — the number of 1-points in the point space. Charges
+/// merge comparisons and output-page writes.
+Rows MergeIntersect(RowSpan left, RowSpan right,
                          const Schema& schema, CostLedger* ledger,
                          const CostModel& model, OpMetrics* metrics);
 
 /// Merge-joins two runs sorted on the given key columns, producing
-/// concatenated tuples. Charges merge comparisons and output-page writes.
-std::vector<Tuple> MergeJoin(TupleRefSpan left,
-                             const std::vector<int>& left_key,
-                             const Schema& left_schema, TupleRefSpan right,
-                             const std::vector<int>& right_key,
-                             const Schema& right_schema, CostLedger* ledger,
-                             const CostModel& model, OpMetrics* metrics);
+/// concatenated rows. Charges merge comparisons and output-page writes.
+JoinedCells MergeJoin(RowSpan left, const std::vector<int>& left_key,
+                      const Schema& left_schema, RowSpan right,
+                      const std::vector<int>& right_key,
+                      const Schema& right_schema, CostLedger* ledger,
+                      const CostModel& model, OpMetrics* metrics);
 
-/// One distinct tuple (a reference to its first occurrence in the deduped
+/// One distinct tuple (the handle of its first occurrence in the deduped
 /// run) and how many times it occurred.
 struct GroupCount {
-  const Tuple* tuple = nullptr;
+  Row tuple;
   int64_t count = 0;
 };
 
@@ -283,16 +302,16 @@ struct GroupCount {
 /// of the paper's Project algorithm, which writes "distinct tuples with
 /// their occupancy"). Charges one merge comparison per input tuple and
 /// output-page writes.
-std::vector<GroupCount> DedupSorted(TupleRefSpan tuples,
+std::vector<GroupCount> DedupSorted(RowSpan tuples,
                                     KeyPrefixSpan prefixes,
                                     const Schema& schema, CostLedger* ledger,
                                     const CostModel& model,
                                     OpMetrics* metrics);
 
 /// Projects `tuples` onto the given column positions, materializing the
-/// new tuples (no dedup; charges tuple moves only — dedup is SortRun +
-/// DedupSorted).
-std::vector<Tuple> ProjectColumns(TupleRefSpan tuples,
+/// new rows' cells, columns.size() per row, back to back (no dedup;
+/// charges tuple moves only — dedup is SortRun + DedupSorted).
+std::vector<Value> ProjectColumns(RowSpan tuples,
                                   const std::vector<int>& columns,
                                   CostLedger* ledger, const CostModel& model,
                                   StepMetrics* metrics);

@@ -102,8 +102,10 @@ Result<std::unique_ptr<StagedNode>> StagedTermEvaluator::BuildNode(
       if (!node->left->out_schema.CompatibleWith(node->right->out_schema)) {
         return Status::InvalidArgument("intersect operands incompatible");
       }
-      // Empty key means "all columns" for the sort/merge helpers.
+      // The sort and merge kernels compare every column.
       node->out_schema = node->left->out_schema;
+      node->lkey = node->rkey =
+          AllColumns(static_cast<size_t>(node->out_schema.num_columns()));
       node->total_points =
           node->left->total_points * node->right->total_points;
       return node;
@@ -213,8 +215,8 @@ Status StagedTermEvaluator::ExecuteStageWithMode(
     if (scanned > 0) tuples_counter_->Add(scanned);
   }
   if (value_col_ >= 0) {
-    for (const Tuple* t : root_->stage_out) {
-      const Value& v = (*t)[static_cast<size_t>(value_col_)];
+    for (Row row : root_->stage_out) {
+      const Value& v = row[static_cast<size_t>(value_col_)];
       double x = v.index() == 0
                      ? static_cast<double>(std::get<int64_t>(v))
                      : std::get<double>(v);
@@ -291,23 +293,23 @@ Status StagedTermEvaluator::ExecuteNode(
         return Status::InvalidArgument("no sample blocks for relation '" +
                                        node->rel->name() + "'");
       }
-      // The run references the fetched blocks' resident rows, which the
+      // The run holds the fetched blocks' resident rows, which the
       // relation this node holds keeps alive. A stage of more than
       // kPassChunk rows fills in chunks of blocks on the pool.
       double t0 = now();
       const std::vector<const Block*>& blocks = it->second;
       const auto rows_per_block =
           static_cast<size_t>(node->rel->blocking_factor());
+      const int arity = node->out_schema.num_columns();
       FanOut fan = fan_out();
-      TupleRefs run = CollectChunks(
+      Rows run = CollectChunks(
           &fan, blocks.size(), std::max<size_t>(1, kPassChunk / rows_per_block),
           rows_per_block,
-          [&blocks, rows_per_block](size_t lo, size_t hi, TupleRefs* out) {
+          [&blocks, rows_per_block, arity](size_t lo, size_t hi, Rows* out) {
             out->reserve(out->size() + (hi - lo) * rows_per_block);
             for (size_t b = lo; b < hi; ++b) {
-              for (const Tuple& t : BlockView(blocks[b]).rows()) {
-                out->push_back(&t);
-              }
+              const RowRange rows = BlockView(blocks[b], arity).rows();
+              out->insert(out->end(), rows.begin(), rows.end());
             }
           });
       stage_parallel_.Add(fan.stats);
@@ -332,9 +334,8 @@ Status StagedTermEvaluator::ExecuteNode(
       OpMetrics om;
       double t0 = now();
       FanOut fan = fan_out();
-      TupleRefs run = SelectTuples(child->stage_out, *node->predicate,
-                                   node->out_schema, ledger_, model_, &om,
-                                   &fan);
+      Rows run = SelectTuples(child->stage_out, *node->predicate,
+                              node->out_schema, ledger_, model_, &om, &fan);
       double t1 = now();
       stage_parallel_.Add(fan.stats);
       rec.process = om.process;
@@ -362,29 +363,32 @@ Status StagedTermEvaluator::ExecuteNode(
         ledger_->Charge(CostCategory::kOpSetup, model_.op_setup_s);
       }
       // Step 1: project the new child run and write it to a temp file.
-      // Projection creates new tuples; this node owns them.
+      // Projection creates new rows; this node owns their cells.
       double t0 = now();
-      const std::vector<Tuple>& projected =
-          node->projected_rows.emplace_back(
+      const size_t arity = node->proj_cols.size();
+      const std::vector<Value>& projected =
+          node->projected_cells.emplace_back(
               ProjectColumns(node->left->stage_out, node->proj_cols, ledger_,
                              model_, &rec.write));
+      const RowRange projected_rows(projected.data(), arity,
+                                    projected.size() / arity);
       ChargeTempWrite(node->out_schema,
-                      static_cast<int64_t>(projected.size()), ledger_,
+                      static_cast<int64_t>(projected_rows.size()), ledger_,
                       model_, &rec.write);
       double t1 = now();
       // Step 2: sort the new run.
-      TupleRefs run = RefsOf(projected);
+      Rows run(projected_rows.begin(), projected_rows.end());
       KeyPrefixes prefixes;
       rec.sort_units = SortUnits(static_cast<double>(run.size()));
-      SortRun(&run, /*key=*/{}, ledger_, model_, &rec.sort, &prefixes);
+      SortRun(&run, AllColumns(arity), ledger_, model_, &rec.sort, &prefixes);
       double t2 = now();
       // Step 3: merge with the previously sorted sample and re-derive the
       // distinct groups with occupancies.
-      TupleRefs merged;
+      Rows merged;
       KeyPrefixes merged_prefixes;
       MergeSortedRuns(node->cum_projected_sorted,
-                      node->cum_projected_prefixes, run, prefixes, &merged,
-                      &merged_prefixes);
+                      node->cum_projected_prefixes, run, prefixes, arity,
+                      &merged, &merged_prefixes);
       if (ledger_ != nullptr) {
         ledger_->ChargeN(CostCategory::kMergeCompare,
                          static_cast<int64_t>(merged.size()),
@@ -441,8 +445,8 @@ Status StagedTermEvaluator::ExecuteNode(
       // files and sort them (previous runs stay sorted from earlier
       // stages). The children's runs become this node's new runs.
       double t0 = now();
-      TupleRefs new_l = std::exchange(node->left->stage_out, {});
-      TupleRefs new_r = std::exchange(node->right->stage_out, {});
+      Rows new_l = std::exchange(node->left->stage_out, {});
+      Rows new_r = std::exchange(node->right->stage_out, {});
       ChargeTempWrite(node->left->out_schema,
                       static_cast<int64_t>(new_l.size()), ledger_, model_,
                       &rec.write);
@@ -452,10 +456,8 @@ Status StagedTermEvaluator::ExecuteNode(
       double t1 = now();
       rec.sort_units = SortUnits(static_cast<double>(new_l.size())) +
                        SortUnits(static_cast<double>(new_r.size()));
-      const std::vector<int> lkey =
-          is_join ? node->lkey : std::vector<int>{};
-      const std::vector<int> rkey =
-          is_join ? node->rkey : std::vector<int>{};
+      const std::vector<int>& lkey = node->lkey;
+      const std::vector<int>& rkey = node->rkey;
       // Steps 1–2 parallel part: the two new runs sort on their own tasks,
       // each forking further on the pool when large; the realized
       // comparison counts are charged post-barrier in fixed (left, right)
@@ -505,18 +507,22 @@ Status StagedTermEvaluator::ExecuteNode(
       } else {
         pairs.emplace_back(s, s);
       }
+      const auto left_arity =
+          static_cast<size_t>(node->left->out_schema.num_columns());
+      const auto right_arity =
+          static_cast<size_t>(node->right->out_schema.num_columns());
       struct MergeChunk {
         size_t pair = 0;  // index into `pairs`
         size_t lbeg = 0, lend = 0, rbeg = 0, rend = 0;
         int64_t out_count = 0;
-        TupleRefs refs;           // intersect output, when emitted
-        std::vector<Tuple> rows;  // join output, when emitted
+        Rows rows;           // intersect output, when emitted
+        JoinedCells joined;  // join output, when emitted
         int64_t comparisons = 0;
       };
       std::vector<MergeChunk> chunks;
       for (size_t p = 0; p < pairs.size(); ++p) {
-        const TupleRefs& lrun = node->sorted_left[pairs[p].first];
-        const TupleRefs& rrun = node->sorted_right[pairs[p].second];
+        const Rows& lrun = node->sorted_left[pairs[p].first];
+        const Rows& rrun = node->sorted_right[pairs[p].second];
         const KeyPrefixes& lpre = node->sorted_left_prefixes[pairs[p].first];
         const KeyPrefixes& rpre =
             node->sorted_right_prefixes[pairs[p].second];
@@ -525,6 +531,8 @@ Status StagedTermEvaluator::ExecuteNode(
         for (size_t c = 0; c + 1 < bounds.size(); ++c) {
           MergeChunk chunk;
           chunk.pair = p;
+          chunk.joined.left_arity = left_arity;
+          chunk.joined.right_arity = right_arity;
           chunk.lbeg = bounds[c];
           chunk.lend = bounds[c + 1];
           // First chunk scans the right run from the top and the last to
@@ -533,12 +541,12 @@ Status StagedTermEvaluator::ExecuteNode(
           // (uncharged) binary search.
           chunk.rbeg = c == 0 ? 0
                               : LowerBoundCrossKey(rrun, rpre, rkey,
-                                                   *lrun[bounds[c]],
+                                                   lrun[bounds[c]],
                                                    lpre[bounds[c]], lkey);
           chunk.rend = c + 2 == bounds.size()
                            ? rrun.size()
                            : LowerBoundCrossKey(rrun, rpre, rkey,
-                                                *lrun[bounds[c + 1]],
+                                                lrun[bounds[c + 1]],
                                                 lpre[bounds[c + 1]], lkey);
           chunks.push_back(std::move(chunk));
         }
@@ -550,8 +558,8 @@ Status StagedTermEvaluator::ExecuteNode(
           const auto [l, r] = pairs[chunk.pair];
           const size_t lsize = chunk.lend - chunk.lbeg;
           const size_t rsize = chunk.rend - chunk.rbeg;
-          TupleRefSpan lspan(node->sorted_left[l].data() + chunk.lbeg, lsize);
-          TupleRefSpan rspan(node->sorted_right[r].data() + chunk.rbeg, rsize);
+          RowSpan lspan(node->sorted_left[l].data() + chunk.lbeg, lsize);
+          RowSpan rspan(node->sorted_right[r].data() + chunk.rbeg, rsize);
           KeyPrefixSpan lpspan(
               node->sorted_left_prefixes[l].data() + chunk.lbeg, lsize);
           KeyPrefixSpan rpspan(
@@ -559,11 +567,11 @@ Status StagedTermEvaluator::ExecuteNode(
           if (is_join) {
             chunk.out_count = MergeJoinRange(
                 lspan, lpspan, lkey, rspan, rpspan, rkey,
-                emit ? &chunk.rows : nullptr, &chunk.comparisons);
+                emit ? &chunk.joined : nullptr, &chunk.comparisons);
           } else {
             chunk.out_count = MergeIntersectRange(
-                lspan, lpspan, rspan, rpspan, emit ? &chunk.refs : nullptr,
-                &chunk.comparisons);
+                lspan, lpspan, rspan, rpspan, left_arity,
+                emit ? &chunk.rows : nullptr, &chunk.comparisons);
           }
         });
         stage_parallel_.Add(fan.stats);
@@ -572,11 +580,11 @@ Status StagedTermEvaluator::ExecuteNode(
       // merge comparisons + output writes exactly as the serial
       // MergeJoin/MergeIntersect calls did (pages from the pair's total
       // output, so the chunk count never changes the arithmetic). Emitted
-      // outputs concatenate in chunk order; a join's materialized chunks
-      // move into the node's storage, whose elements never move again.
+      // outputs concatenate in chunk order; a join's materialized cells
+      // move into the node's storage, whose cells never move again.
       int64_t total_out = 0;
       for (const MergeChunk& chunk : chunks) total_out += chunk.out_count;
-      TupleRefs out;
+      Rows out;
       if (emit) out.reserve(static_cast<size_t>(total_out));
       OpMetrics om;
       size_t ci = 0;
@@ -587,15 +595,18 @@ Status StagedTermEvaluator::ExecuteNode(
           MergeChunk& chunk = chunks[ci];
           comparisons += chunk.comparisons;
           out_tuples += chunk.out_count;
-          out.insert(out.end(), chunk.refs.begin(), chunk.refs.end());
-          if (!chunk.rows.empty()) {
-            const std::vector<Tuple>& stored =
-                node->joined_rows.emplace_back(std::move(chunk.rows));
-            for (const Tuple& t : stored) out.push_back(&t);
+          out.insert(out.end(), chunk.rows.begin(), chunk.rows.end());
+          if (!chunk.joined.empty()) {
+            const size_t width = chunk.joined.arity();
+            const std::vector<Value>& stored =
+                node->joined_cells.emplace_back(
+                    std::move(chunk.joined.cells));
+            const RowRange rows(stored.data(), width, stored.size() / width);
+            out.insert(out.end(), rows.begin(), rows.end());
           }
         }
-        const TupleRefs& lrun = node->sorted_left[pairs[p].first];
-        const TupleRefs& rrun = node->sorted_right[pairs[p].second];
+        const Rows& lrun = node->sorted_left[pairs[p].first];
+        const Rows& rrun = node->sorted_right[pairs[p].second];
         if (ledger_ != nullptr) {
           ledger_->ChargeN(CostCategory::kMergeCompare, comparisons,
                            model_.merge_compare_s);

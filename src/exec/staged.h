@@ -50,11 +50,11 @@ struct NodeStageRecord {
 /// tree; `id` is the pre-order index, used by the time-control layer to
 /// key selectivities and cost coefficients to operators.
 ///
-/// Runs are reference runs (TupleRefs): they hold the addresses of tuples
-/// that live in the resident blocks of the scanned relations — kept alive
-/// by the scan nodes' `rel` — or in storage owned by a join or project
-/// node of the same tree. No run owns or copies a tuple (DESIGN.md, "Run
-/// representation").
+/// Runs are vectors of Row handles: they hold the addresses of rows whose
+/// cells live in the resident blocks of the scanned relations — kept alive
+/// by the scan nodes' `rel` — or in cell vectors owned by a join or
+/// project node of the same tree. No run owns or copies a row (DESIGN.md,
+/// "Run representation").
 struct StagedNode {
   int id = 0;
   ExprKind kind = ExprKind::kScan;
@@ -70,37 +70,41 @@ struct StagedNode {
 
   // kProject (root only)
   std::vector<int> proj_cols;
-  // The projected tuples, one vector per stage (a projection creates new
-  // tuples, so the node owns them; the vectors are never resized after
-  // their stage, keeping the references below valid).
-  std::vector<std::vector<Tuple>> projected_rows;
-  TupleRefs cum_projected_sorted;  // all projected sample tuples, sorted
+  // The projected rows' cells, one vector per stage, proj_cols.size()
+  // cells per row (a projection creates new rows, so the node owns them;
+  // the vectors are never resized after their stage, keeping the handles
+  // below valid).
+  std::vector<std::vector<Value>> projected_cells;
+  Rows cum_projected_sorted;  // all projected sample rows, sorted
   KeyPrefixes cum_projected_prefixes;  // and their key prefixes
   std::vector<GroupCount> groups;  // current distinct groups
 
   // kJoin / kIntersect
-  std::vector<int> lkey, rkey;  // key positions in the child schemas
-  std::vector<TupleRefs> sorted_left;  // per-stage sorted runs
-  std::vector<TupleRefs> sorted_right;
+  // Key positions in the child schemas; an intersection's list every
+  // column.
+  std::vector<int> lkey, rkey;
+  std::vector<Rows> sorted_left;  // per-stage sorted runs
+  std::vector<Rows> sorted_right;
   // The key prefixes of each per-stage sorted run (indices aligned with
   // sorted_left/sorted_right): the merge, partition and lower-bound
   // kernels compare them first.
   std::vector<KeyPrefixes> sorted_left_prefixes;
   std::vector<KeyPrefixes> sorted_right_prefixes;
 
-  // kJoin: the concatenated output tuples, one vector per merge chunk.
-  // Built only when something reads the join's output (a parent operator,
-  // or SUM/AVG value tracking at the root); a COUNT root only counts its
-  // matches. Never resized once stored, so references stay valid.
-  std::vector<std::vector<Tuple>> joined_rows;
+  // kJoin: the concatenated output rows' cells, one vector per merge
+  // chunk, out_schema.num_columns() cells per row. Built only when
+  // something reads the join's output (a parent operator, or SUM/AVG value
+  // tracking at the root); a COUNT root only counts its matches. Never
+  // resized once stored, so handles stay valid.
+  std::vector<std::vector<Value>> joined_cells;
 
   std::unique_ptr<StagedNode> left;
   std::unique_ptr<StagedNode> right;
 
-  // This stage's output run (scan: fetched tuples; select: qualifying
-  // tuples; binary: merged outputs of the stage's run pairs, left empty at
-  // a COUNT root). A binary parent takes it over as its new sorted run.
-  TupleRefs stage_out;
+  // This stage's output run (scan: fetched rows; select: qualifying rows;
+  // binary: merged outputs of the stage's run pairs, left empty at a COUNT
+  // root). A binary parent takes it over as its new sorted run.
+  Rows stage_out;
 
   // Accounting.
   double total_points = 0.0;  // full point-space size of this subtree

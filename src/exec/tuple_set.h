@@ -24,22 +24,22 @@ struct TupleSet {
   int64_t size() const { return static_cast<int64_t>(tuples.size()); }
 };
 
-/// Reference runs. Operators pass tuples by address, never by value: a
-/// scan's run points into the resident rows of the fetched blocks,
-/// selections and intersections forward the addresses they were given,
-/// and only the operators that create new tuples (join, project) own
-/// storage for them. The referenced tuples must outlive the run
+/// Runs. Operators pass rows by 8-byte Row handle, never by value: a
+/// scan's run points into the cell arrays of the fetched blocks,
+/// selections and intersections forward the handles they were given, and
+/// only the operators that create new rows (join, project) own cells for
+/// them. The cells must outlive the run and never move while it lives
 /// (DESIGN.md, "Run representation").
-using TupleRefs = std::vector<const Tuple*>;
-/// Read-only view of a reference run (or of a contiguous part of one).
-using TupleRefSpan = std::span<const Tuple* const>;
+using Rows = std::vector<Row>;
+/// Read-only view of a run (or of a contiguous part of one).
+using RowSpan = std::span<const Row>;
 
-/// References to every tuple of `tuples`, in order.
-inline TupleRefs RefsOf(std::span<const Tuple> tuples) {
-  TupleRefs refs;
-  refs.reserve(tuples.size());
-  for (const Tuple& t : tuples) refs.push_back(&t);
-  return refs;
+/// The handles of every tuple of `tuples`, in order.
+inline Rows RowsOf(std::span<const Tuple> tuples) {
+  Rows rows;
+  rows.reserve(tuples.size());
+  for (const Tuple& t : tuples) rows.push_back(RowOf(t));
+  return rows;
 }
 
 /// Number of disk pages occupied by `num_tuples` tuples of `schema`

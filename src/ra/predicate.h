@@ -89,9 +89,11 @@ class BoundPredicate {
   [[nodiscard]] static Result<BoundPredicate> Bind(const PredicatePtr& predicate,
                                      const Schema& schema);
 
-  /// Evaluates the formula on `tuple` (which must match the bound schema).
+  /// Evaluates the formula on `row` (which must match the bound schema).
   /// AND and OR short-circuit left to right.
-  bool Eval(const Tuple& tuple) const { return EvalNode(0, tuple); }
+  bool Eval(Row row) const { return EvalNode(0, row); }
+  /// Eval over an owned tuple's cells.
+  bool Eval(const Tuple& tuple) const { return Eval(RowOf(tuple)); }
 
   /// Number of comparison leaves — the paper's cost formulas charge per
   /// comparison in the selection formula.
@@ -128,42 +130,42 @@ class BoundPredicate {
     int right = -1;
   };
 
-  /// The `T` alternative of a tuple cell; Bind checked the column type.
+  /// The `T` alternative of a row cell; Bind checked the column type.
   template <typename T>
-  static const T& Cell(const Tuple& tuple, int index) {
-    const T* v = std::get_if<T>(&tuple[static_cast<size_t>(index)]);
-    TCQ_DCHECK(v != nullptr, "tuple does not match the bound schema");
+  static const T& Cell(Row row, int index) {
+    const T* v = std::get_if<T>(&row[static_cast<size_t>(index)]);
+    TCQ_DCHECK(v != nullptr, "row does not match the bound schema");
     return *v;
   }
 
-  bool EvalNode(int index, const Tuple& tuple) const {
+  bool EvalNode(int index, Row row) const {
     const Node& n = nodes_[static_cast<size_t>(index)];
     switch (n.code) {
       case Code::kInt64Literal:
-        return ApplyOp(n.op, Compare3(Cell<int64_t>(tuple, n.lhs_index),
+        return ApplyOp(n.op, Compare3(Cell<int64_t>(row, n.lhs_index),
                                       n.int64_literal));
       case Code::kDoubleLiteral:
-        return ApplyOp(n.op, Compare3(Cell<double>(tuple, n.lhs_index),
+        return ApplyOp(n.op, Compare3(Cell<double>(row, n.lhs_index),
                                       n.double_literal));
       case Code::kStringLiteral:
-        return ApplyOp(n.op, Compare3(Cell<std::string>(tuple, n.lhs_index),
+        return ApplyOp(n.op, Compare3(Cell<std::string>(row, n.lhs_index),
                                       n.string_literal));
       case Code::kInt64Columns:
-        return ApplyOp(n.op, Compare3(Cell<int64_t>(tuple, n.lhs_index),
-                                      Cell<int64_t>(tuple, n.rhs_index)));
+        return ApplyOp(n.op, Compare3(Cell<int64_t>(row, n.lhs_index),
+                                      Cell<int64_t>(row, n.rhs_index)));
       case Code::kDoubleColumns:
-        return ApplyOp(n.op, Compare3(Cell<double>(tuple, n.lhs_index),
-                                      Cell<double>(tuple, n.rhs_index)));
+        return ApplyOp(n.op, Compare3(Cell<double>(row, n.lhs_index),
+                                      Cell<double>(row, n.rhs_index)));
       case Code::kStringColumns:
         return ApplyOp(n.op,
-                       Compare3(Cell<std::string>(tuple, n.lhs_index),
-                                Cell<std::string>(tuple, n.rhs_index)));
+                       Compare3(Cell<std::string>(row, n.lhs_index),
+                                Cell<std::string>(row, n.rhs_index)));
       case Code::kAnd:
-        return EvalNode(n.left, tuple) && EvalNode(n.right, tuple);
+        return EvalNode(n.left, row) && EvalNode(n.right, row);
       case Code::kOr:
-        return EvalNode(n.left, tuple) || EvalNode(n.right, tuple);
+        return EvalNode(n.left, row) || EvalNode(n.right, row);
       case Code::kNot:
-        return !EvalNode(n.left, tuple);
+        return !EvalNode(n.left, row);
     }
     return false;
   }

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <variant>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <variant>
 
 namespace tcq {
 
@@ -101,99 +102,144 @@ uint64_t PageChecksum(const std::vector<uint8_t>& page) {
   return h;
 }
 
-Status EncodeTuple(const Tuple& tuple, const Schema& schema,
-                   std::vector<uint8_t>* out) {
-  TCQ_RETURN_NOT_OK(schema.ValidateTuple(tuple));
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    const Column& column = schema.column(c);
-    const Value& v = tuple[static_cast<size_t>(c)];
-    switch (column.type) {
-      case DataType::kInt64: {
-        auto raw = static_cast<uint64_t>(std::get<int64_t>(v));
-        PutU64(raw, out);
-        break;
-      }
-      case DataType::kDouble: {
-        uint64_t raw = 0;
-        double d = std::get<double>(v);
-        std::memcpy(&raw, &d, sizeof(raw));
-        PutU64(raw, out);
-        break;
-      }
-      case DataType::kString: {
-        const std::string& s = std::get<std::string>(v);
-        out->insert(out->end(), s.begin(), s.end());
-        out->insert(out->end(),
-                    static_cast<size_t>(column.width) - s.size(), 0);
-        break;
-      }
+namespace {
+
+/// Appends the fixed-width encoding of one value of `column`.
+void EncodeValue(const Value& v, const Column& column,
+                 std::vector<uint8_t>* out) {
+  switch (column.type) {
+    case DataType::kInt64:
+      PutU64(static_cast<uint64_t>(std::get<int64_t>(v)), out);
+      break;
+    case DataType::kDouble: {
+      uint64_t raw = 0;
+      double d = std::get<double>(v);
+      std::memcpy(&raw, &d, sizeof(raw));
+      PutU64(raw, out);
+      break;
     }
+    case DataType::kString: {
+      const std::string& s = std::get<std::string>(v);
+      out->insert(out->end(), s.begin(), s.end());
+      out->insert(out->end(), static_cast<size_t>(column.width) - s.size(), 0);
+      break;
+    }
+  }
+}
+
+/// Appends the value of `column` encoded at `bytes[pos]` to `cells`.
+/// The caller has checked that the column's width fits.
+Status DecodeValue(const uint8_t* bytes, const Column& column,
+                   std::vector<Value>* cells) {
+  switch (column.type) {
+    case DataType::kInt64: {
+      uint64_t raw = 0;
+      for (int i = 0; i < 8; ++i) {
+        raw |= static_cast<uint64_t>(bytes[i]) << (8 * i);
+      }
+      // In-place construction: push_back(Value{...}) move-constructs a
+      // temporary variant, which GCC 12 under -fsanitize flags as
+      // maybe-uninitialized through the string alternative (PR 105562).
+      cells->emplace_back(std::in_place_type<int64_t>,
+                          static_cast<int64_t>(raw));
+      return Status::OK();
+    }
+    case DataType::kDouble: {
+      uint64_t raw = 0;
+      for (int i = 0; i < 8; ++i) {
+        raw |= static_cast<uint64_t>(bytes[i]) << (8 * i);
+      }
+      double d = 0.0;
+      std::memcpy(&d, &raw, sizeof(d));
+      if (std::isnan(d)) return NaNValueError(column);
+      cells->emplace_back(std::in_place_type<double>, d);  // see kInt64
+      return Status::OK();
+    }
+    case DataType::kString: {
+      size_t len = static_cast<size_t>(column.width);
+      while (len > 0 && bytes[len - 1] == 0) --len;
+      cells->emplace_back(std::in_place_type<std::string>,
+                          reinterpret_cast<const char*>(bytes), len);
+      return Status::OK();
+    }
+  }
+  return Status::Internal("unknown column type");
+}
+
+/// Appends one row's encoding, column by column.
+Status EncodeRow(std::span<const Value> row, const Schema& schema,
+                 std::vector<uint8_t>* out) {
+  TCQ_RETURN_NOT_OK(schema.ValidateRow(row));
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    EncodeValue(row[static_cast<size_t>(c)], schema.column(c), out);
   }
   return Status::OK();
 }
 
-Result<Tuple> DecodeTuple(const std::vector<uint8_t>& bytes, size_t offset,
-                          const Schema& schema) {
+/// Appends the cells of the row encoded at `bytes[offset]` to `cells`.
+Status DecodeRow(const std::vector<uint8_t>& bytes, size_t offset,
+                 const Schema& schema, std::vector<Value>* cells) {
   if (offset + static_cast<size_t>(schema.TupleBytes()) > bytes.size()) {
     return Status::OutOfRange("tuple extends past the buffer");
   }
+  size_t pos = offset;
+  for (const Column& column : schema.columns()) {
+    TCQ_RETURN_NOT_OK(DecodeValue(&bytes[pos], column, cells));
+    pos += static_cast<size_t>(column.type == DataType::kString ? column.width
+                                                                : 8);
+  }
+  return Status::OK();
+}
+
+/// The rows a block holds: whole rows of the schema's arity.
+Result<size_t> BlockRows(const Block& block, const Schema& schema,
+                         int block_bytes) {
+  const auto arity = static_cast<size_t>(schema.num_columns());
+  const size_t rows = block.cells.size() / arity;
+  if (rows * arity != block.cells.size()) {
+    return Status::InvalidArgument("block cells do not form whole rows");
+  }
+  if (static_cast<int64_t>(rows) * schema.TupleBytes() > block_bytes) {
+    return Status::InvalidArgument("block holds more bytes than the page");
+  }
+  return rows;
+}
+
+/// An empty block whose cell array holds every row a page of
+/// `page_bytes` can, so a decoder fills it with no reallocation.
+Block PageBlock(size_t page_bytes, const Schema& schema) {
+  Block block;
+  block.cells.reserve(page_bytes / static_cast<size_t>(schema.TupleBytes()) *
+                      static_cast<size_t>(schema.num_columns()));
+  return block;
+}
+
+}  // namespace
+
+Status EncodeTuple(const Tuple& tuple, const Schema& schema,
+                   std::vector<uint8_t>* out) {
+  return EncodeRow(tuple, schema, out);
+}
+
+Result<Tuple> DecodeTuple(const std::vector<uint8_t>& bytes, size_t offset,
+                          const Schema& schema) {
   Tuple tuple;
   tuple.reserve(static_cast<size_t>(schema.num_columns()));
-  size_t pos = offset;
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    const Column& column = schema.column(c);
-    switch (column.type) {
-      case DataType::kInt64: {
-        uint64_t raw = 0;
-        for (int i = 0; i < 8; ++i) {
-          raw |= static_cast<uint64_t>(bytes[pos + static_cast<size_t>(i)])
-                 << (8 * i);
-        }
-        // In-place construction: push_back(Value{...}) move-constructs a
-        // temporary variant, which GCC 12 under -fsanitize flags as
-        // maybe-uninitialized through the string alternative (PR 105562).
-        tuple.emplace_back(std::in_place_type<int64_t>,
-                           static_cast<int64_t>(raw));
-        pos += 8;
-        break;
-      }
-      case DataType::kDouble: {
-        uint64_t raw = 0;
-        for (int i = 0; i < 8; ++i) {
-          raw |= static_cast<uint64_t>(bytes[pos + static_cast<size_t>(i)])
-                 << (8 * i);
-        }
-        double d = 0.0;
-        std::memcpy(&d, &raw, sizeof(d));
-        if (std::isnan(d)) return NaNValueError(column);
-        tuple.emplace_back(std::in_place_type<double>, d);  // see kInt64
-        pos += 8;
-        break;
-      }
-      case DataType::kString: {
-        size_t len = static_cast<size_t>(column.width);
-        while (len > 0 && bytes[pos + len - 1] == 0) --len;
-        tuple.push_back(std::string(
-            reinterpret_cast<const char*>(&bytes[pos]), len));
-        pos += static_cast<size_t>(column.width);
-        break;
-      }
-    }
-  }
+  TCQ_RETURN_NOT_OK(DecodeRow(bytes, offset, schema, &tuple));
   return tuple;
 }
 
 Result<std::vector<uint8_t>> EncodePage(const Block& block,
                                         const Schema& schema,
                                         int block_bytes) {
-  int tuple_bytes = schema.TupleBytes();
-  if (static_cast<int>(block.tuples.size()) * tuple_bytes > block_bytes) {
-    return Status::InvalidArgument("block holds more bytes than the page");
-  }
+  TCQ_ASSIGN_OR_RETURN(size_t rows, BlockRows(block, schema, block_bytes));
+  const auto arity = static_cast<size_t>(schema.num_columns());
   std::vector<uint8_t> page;
   page.reserve(static_cast<size_t>(block_bytes));
-  for (const Tuple& t : block.tuples) {
-    TCQ_RETURN_NOT_OK(EncodeTuple(t, schema, &page));
+  for (size_t r = 0; r < rows; ++r) {
+    TCQ_RETURN_NOT_OK(EncodeRow(
+        std::span<const Value>(block.cells.data() + r * arity, arity), schema,
+        &page));
   }
   page.resize(static_cast<size_t>(block_bytes), 0);
   return page;
@@ -201,13 +247,11 @@ Result<std::vector<uint8_t>> EncodePage(const Block& block,
 
 Result<Block> DecodePage(const std::vector<uint8_t>& page, int count,
                          const Schema& schema) {
-  Block block;
-  size_t tuple_bytes = static_cast<size_t>(schema.TupleBytes());
+  Block block = PageBlock(page.size(), schema);
+  const auto tuple_bytes = static_cast<size_t>(schema.TupleBytes());
   for (int i = 0; i < count; ++i) {
-    TCQ_ASSIGN_OR_RETURN(
-        Tuple t,
-        DecodeTuple(page, static_cast<size_t>(i) * tuple_bytes, schema));
-    block.tuples.push_back(std::move(t));
+    TCQ_RETURN_NOT_OK(DecodeRow(page, static_cast<size_t>(i) * tuple_bytes,
+                                schema, &block.cells));
   }
   return block;
 }
@@ -215,38 +259,18 @@ Result<Block> DecodePage(const std::vector<uint8_t>& page, int count,
 Result<std::vector<uint8_t>> EncodePageColumnar(const Block& block,
                                                 const Schema& schema,
                                                 int block_bytes) {
-  int tuple_bytes = schema.TupleBytes();
-  if (static_cast<int>(block.tuples.size()) * tuple_bytes > block_bytes) {
-    return Status::InvalidArgument("block holds more bytes than the page");
-  }
-  for (const Tuple& t : block.tuples) {
-    TCQ_RETURN_NOT_OK(schema.ValidateTuple(t));
+  TCQ_ASSIGN_OR_RETURN(size_t rows, BlockRows(block, schema, block_bytes));
+  const auto arity = static_cast<size_t>(schema.num_columns());
+  for (size_t r = 0; r < rows; ++r) {
+    TCQ_RETURN_NOT_OK(schema.ValidateRow(
+        std::span<const Value>(block.cells.data() + r * arity, arity)));
   }
   std::vector<uint8_t> page;
   page.reserve(static_cast<size_t>(block_bytes));
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    const Column& column = schema.column(c);
-    for (const Tuple& t : block.tuples) {
-      const Value& v = t[static_cast<size_t>(c)];
-      switch (column.type) {
-        case DataType::kInt64:
-          PutU64(static_cast<uint64_t>(std::get<int64_t>(v)), &page);
-          break;
-        case DataType::kDouble: {
-          uint64_t raw = 0;
-          double d = std::get<double>(v);
-          std::memcpy(&raw, &d, sizeof(raw));
-          PutU64(raw, &page);
-          break;
-        }
-        case DataType::kString: {
-          const std::string& s = std::get<std::string>(v);
-          page.insert(page.end(), s.begin(), s.end());
-          page.insert(page.end(),
-                      static_cast<size_t>(column.width) - s.size(), 0);
-          break;
-        }
-      }
+  for (size_t c = 0; c < arity; ++c) {
+    const Column& column = schema.column(static_cast<int>(c));
+    for (size_t r = 0; r < rows; ++r) {
+      EncodeValue(block.cells[r * arity + c], column, &page);
     }
   }
   page.resize(static_cast<size_t>(block_bytes), 0);
@@ -255,57 +279,28 @@ Result<std::vector<uint8_t>> EncodePageColumnar(const Block& block,
 
 Result<Block> DecodePageColumnar(const std::vector<uint8_t>& page, int count,
                                  const Schema& schema) {
-  size_t need = static_cast<size_t>(count) *
-                static_cast<size_t>(schema.TupleBytes());
-  if (need > page.size()) {
+  const auto rows = static_cast<size_t>(count);
+  if (rows * static_cast<size_t>(schema.TupleBytes()) > page.size()) {
     return Status::OutOfRange("columnar page smaller than its tuples");
   }
-  Block block;
-  block.tuples.resize(static_cast<size_t>(count));
-  for (Tuple& t : block.tuples) {
-    t.reserve(static_cast<size_t>(schema.num_columns()));
-  }
+  // Row r's cells go to [r·arity, (r+1)·arity): each column's run is read
+  // into a scratch vector, then moved into place row by row.
+  const auto arity = static_cast<size_t>(schema.num_columns());
+  Block block = PageBlock(page.size(), schema);
+  block.cells.resize(rows * arity);
+  std::vector<Value> column_cells;
+  column_cells.reserve(rows);
   size_t pos = 0;
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    const Column& column = schema.column(c);
-    switch (column.type) {
-      case DataType::kInt64:
-        for (int r = 0; r < count; ++r) {
-          uint64_t raw = 0;
-          for (int i = 0; i < 8; ++i) {
-            raw |= static_cast<uint64_t>(page[pos + static_cast<size_t>(i)])
-                   << (8 * i);
-          }
-          // In-place construction, as in DecodeTuple (GCC 12 PR 105562).
-          block.tuples[static_cast<size_t>(r)].emplace_back(
-              std::in_place_type<int64_t>, static_cast<int64_t>(raw));
-          pos += 8;
-        }
-        break;
-      case DataType::kDouble:
-        for (int r = 0; r < count; ++r) {
-          uint64_t raw = 0;
-          for (int i = 0; i < 8; ++i) {
-            raw |= static_cast<uint64_t>(page[pos + static_cast<size_t>(i)])
-                   << (8 * i);
-          }
-          double d = 0.0;
-          std::memcpy(&d, &raw, sizeof(d));
-          if (std::isnan(d)) return NaNValueError(column);
-          block.tuples[static_cast<size_t>(r)].emplace_back(
-              std::in_place_type<double>, d);
-          pos += 8;
-        }
-        break;
-      case DataType::kString:
-        for (int r = 0; r < count; ++r) {
-          size_t len = static_cast<size_t>(column.width);
-          while (len > 0 && page[pos + len - 1] == 0) --len;
-          block.tuples[static_cast<size_t>(r)].push_back(std::string(
-              reinterpret_cast<const char*>(&page[pos]), len));
-          pos += static_cast<size_t>(column.width);
-        }
-        break;
+  for (size_t c = 0; c < arity; ++c) {
+    const Column& column = schema.column(static_cast<int>(c));
+    const auto width = static_cast<size_t>(
+        column.type == DataType::kString ? column.width : 8);
+    column_cells.clear();
+    for (size_t r = 0; r < rows; ++r, pos += width) {
+      TCQ_RETURN_NOT_OK(DecodeValue(&page[pos], column, &column_cells));
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      block.cells[r * arity + c] = std::move(column_cells[r]);
     }
   }
   return block;
@@ -337,8 +332,9 @@ Status SaveRelationAtVersion(const Relation& relation, const std::string& path,
   PutU32(static_cast<uint32_t>(relation.block_bytes()), &out);
   PutU64(static_cast<uint64_t>(relation.NumBlocks()), &out);
   PutU64(static_cast<uint64_t>(relation.NumTuples()), &out);
+  const auto arity = static_cast<size_t>(relation.schema().num_columns());
   for (const Block& b : relation.blocks()) {
-    PutU32(static_cast<uint32_t>(b.tuples.size()), &out);
+    PutU32(static_cast<uint32_t>(b.cells.size() / arity), &out);
   }
   for (const Block& b : relation.blocks()) {
     TCQ_ASSIGN_OR_RETURN(
@@ -401,6 +397,10 @@ Result<Relation> LoadRelation(const std::string& path) {
   TCQ_ASSIGN_OR_RETURN(
       Relation relation,
       Relation::Create(name, schema, static_cast<int>(block_bytes)));
+  // The page counts were read from the file, so their number is bounded
+  // by its size; the header's tuple count is not, so it sizes nothing.
+  relation.Reserve(static_cast<int64_t>(counts.size()) *
+                   relation.blocking_factor());
   uint64_t loaded = 0;
   for (uint64_t b = 0; b < num_blocks; ++b) {
     TCQ_ASSIGN_OR_RETURN(std::vector<uint8_t> page,
@@ -416,13 +416,16 @@ Result<Relation> LoadRelation(const std::string& path) {
     TCQ_ASSIGN_OR_RETURN(Block block,
                          version >= 3 ? DecodePageColumnar(page, count, schema)
                                       : DecodePage(page, count, schema));
-    for (Tuple& t : block.tuples) {
-      relation.AppendUnchecked(std::move(t));
-      ++loaded;
-    }
+    relation.AppendBlock(std::move(block));
+    loaded += static_cast<uint64_t>(count);
   }
+  // The header's count is covered by no checksum: a file whose pages
+  // disagree with it misdescribes itself, like a corrupt page.
   if (loaded != num_tuples) {
-    return Status::Internal("tuple count mismatch in '" + path + "'");
+    return Status::DataLoss("tuple count mismatch in '" + path +
+                            "': the header says " +
+                            std::to_string(num_tuples) + ", the pages hold " +
+                            std::to_string(loaded));
   }
   return relation;
 }

@@ -26,8 +26,8 @@ namespace tcq {
 /// still load, skipping verification. Version 3 keeps v2's framing and
 /// per-page checksums but lays each page out column-major: column 0's n
 /// values contiguous, then column 1's, …, zero-padded to the block size.
-/// Every version decodes to row tuples at load; the in-memory block holds
-/// rows only (DESIGN.md, "Block storage"). Writers default to v3;
+/// Every version decodes each page straight into its block's cell array at
+/// load (DESIGN.md §11, "In memory"). Writers default to v3;
 /// `SaveRelationAtVersion` emits any supported version and
 /// `ConvertRelationFile` rewrites files between versions (tools/
 /// tcqf_convert is the CLI).
@@ -45,13 +45,14 @@ namespace tcq {
 [[nodiscard]] Result<Tuple> DecodeTuple(const std::vector<uint8_t>& bytes, size_t offset,
                           const Schema& schema);
 
-/// Encodes a block's tuples into exactly `block_bytes` bytes (unused tail
-/// zero-padded). Fails if the tuples exceed the block capacity.
+/// Encodes a block's rows into exactly `block_bytes` bytes (unused tail
+/// zero-padded). Fails if the rows exceed the block capacity.
 [[nodiscard]] Result<std::vector<uint8_t>> EncodePage(const Block& block,
                                         const Schema& schema,
                                         int block_bytes);
 
-/// Decodes `count` tuples from a page buffer.
+/// Decodes `count` rows from a page buffer into a block whose cell array
+/// is allocated once, for every row the page can hold.
 [[nodiscard]] Result<Block> DecodePage(const std::vector<uint8_t>& page, int count,
                          const Schema& schema);
 
@@ -60,7 +61,8 @@ namespace tcq {
 [[nodiscard]] Result<std::vector<uint8_t>> EncodePageColumnar(
     const Block& block, const Schema& schema, int block_bytes);
 
-/// Decodes `count` tuples from a column-major (v3) page buffer.
+/// Decodes `count` rows from a column-major (v3) page buffer, as
+/// DecodePage does.
 [[nodiscard]] Result<Block> DecodePageColumnar(const std::vector<uint8_t>& page,
                                                int count, const Schema& schema);
 

@@ -15,6 +15,13 @@ std::string OverwideMessage(int column, int width, size_t length) {
          ", a CHAR(" + std::to_string(width) + ")";
 }
 
+std::string ArityMessage(const std::string& relation, size_t arity,
+                         size_t got) {
+  return "Relation::AppendUnchecked: relation '" + relation + "' has " +
+         std::to_string(arity) + " columns, but a row of " +
+         std::to_string(got) + " cells was appended";
+}
+
 }  // namespace
 
 Result<Relation> Relation::Create(std::string name, Schema schema,
@@ -41,23 +48,48 @@ Status Relation::Append(Tuple tuple) {
   return Status::OK();
 }
 
-void Relation::AppendUnchecked(Tuple tuple) {
-  TCQ_DCHECK(tuple.size() == static_cast<size_t>(schema_.num_columns()),
-             "tuple arity differs from the schema");
+void Relation::AppendUnchecked(std::span<Value> row) {
+  const auto arity = static_cast<size_t>(schema_.num_columns());
+  TCQ_CHECK(row.size() == arity,
+            ArityMessage(name_, arity, row.size()).c_str());
   for (int c = 0; c < schema_.num_columns(); ++c) {
     const Column& column = schema_.column(c);
     if (column.type != DataType::kString) continue;
-    const auto& s = std::get<std::string>(tuple[static_cast<size_t>(c)]);
+    const auto& s = std::get<std::string>(row[static_cast<size_t>(c)]);
     TCQ_CHECK(s.size() <= static_cast<size_t>(column.width),
               OverwideMessage(c, column.width, s.size()).c_str());
   }
-  if (blocks_.empty() ||
-      static_cast<int>(blocks_.back().tuples.size()) >= blocking_factor_) {
+  const size_t capacity = static_cast<size_t>(blocking_factor_) * arity;
+  if (blocks_.empty() || blocks_.back().cells.size() >= capacity) {
     blocks_.emplace_back();
-    blocks_.back().tuples.reserve(static_cast<size_t>(blocking_factor_));
+    blocks_.back().cells.reserve(capacity);
   }
-  blocks_.back().tuples.push_back(std::move(tuple));
+  std::vector<Value>& cells = blocks_.back().cells;
+  for (Value& v : row) cells.push_back(std::move(v));
   ++num_tuples_;
+}
+
+void Relation::AppendBlock(Block block) {
+  const auto arity = static_cast<size_t>(schema_.num_columns());
+  const size_t capacity = static_cast<size_t>(blocking_factor_) * arity;
+  TCQ_CHECK(block.cells.size() % arity == 0 && block.cells.size() <= capacity,
+            "Relation::AppendBlock: the block does not hold whole rows "
+            "within the blocking factor");
+  if (block.cells.empty()) return;
+  if (!blocks_.empty() && blocks_.back().cells.size() < capacity) {
+    for (size_t first = 0; first < block.cells.size(); first += arity) {
+      AppendUnchecked(std::span<Value>(block.cells.data() + first, arity));
+    }
+    return;
+  }
+  block.cells.reserve(capacity);
+  num_tuples_ += static_cast<int64_t>(block.cells.size() / arity);
+  blocks_.push_back(std::move(block));
+}
+
+void Relation::Reserve(int64_t num_tuples) {
+  blocks_.reserve(static_cast<size_t>((num_tuples + blocking_factor_ - 1) /
+                                      blocking_factor_));
 }
 
 Status Catalog::Register(RelationPtr relation) {

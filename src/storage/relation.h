@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,13 +17,16 @@ namespace tcq {
 /// Default disk block (page) size — the paper uses 1 KiB blocks.
 inline constexpr int kDefaultBlockBytes = 1024;
 
-/// A disk block: up to `blocking factor` tuples stored together. The block
+/// A disk block: up to `blocking factor` rows stored together. The block
 /// is the cluster-sampling unit (paper §2): drawing a block retrieves all
-/// of its tuples at the cost of one random read. In memory a block holds
-/// its decoded row tuples only; the column-major TCQF v3 page is the
-/// on-disk form (storage/page_codec.h), decoded to rows at load.
+/// of its rows at the cost of one random read. In memory a block keeps its
+/// rows back to back in one cell array, row r's cells at [r·arity,
+/// (r+1)·arity). The array is allocated once, to blocking factor × arity
+/// cells, and never grows past it, so a row's address never moves. The
+/// column-major TCQF v3 page is the on-disk form (storage/page_codec.h),
+/// decoded straight into this array at load.
 struct Block {
-  std::vector<Tuple> tuples;
+  std::vector<Value> cells;
 };
 
 /// Read-only view of one block: the access surface operators and samplers
@@ -30,12 +34,15 @@ struct Block {
 /// it.
 class BlockView {
  public:
-  explicit BlockView(const Block* block) : block_(block) {}
+  BlockView(const Block* block, int arity) : block_(block), arity_(arity) {}
 
-  /// Decoded row tuples, in block order.
-  const std::vector<Tuple>& rows() const { return block_->tuples; }
+  /// The rows, in block order.
+  RowRange rows() const {
+    return RowRange(block_->cells.data(), static_cast<size_t>(arity_),
+                    block_->cells.size() / static_cast<size_t>(arity_));
+  }
   int64_t num_rows() const {
-    return static_cast<int64_t>(block_->tuples.size());
+    return static_cast<int64_t>(block_->cells.size()) / arity_;
   }
   /// Underlying block pointer, for identity checks and the engine's
   /// per-stage block lists. Stable for the Relation's lifetime.
@@ -43,11 +50,12 @@ class BlockView {
 
  private:
   const Block* block_;
+  int arity_;
 };
 
 /// A stored relation: a schema plus a sequence of disk blocks.
 ///
-/// The in-memory representation holds decoded tuples, but block geometry
+/// The in-memory representation holds decoded cells, but block geometry
 /// (block size, blocking factor, block count) matches the declared byte
 /// widths exactly, because the sampling plan, the estimators (space blocks)
 /// and the cost formulas are all expressed in blocks.
@@ -70,18 +78,33 @@ class Relation {
   /// blocking factor.
   [[nodiscard]] Status Append(Tuple tuple);
 
-  /// Unchecked append for bulk loading by trusted generators: the tuple's
-  /// types and arity are not validated, but a string wider than its
-  /// column aborts the process rather than break the declared block
-  /// geometry (and, on save, the page it must fit).
-  void AppendUnchecked(Tuple tuple);
+  /// Unchecked append for bulk loading by trusted generators: the row's
+  /// cells are moved into the tail block and their types are not
+  /// validated. A row whose arity differs from the schema's would shift
+  /// every later row of the block, and a string wider than its column
+  /// would break the declared block geometry (and, on save, the page it
+  /// must fit): both abort the process.
+  void AppendUnchecked(std::span<Value> row);
+  void AppendUnchecked(Tuple tuple) {
+    AppendUnchecked(std::span<Value>(tuple));
+  }
+
+  /// Adopts a decoded page as the next block (the loader's path). Its
+  /// cells must hold whole, schema-conforming rows, at most a blocking
+  /// factor of them. When the tail block is not full, the rows are
+  /// appended one by one instead, packing blocks as AppendUnchecked does.
+  void AppendBlock(Block block);
+
+  /// Reserves room for the blocks of `num_tuples` rows, so the block
+  /// table is allocated once when its final size is known.
+  void Reserve(int64_t num_tuples);
 
   /// Bulk accessor for the page codec (serialization walks every block).
   const std::vector<Block>& blocks() const { return blocks_; }
 
   /// Unchecked view of one block — the index must be in range.
   BlockView ViewBlock(int64_t i) const {
-    return BlockView(&blocks_[static_cast<size_t>(i)]);
+    return BlockView(&blocks_[static_cast<size_t>(i)], schema_.num_columns());
   }
 
   /// Fallible read path to one block: `OutOfRange` on a bad index. The
@@ -95,7 +118,7 @@ class Relation {
                                 " out of range for relation '" + name_ +
                                 "'");
     }
-    return BlockView(&blocks_[static_cast<size_t>(i)]);
+    return BlockView(&blocks_[static_cast<size_t>(i)], schema_.num_columns());
   }
 
  private:

@@ -54,7 +54,7 @@ Status NaNValueError(const Column& column) {
                                  "': sorts and merges need ordered values");
 }
 
-Status Schema::ValidateTuple(const Tuple& tuple) const {
+Status Schema::ValidateRow(std::span<const Value> tuple) const {
   if (tuple.size() != columns_.size()) {
     return Status::InvalidArgument(
         "tuple arity " + std::to_string(tuple.size()) +

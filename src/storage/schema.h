@@ -1,6 +1,7 @@
 #ifndef TCQ_STORAGE_SCHEMA_H_
 #define TCQ_STORAGE_SCHEMA_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,7 +61,11 @@ class Schema {
   /// Validates that `tuple` matches this schema (arity, value types, string
   /// widths) and holds no NaN, which has no place in the order every sort
   /// and merge relies on.
-  [[nodiscard]] Status ValidateTuple(const Tuple& tuple) const;
+  [[nodiscard]] Status ValidateTuple(const Tuple& tuple) const {
+    return ValidateRow(tuple);
+  }
+  /// ValidateTuple over one row's cells.
+  [[nodiscard]] Status ValidateRow(std::span<const Value> row) const;
 
   std::string ToString() const;
 

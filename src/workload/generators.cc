@@ -14,14 +14,31 @@ namespace {
 /// equality for intersection is decided by id and key).
 std::string Payload() { return "x"; }
 
+/// Appends the synthetic row (id, key, payload) straight into the
+/// relation's tail block: no tuple is built on the heap.
+void AppendSynthetic(Relation* rel, int64_t id, int64_t key) {
+  Value row[] = {id, key, Payload()};
+  rel->AppendUnchecked(row);
+}
+
+/// A relation of `n` synthetic rows, row k given by `row_of(k)` as an
+/// (id, key) pair, appended in the order of a shuffled index permutation.
+/// Fisher–Yates draws depend only on n, so the rows land where shuffling
+/// the rows themselves would put them.
+template <typename RowOf>
 Result<RelationPtr> BuildRelation(const std::string& name,
-                                  const Schema& schema,
-                                  std::vector<Tuple> rows, Rng* rng,
-                                  int block_bytes) {
-  rng->Shuffle(rows);
+                                  const Schema& schema, int64_t n, Rng* rng,
+                                  int block_bytes, RowOf row_of) {
+  std::vector<int64_t> order(static_cast<size_t>(n));
+  std::iota(order.begin(), order.end(), int64_t{0});
+  rng->Shuffle(order);
   TCQ_ASSIGN_OR_RETURN(Relation rel,
                        Relation::Create(name, schema, block_bytes));
-  for (Tuple& row : rows) rel.AppendUnchecked(std::move(row));
+  rel.Reserve(n);
+  for (int64_t k : order) {
+    const auto [id, key] = row_of(k);
+    AppendSynthetic(&rel, id, key);
+  }
   return RelationPtr(std::make_shared<Relation>(std::move(rel)));
 }
 
@@ -51,33 +68,28 @@ Result<Workload> MakeSelectionWorkload(int64_t output_tuples, uint64_t seed,
   auto clustered_count =
       static_cast<int64_t>(clustering * static_cast<double>(output_tuples));
   // Scattered part: the non-clustered qualifying tuples mixed uniformly
-  // with all non-qualifying tuples.
-  std::vector<Tuple> scattered;
-  scattered.reserve(static_cast<size_t>(num_tuples - clustered_count));
-  for (int64_t i = clustered_count; i < num_tuples; ++i) {
-    scattered.push_back(Tuple{i, i, Payload()});
-  }
+  // with all non-qualifying tuples. Tuple i is (i, i, payload), so the
+  // shuffle permutes ids alone.
+  std::vector<int64_t> scattered(
+      static_cast<size_t>(num_tuples - clustered_count));
+  std::iota(scattered.begin(), scattered.end(), clustered_count);
   rng.Shuffle(scattered);
   // Final order: the contiguous qualifying run inserted at a random
   // offset of the scattered sequence.
-  std::vector<Tuple> rows;
-  rows.reserve(static_cast<size_t>(num_tuples));
   size_t insert_at =
       scattered.empty()
           ? 0
           : static_cast<size_t>(rng.Uniform(scattered.size() + 1));
-  for (size_t i = 0; i < insert_at; ++i) {
-    rows.push_back(std::move(scattered[i]));
-  }
-  for (int64_t i = 0; i < clustered_count; ++i) {
-    rows.push_back(Tuple{i, i, Payload()});
-  }
-  for (size_t i = insert_at; i < scattered.size(); ++i) {
-    rows.push_back(std::move(scattered[i]));
-  }
   TCQ_ASSIGN_OR_RETURN(Relation rel,
                        Relation::Create("r1", schema, kDefaultBlockBytes));
-  for (Tuple& row : rows) rel.AppendUnchecked(std::move(row));
+  rel.Reserve(num_tuples);
+  for (size_t i = 0; i < insert_at; ++i) {
+    AppendSynthetic(&rel, scattered[i], scattered[i]);
+  }
+  for (int64_t i = 0; i < clustered_count; ++i) AppendSynthetic(&rel, i, i);
+  for (size_t i = insert_at; i < scattered.size(); ++i) {
+    AppendSynthetic(&rel, scattered[i], scattered[i]);
+  }
   Workload w;
   TCQ_RETURN_NOT_OK(
       w.catalog.Register(std::make_shared<Relation>(std::move(rel))));
@@ -97,27 +109,21 @@ Result<Workload> MakeIntersectionWorkload(int64_t output_tuples,
   Schema schema = SyntheticSchema(tuple_bytes);
   // Common tuples have ids 0..output_tuples-1 and identical keys; the
   // remainder of each relation uses disjoint id ranges so no extra tuple
-  // coincides.
-  std::vector<Tuple> r1_rows, r2_rows;
-  r1_rows.reserve(static_cast<size_t>(num_tuples));
-  r2_rows.reserve(static_cast<size_t>(num_tuples));
-  for (int64_t i = 0; i < output_tuples; ++i) {
-    r1_rows.push_back(Tuple{i, i, Payload()});
-    r2_rows.push_back(Tuple{i, i, Payload()});
-  }
-  for (int64_t i = output_tuples; i < num_tuples; ++i) {
-    r1_rows.push_back(Tuple{1000000 + i, i, Payload()});
-    r2_rows.push_back(Tuple{2000000 + i, i, Payload()});
-  }
+  // coincides. Each relation is shuffled on its own.
+  auto rows_with_offset = [output_tuples](int64_t offset) {
+    return [output_tuples, offset](int64_t k) {
+      return std::pair{k < output_tuples ? k : offset + k, k};
+    };
+  };
   Workload w;
   TCQ_ASSIGN_OR_RETURN(
       RelationPtr r1,
-      BuildRelation("r1", schema, std::move(r1_rows), &rng,
-                    kDefaultBlockBytes));
+      BuildRelation("r1", schema, num_tuples, &rng, kDefaultBlockBytes,
+                    rows_with_offset(1000000)));
   TCQ_ASSIGN_OR_RETURN(
       RelationPtr r2,
-      BuildRelation("r2", schema, std::move(r2_rows), &rng,
-                    kDefaultBlockBytes));
+      BuildRelation("r2", schema, num_tuples, &rng, kDefaultBlockBytes,
+                    rows_with_offset(2000000)));
   TCQ_RETURN_NOT_OK(w.catalog.Register(std::move(r1)));
   TCQ_RETURN_NOT_OK(w.catalog.Register(std::move(r2)));
   w.query = Intersect(Scan("r1"), Scan("r2"));
@@ -144,31 +150,28 @@ Result<Workload> MakeJoinWorkload(int64_t output_tuples, uint64_t seed,
   Rng rng(seed);
   Schema schema = SyntheticSchema(tuple_bytes);
 
-  // Right: keys 0..num_keys-1, right_per_key tuples each.
-  std::vector<Tuple> r2_rows;
-  r2_rows.reserve(static_cast<size_t>(num_tuples));
-  for (int64_t i = 0; i < num_tuples; ++i) {
-    r2_rows.push_back(Tuple{2000000 + i, i % num_keys, Payload()});
-  }
   // Left: matching_left tuples with keys uniform over the right's key
-  // domain; the rest carry keys outside it.
-  std::vector<Tuple> r1_rows;
-  r1_rows.reserve(static_cast<size_t>(num_tuples));
-  for (int64_t i = 0; i < matching_left; ++i) {
-    r1_rows.push_back(Tuple{i, rng.UniformInt(0, num_keys - 1), Payload()});
-  }
-  for (int64_t i = matching_left; i < num_tuples; ++i) {
-    r1_rows.push_back(Tuple{i, num_keys + i, Payload()});
-  }
+  // domain (drawn in id order, before either shuffle); the rest carry keys
+  // outside it.
+  std::vector<int64_t> matching_keys(static_cast<size_t>(matching_left));
+  for (int64_t& key : matching_keys) key = rng.UniformInt(0, num_keys - 1);
   Workload w;
   TCQ_ASSIGN_OR_RETURN(
       RelationPtr r1,
-      BuildRelation("r1", schema, std::move(r1_rows), &rng,
-                    kDefaultBlockBytes));
+      BuildRelation("r1", schema, num_tuples, &rng, kDefaultBlockBytes,
+                    [&matching_keys, num_keys](int64_t k) {
+                      const auto m = static_cast<size_t>(k);
+                      return std::pair{k, m < matching_keys.size()
+                                              ? matching_keys[m]
+                                              : num_keys + k};
+                    }));
+  // Right: keys 0..num_keys-1, right_per_key tuples each.
   TCQ_ASSIGN_OR_RETURN(
       RelationPtr r2,
-      BuildRelation("r2", schema, std::move(r2_rows), &rng,
-                    kDefaultBlockBytes));
+      BuildRelation("r2", schema, num_tuples, &rng, kDefaultBlockBytes,
+                    [num_keys](int64_t k) {
+                      return std::pair{2000000 + k, k % num_keys};
+                    }));
   TCQ_RETURN_NOT_OK(w.catalog.Register(std::move(r1)));
   TCQ_RETURN_NOT_OK(w.catalog.Register(std::move(r2)));
   w.query = Join(Scan("r1"), Scan("r2"), {{"key", "key"}});
@@ -183,9 +186,9 @@ RelationPtr MakeUniformRelation(const std::string& name, int64_t num_tuples,
   Schema schema = SyntheticSchema(tuple_bytes);
   auto rel = Relation::Create(name, schema, block_bytes);
   if (!rel.ok()) return nullptr;
+  rel->Reserve(num_tuples);
   for (int64_t i = 0; i < num_tuples; ++i) {
-    rel->AppendUnchecked(
-        Tuple{i, rng.UniformInt(0, key_domain - 1), Payload()});
+    AppendSynthetic(&*rel, i, rng.UniformInt(0, key_domain - 1));
   }
   return std::make_shared<Relation>(std::move(*rel));
 }

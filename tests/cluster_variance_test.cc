@@ -55,7 +55,7 @@ TEST(DesignEffectTest, NearOneForUniformData) {
     int64_t points = 0;
     for (uint32_t i : idx) {
       int64_t y = 0;
-      for (const Tuple& t : (*rel)->ViewBlock(i).rows()) {
+      for (Row t : (*rel)->ViewBlock(i).rows()) {
         if (pred->Eval(t)) ++y;
       }
       hits.push_back(y);
@@ -86,7 +86,7 @@ TEST(DesignEffectTest, GrowsWithClustering) {
       int64_t points = 0;
       for (uint32_t i : idx) {
         int64_t y = 0;
-        for (const Tuple& t : (*rel)->ViewBlock(i).rows()) {
+        for (Row t : (*rel)->ViewBlock(i).rows()) {
           if (pred->Eval(t)) ++y;
         }
         hits.push_back(y);
@@ -118,7 +118,7 @@ TEST(ClusterVarianceTest, TracksEmpiricalSpreadUnderClustering) {
     int64_t total_hits = 0;
     for (uint32_t i : idx) {
       int64_t y = 0;
-      for (const Tuple& t : (*rel)->ViewBlock(i).rows()) {
+      for (Row t : (*rel)->ViewBlock(i).rows()) {
         if (pred->Eval(t)) ++y;
       }
       hits.push_back(y);

@@ -43,13 +43,13 @@ TEST(SelectTuplesTest, FiltersAndCharges) {
   CostLedger ledger(&clock);
   CostModel model;
   OpMetrics m;
-  auto out = SelectTuples(RefsOf(in), *bound, s, &ledger, model, &m);
+  auto out = SelectTuples(RowsOf(in), *bound, s, &ledger, model, &m);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(std::get<int64_t>((*out[0])[0]), 1);
-  EXPECT_EQ(std::get<int64_t>((*out[1])[0]), 2);
+  EXPECT_EQ(std::get<int64_t>(out[0][0]), 1);
+  EXPECT_EQ(std::get<int64_t>(out[1][0]), 2);
   // The qualifying tuples are passed by reference, not copied.
-  EXPECT_EQ(out[0], &in[0]);
-  EXPECT_EQ(out[1], &in[2]);
+  EXPECT_EQ(out[0], RowOf(in[0]));
+  EXPECT_EQ(out[1], RowOf(in[2]));
   EXPECT_EQ(m.process.in_tuples, 4);
   EXPECT_EQ(m.output.out_tuples, 2);
   EXPECT_EQ(m.process.comparisons, 4);  // one comparison per tuple
@@ -60,26 +60,26 @@ TEST(SelectTuplesTest, FiltersAndCharges) {
 
 TEST(SortRunTest, SortsAllColumnsAndCharges) {
   std::vector<Tuple> tuples{T(3, 1), T(1, 2), T(3, 0), T(2, 5)};
-  TupleRefs v = RefsOf(tuples);
+  Rows v = RowsOf(tuples);
   CostLedger ledger(nullptr);
   CostModel model;
   StepMetrics m;
-  SortRun(&v, {}, &ledger, model, &m);
-  EXPECT_EQ(std::get<int64_t>((*v[0])[0]), 1);
-  EXPECT_EQ(std::get<int64_t>((*v[1])[0]), 2);
-  EXPECT_EQ(std::get<int64_t>((*v[2])[0]), 3);
-  EXPECT_EQ(std::get<int64_t>((*v[2])[1]), 0);
-  EXPECT_EQ(std::get<int64_t>((*v[3])[1]), 1);
+  SortRun(&v, AllColumns(2), &ledger, model, &m);
+  EXPECT_EQ(std::get<int64_t>(v[0][0]), 1);
+  EXPECT_EQ(std::get<int64_t>(v[1][0]), 2);
+  EXPECT_EQ(std::get<int64_t>(v[2][0]), 3);
+  EXPECT_EQ(std::get<int64_t>(v[2][1]), 0);
+  EXPECT_EQ(std::get<int64_t>(v[3][1]), 1);
   EXPECT_GT(m.comparisons, 0);
   EXPECT_GT(ledger.Total(CostCategory::kSortCompare), 0.0);
 }
 
 TEST(SortRunTest, SortsByKeyOnly) {
   std::vector<Tuple> tuples{T(9, 2), T(0, 1)};
-  TupleRefs v = RefsOf(tuples);
+  Rows v = RowsOf(tuples);
   CostModel model;
   SortRun(&v, {1}, nullptr, model, nullptr);
-  EXPECT_EQ(std::get<int64_t>((*v[0])[1]), 1);
+  EXPECT_EQ(std::get<int64_t>(v[0][1]), 1);
 }
 
 TEST(MergeIntersectTest, CountsMatches) {
@@ -88,7 +88,7 @@ TEST(MergeIntersectTest, CountsMatches) {
   std::vector<Tuple> r{T(2, 2), T(3, 3), T(4, 4)};
   CostModel model;
   OpMetrics m;
-  auto out = MergeIntersect(RefsOf(l), RefsOf(r), s, nullptr, model, &m);
+  auto out = MergeIntersect(RowsOf(l), RowsOf(r), s, nullptr, model, &m);
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(m.output.out_tuples, 2);
   EXPECT_GT(m.process.comparisons, 0);
@@ -101,7 +101,7 @@ TEST(MergeIntersectTest, MultiplicityProduct) {
   std::vector<Tuple> l{T(5, 5), T(5, 5)};
   std::vector<Tuple> r{T(5, 5), T(5, 5), T(5, 5)};
   CostModel model;
-  auto out = MergeIntersect(RefsOf(l), RefsOf(r), s, nullptr, model, nullptr);
+  auto out = MergeIntersect(RowsOf(l), RowsOf(r), s, nullptr, model, nullptr);
   EXPECT_EQ(out.size(), 6u);
 }
 
@@ -111,10 +111,10 @@ TEST(MergeIntersectTest, DisjointEmpty) {
   std::vector<Tuple> r{T(2, 2)};
   CostModel model;
   EXPECT_TRUE(
-      MergeIntersect(RefsOf(l), RefsOf(r), s, nullptr, model, nullptr)
+      MergeIntersect(RowsOf(l), RowsOf(r), s, nullptr, model, nullptr)
           .empty());
   EXPECT_TRUE(
-      MergeIntersect({}, RefsOf(r), s, nullptr, model, nullptr).empty());
+      MergeIntersect({}, RowsOf(r), s, nullptr, model, nullptr).empty());
 }
 
 TEST(MergeJoinTest, JoinsOnKey) {
@@ -126,11 +126,12 @@ TEST(MergeJoinTest, JoinsOnKey) {
   CostModel model;
   OpMetrics m;
   auto out =
-      MergeJoin(RefsOf(l), {1}, ls, RefsOf(r), {0}, rs, nullptr, model, &m);
+      MergeJoin(RowsOf(l), {1}, ls, RowsOf(r), {0}, rs, nullptr, model, &m);
   // key 2: two left × two right = 4 joined tuples.
   ASSERT_EQ(out.size(), 4u);
-  for (const Tuple& t : out) {
-    ASSERT_EQ(t.size(), 4u);
+  ASSERT_EQ(out.arity(), 4u);
+  for (size_t i = 0; i < out.size(); ++i) {
+    const Row t = out.row(i);
     EXPECT_EQ(std::get<int64_t>(t[1]), 2);
     EXPECT_EQ(std::get<int64_t>(t[2]), 2);
   }
@@ -141,7 +142,7 @@ TEST(MergeJoinTest, NoMatches) {
   std::vector<Tuple> l{T(1, 1)};
   std::vector<Tuple> r{T(2, 2)};
   CostModel model;
-  EXPECT_TRUE(MergeJoin(RefsOf(l), {0}, ls, RefsOf(r), {0}, ls, nullptr,
+  EXPECT_TRUE(MergeJoin(RowsOf(l), {0}, ls, RowsOf(r), {0}, ls, nullptr,
                         model, nullptr)
                   .empty());
 }
@@ -150,9 +151,9 @@ TEST(DedupSortedTest, Occupancies) {
   Schema s = TwoIntSchema();
   std::vector<Tuple> v{T(1, 1), T(1, 1), T(2, 2), T(3, 3), T(3, 3)};
   CostModel model;
-  TupleRefs refs = RefsOf(v);
-  auto groups = DedupSorted(refs, KeyPrefixesOf(refs, {}), s, nullptr, model,
-                            nullptr);
+  Rows refs = RowsOf(v);
+  auto groups = DedupSorted(refs, KeyPrefixesOf(refs, AllColumns(2)), s,
+                            nullptr, model, nullptr);
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].count, 2);
   EXPECT_EQ(groups[1].count, 1);
@@ -168,10 +169,11 @@ TEST(DedupSortedTest, Empty) {
 TEST(ProjectColumnsTest, KeepsRequestedOrder) {
   std::vector<Tuple> v{T(1, 10), T(2, 20)};
   CostModel model;
-  auto out = ProjectColumns(RefsOf(v), {1}, nullptr, model, nullptr);
+  auto out = ProjectColumns(RowsOf(v), {1}, nullptr, model, nullptr);
+  // One cell per projected row.
   ASSERT_EQ(out.size(), 2u);
-  ASSERT_EQ(out[0].size(), 1u);
-  EXPECT_EQ(std::get<int64_t>(out[0][0]), 10);
+  EXPECT_EQ(std::get<int64_t>(out[0]), 10);
+  EXPECT_EQ(std::get<int64_t>(out[1]), 20);
 }
 
 TEST(ChargeTempWriteTest, ChargesMovesAndPages) {
@@ -190,24 +192,18 @@ TEST(ChargeTempWriteTest, ChargesMovesAndPages) {
 // Key-prefix parity: the prefix-first kernels against the plain-comparator
 // kernels they replaced, kept here as the reference. Same order (the very
 // same permutation), comparison counts, merge outputs, partition bounds and
-// lower bounds, on adversarial values.
+// lower bounds, on adversarial values. A key `{}` in the tables below
+// stands for every column, AllColumns(arity), which the kernels take.
 // ---------------------------------------------------------------------------
+
+std::vector<int> Columns(const std::vector<int>& key, size_t arity) {
+  return key.empty() ? AllColumns(arity) : key;
+}
 
 namespace reference {
 
-void SortRunRange(TupleRefs* run, const std::vector<int>& key,
-                  int64_t* comparisons) {
-  std::sort(run->begin(), run->end(),
-            [comparisons, &key](const Tuple* a, const Tuple* b) {
-              ++*comparisons;
-              return (key.empty() ? CompareTuples(*a, *b)
-                                  : CompareTuplesOnKey(*a, *b, key)) < 0;
-            });
-}
-
-int CompareCross(const Tuple& a, const std::vector<int>& a_key,
-                 const Tuple& b, const std::vector<int>& b_key) {
-  if (a_key.empty()) return CompareTuples(a, b);
+int CompareCross(Row a, const std::vector<int>& a_key, Row b,
+                 const std::vector<int>& b_key) {
   for (size_t k = 0; k < a_key.size(); ++k) {
     int c = CompareValues(a[static_cast<size_t>(a_key[k])],
                           b[static_cast<size_t>(b_key[k])]);
@@ -216,17 +212,26 @@ int CompareCross(const Tuple& a, const std::vector<int>& a_key,
   return 0;
 }
 
-// The loop of MergeIntersectRange (empty keys) and MergeJoinRange; calls
+void SortRunRange(Rows* run, const std::vector<int>& key,
+                  int64_t* comparisons) {
+  std::sort(run->begin(), run->end(),
+            [comparisons, &key](Row a, Row b) {
+              ++*comparisons;
+              return CompareCross(a, key, b, key) < 0;
+            });
+}
+
+// The loop of MergeIntersectRange (every column) and MergeJoinRange; calls
 // on_group(i, i_end, j, j_end) per equal-key group.
 template <typename OnGroup>
-int64_t Merge(TupleRefSpan left, const std::vector<int>& left_key,
-              TupleRefSpan right, const std::vector<int>& right_key,
+int64_t Merge(RowSpan left, const std::vector<int>& left_key,
+              RowSpan right, const std::vector<int>& right_key,
               OnGroup on_group) {
   int64_t comparisons = 0;
   size_t i = 0, j = 0;
   while (i < left.size() && j < right.size()) {
     ++comparisons;
-    int c = CompareCross(*left[i], left_key, *right[j], right_key);
+    int c = CompareCross(left[i], left_key, right[j], right_key);
     if (c < 0) {
       ++i;
     } else if (c > 0) {
@@ -235,7 +240,7 @@ int64_t Merge(TupleRefSpan left, const std::vector<int>& left_key,
       size_t i_end = i + 1;
       while (i_end < left.size()) {
         ++comparisons;
-        if (CompareCross(*left[i_end], left_key, *left[i], left_key) != 0) {
+        if (CompareCross(left[i_end], left_key, left[i], left_key) != 0) {
           break;
         }
         ++i_end;
@@ -243,8 +248,7 @@ int64_t Merge(TupleRefSpan left, const std::vector<int>& left_key,
       size_t j_end = j + 1;
       while (j_end < right.size()) {
         ++comparisons;
-        if (CompareCross(*right[j_end], right_key, *right[j], right_key) !=
-            0) {
+        if (CompareCross(right[j_end], right_key, right[j], right_key) != 0) {
           break;
         }
         ++j_end;
@@ -257,7 +261,7 @@ int64_t Merge(TupleRefSpan left, const std::vector<int>& left_key,
   return comparisons;
 }
 
-std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
+std::vector<size_t> PartitionSortedRun(RowSpan run,
                                        const std::vector<int>& key,
                                        size_t max_parts, size_t min_chunk) {
   const size_t n = run.size();
@@ -267,7 +271,7 @@ std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
   for (size_t p = 1; p < parts; ++p) {
     size_t target = p * n / parts;
     while (target < n && target > 0 &&
-           CompareCross(*run[target - 1], key, *run[target], key) == 0) {
+           CompareCross(run[target - 1], key, run[target], key) == 0) {
       ++target;
     }
     if (target > bounds.back() && target < n) bounds.push_back(target);
@@ -276,13 +280,12 @@ std::vector<size_t> PartitionSortedRun(TupleRefSpan run,
   return bounds;
 }
 
-size_t LowerBoundCrossKey(TupleRefSpan run, const std::vector<int>& run_key,
-                          const Tuple& probe,
-                          const std::vector<int>& probe_key) {
+size_t LowerBoundCrossKey(RowSpan run, const std::vector<int>& run_key,
+                          Row probe, const std::vector<int>& probe_key) {
   size_t lo = 0, hi = run.size();
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    if (CompareCross(*run[mid], run_key, probe, probe_key) < 0) {
+    if (CompareCross(run[mid], run_key, probe, probe_key) < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -423,19 +426,18 @@ Tuple KeyedTuple(int64_t key) { return Tuple{key, 0.5, std::string("x")}; }
 // True when std::sort over `run` enters its depth-limit fallback: only
 // libstdc++'s heap phase (std::__push_heap) calls the comparator with an
 // element of the array first and a value held outside it second.
-bool StdSortReachesHeapFallback(TupleRefs run) {
-  const std::less<const Tuple* const*> before;
-  const Tuple* const* begin = run.data();
-  const Tuple* const* end = begin + run.size();
-  auto inside = [&](const Tuple* const* p) {
+bool StdSortReachesHeapFallback(Rows run, const std::vector<int>& key) {
+  const std::less<const Row*> before;
+  const Row* begin = run.data();
+  const Row* end = begin + run.size();
+  auto inside = [&](const Row* p) {
     return !before(p, begin) && before(p, end);
   };
   bool heap = false;
-  std::sort(run.begin(), run.end(),
-            [&](const Tuple* const& a, const Tuple* const& b) {
-              if (inside(&a) && !inside(&b)) heap = true;
-              return CompareTuples(*a, *b) < 0;
-            });
+  std::sort(run.begin(), run.end(), [&](const Row& a, const Row& b) {
+    if (inside(&a) && !inside(&b)) heap = true;
+    return reference::CompareCross(a, key, b, key) < 0;
+  });
   return heap;
 }
 #endif
@@ -478,14 +480,16 @@ class SortParity {
     }
   }
 
-  void Check(const std::vector<Tuple>& tuples, const std::vector<int>& key) {
-    TupleRefs serial = RefsOf(tuples);
+  void Check(const std::vector<Tuple>& tuples,
+             const std::vector<int>& key_or_all) {
+    const std::vector<int> key = Columns(key_or_all, tuples[0].size());
+    Rows serial = RowsOf(tuples);
     int64_t serial_comp = 0;
     KeyPrefixes serial_prefixes;
     SortRunRange(&serial, key, &serial_comp, &serial_prefixes);
     EXPECT_EQ(serial_prefixes, KeyPrefixesOf(serial, key));
 #ifdef __GLIBCXX__
-    TupleRefs expect = RefsOf(tuples);
+    Rows expect = RowsOf(tuples);
     int64_t expect_comp = 0;
     reference::SortRunRange(&expect, key, &expect_comp);
     EXPECT_EQ(serial_comp, expect_comp);
@@ -494,7 +498,7 @@ class SortParity {
     for (const auto& pool : pools_) {
       SCOPED_TRACE("pool of " + std::to_string(pool->workers()) + " workers");
       FanOut fan{pool.get(), 0, {}};
-      TupleRefs got = RefsOf(tuples);
+      Rows got = RowsOf(tuples);
       int64_t got_comp = 0;
       KeyPrefixes got_prefixes;
       SortRunRange(&got, key, &got_comp, &got_prefixes, &fan);
@@ -542,7 +546,7 @@ TEST(KeyPrefixParityTest, SortMatchesPlainComparator) {
   std::vector<Tuple> killer;
   for (int64_t v : AntiQsortKeys(kForkingRun)) killer.push_back(KeyedTuple(v));
 #ifdef __GLIBCXX__
-  ASSERT_TRUE(StdSortReachesHeapFallback(RefsOf(killer)));
+  ASSERT_TRUE(StdSortReachesHeapFallback(RowsOf(killer), AllColumns(3)));
 #endif
   SCOPED_TRACE("antiqsort adversary");
   parity.Check(killer, lead);
@@ -551,21 +555,23 @@ TEST(KeyPrefixParityTest, SortMatchesPlainComparator) {
 TEST(KeyPrefixParityTest, MergesMatchPlainComparator) {
   uint64_t seed = 200;
   for (const Schema& schema : ParitySchemas()) {
-    for (const std::vector<int>& key : kParityKeys) {
-      SCOPED_TRACE(schema.ToString() + " key " + KeyName(key));
+    const auto arity = static_cast<size_t>(schema.num_columns());
+    for (const std::vector<int>& key_or_all : kParityKeys) {
+      SCOPED_TRACE(schema.ToString() + " key " + KeyName(key_or_all));
+      const std::vector<int> key = Columns(key_or_all, arity);
       std::vector<Tuple> left_tuples = AdversarialTuples(schema, 300, ++seed);
       std::vector<Tuple> right_tuples = AdversarialTuples(schema, 250, ++seed);
       // Shared tuples, so whole-tuple groups match too.
       right_tuples.insert(right_tuples.end(), left_tuples.begin(),
                           left_tuples.begin() + 60);
-      TupleRefs left = RefsOf(left_tuples), right = RefsOf(right_tuples);
+      Rows left = RowsOf(left_tuples), right = RowsOf(right_tuples);
       KeyPrefixes lp, rp;
       int64_t ignore = 0;
       SortRunRange(&left, key, &ignore, &lp);
       SortRunRange(&right, key, &ignore, &rp);
 
-      if (key.empty()) {
-        TupleRefs expect_out, got_out;
+      if (key_or_all.empty()) {
+        Rows expect_out, got_out;
         int64_t expect_n = 0;
         int64_t expect_comp = reference::Merge(
             left, key, right, key,
@@ -576,8 +582,8 @@ TEST(KeyPrefixParityTest, MergesMatchPlainComparator) {
               }
             });
         int64_t got_comp = 0;
-        int64_t got_n =
-            MergeIntersectRange(left, lp, right, rp, &got_out, &got_comp);
+        int64_t got_n = MergeIntersectRange(left, lp, right, rp, arity,
+                                            &got_out, &got_comp);
         EXPECT_GT(expect_n, 0);
         EXPECT_EQ(got_n, expect_n);
         EXPECT_EQ(got_comp, expect_comp);
@@ -597,7 +603,7 @@ TEST(KeyPrefixParityTest, MergesMatchPlainComparator) {
         EXPECT_EQ(g, groups.size());
       }
 
-      std::vector<Tuple> expect_rows, got_rows;
+      JoinedCells expect_rows{arity, arity, {}}, got_rows{arity, arity, {}};
       int64_t expect_n = 0;
       int64_t expect_comp = reference::Merge(
           left, key, right, key,
@@ -632,12 +638,13 @@ TEST(KeyPrefixParityTest, CrossPositionJoinMatchesPlainComparator) {
     SCOPED_TRACE("left key " + KeyName(lkey) + " right key " + KeyName(rkey));
     std::vector<Tuple> left_tuples = AdversarialTuples(ls, 250, ++seed);
     std::vector<Tuple> right_tuples = AdversarialTuples(rs, 250, ++seed);
-    TupleRefs left = RefsOf(left_tuples), right = RefsOf(right_tuples);
+    const auto arity = static_cast<size_t>(ls.num_columns());
+    Rows left = RowsOf(left_tuples), right = RowsOf(right_tuples);
     KeyPrefixes lp, rp;
     int64_t ignore = 0;
     SortRunRange(&left, lkey, &ignore, &lp);
     SortRunRange(&right, rkey, &ignore, &rp);
-    std::vector<Tuple> expect_rows, got_rows;
+    JoinedCells expect_rows{arity, arity, {}}, got_rows{arity, arity, {}};
     int64_t expect_comp = reference::Merge(
         left, lkey, right, rkey,
         [&](size_t i, size_t i_end, size_t j, size_t j_end) {
@@ -648,8 +655,8 @@ TEST(KeyPrefixParityTest, CrossPositionJoinMatchesPlainComparator) {
     EXPECT_EQ(got_comp, expect_comp);
     EXPECT_EQ(got_rows, expect_rows);
     for (size_t b = 0; b < left.size(); b += 7) {
-      EXPECT_EQ(LowerBoundCrossKey(right, rp, rkey, *left[b], lp[b], lkey),
-                reference::LowerBoundCrossKey(right, rkey, *left[b], lkey))
+      EXPECT_EQ(LowerBoundCrossKey(right, rp, rkey, left[b], lp[b], lkey),
+                reference::LowerBoundCrossKey(right, rkey, left[b], lkey))
           << b;
     }
   }
@@ -658,10 +665,12 @@ TEST(KeyPrefixParityTest, CrossPositionJoinMatchesPlainComparator) {
 TEST(KeyPrefixParityTest, PartitionAndLowerBoundMatchPlainComparator) {
   uint64_t seed = 400;
   for (const Schema& schema : ParitySchemas()) {
-    for (const std::vector<int>& key : kParityKeys) {
-      SCOPED_TRACE(schema.ToString() + " key " + KeyName(key));
+    for (const std::vector<int>& key_or_all : kParityKeys) {
+      SCOPED_TRACE(schema.ToString() + " key " + KeyName(key_or_all));
+      const std::vector<int> key =
+          Columns(key_or_all, static_cast<size_t>(schema.num_columns()));
       std::vector<Tuple> tuples = AdversarialTuples(schema, 500, ++seed);
-      TupleRefs run = RefsOf(tuples);
+      Rows run = RowsOf(tuples);
       KeyPrefixes prefixes;
       int64_t ignore = 0;
       SortRunRange(&run, key, &ignore, &prefixes);
@@ -674,11 +683,11 @@ TEST(KeyPrefixParityTest, PartitionAndLowerBoundMatchPlainComparator) {
       }
       std::vector<Tuple> probes = AdversarialTuples(schema, 60, ++seed);
       for (const Tuple& probe : probes) {
-        const std::vector<int> lead = {key.empty() ? 0 : key[0]};
+        const std::vector<int> lead = {key[0]};
         const uint64_t probe_prefix = KeyPrefix(probe[static_cast<size_t>(lead[0])]);
-        EXPECT_EQ(
-            LowerBoundCrossKey(run, prefixes, key, probe, probe_prefix, key),
-            reference::LowerBoundCrossKey(run, key, probe, key));
+        EXPECT_EQ(LowerBoundCrossKey(run, prefixes, key, RowOf(probe),
+                                     probe_prefix, key),
+                  reference::LowerBoundCrossKey(run, key, RowOf(probe), key));
       }
     }
   }

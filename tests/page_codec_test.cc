@@ -35,6 +35,25 @@ Result<Relation> MakeMixedRelation() {
   return rel;
 }
 
+// A block holding `tuples` back to back.
+Block BlockOf(const std::vector<Tuple>& tuples) {
+  Block block;
+  for (const Tuple& t : tuples) {
+    block.cells.insert(block.cells.end(), t.begin(), t.end());
+  }
+  return block;
+}
+
+// Row i of a block of 3-column rows.
+Tuple RowAt(const Block& block, size_t i) {
+  return ToTuple(BlockView(&block, 3).rows()[i], 3);
+}
+
+// Compares two 3-column rows.
+int CompareRows(Row a, Row b) {
+  return CompareTuples(ToTuple(a, 3), ToTuple(b, 3));
+}
+
 std::string TempDir() {
   auto dir = std::filesystem::temp_directory_path() / "tcq_codec_test";
   std::filesystem::create_directories(dir);
@@ -79,25 +98,24 @@ TEST(TupleCodecTest, DecodePastEndFails) {
 
 TEST(PageCodecTest, RoundTripPartialPage) {
   Schema schema = Mixed();  // 24 bytes/tuple
-  Block block;
-  block.tuples.push_back(Tuple{int64_t{1}, 1.5, std::string("a")});
-  block.tuples.push_back(Tuple{int64_t{2}, 2.5, std::string("bb")});
+  Block block = BlockOf({Tuple{int64_t{1}, 1.5, std::string("a")},
+                         Tuple{int64_t{2}, 2.5, std::string("bb")}});
   auto page = EncodePage(block, schema, 128);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->size(), 128u);
   auto back = DecodePage(*page, 2, schema);
   ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->tuples.size(), 2u);
-  EXPECT_EQ(CompareTuples(back->tuples[1], block.tuples[1]), 0);
+  ASSERT_EQ(BlockView(&*back, 3).num_rows(), 2);
+  EXPECT_EQ(CompareTuples(RowAt(*back, 1), RowAt(block, 1)), 0);
 }
 
 TEST(PageCodecTest, RejectsOverfullBlock) {
   Schema schema = Mixed();
-  Block block;
+  std::vector<Tuple> tuples;
   for (int i = 0; i < 10; ++i) {
-    block.tuples.push_back(Tuple{int64_t{i}, 0.0, std::string()});
+    tuples.push_back(Tuple{int64_t{i}, 0.0, std::string()});
   }
-  EXPECT_FALSE(EncodePage(block, schema, 128).ok());  // 240 > 128
+  EXPECT_FALSE(EncodePage(BlockOf(tuples), schema, 128).ok());  // 240 > 128
 }
 
 TEST(RelationFileTest, RoundTripPaperRelation) {
@@ -120,7 +138,7 @@ TEST(RelationFileTest, RoundTripPaperRelation) {
     BlockView copy = loaded->ViewBlock(b);
     ASSERT_EQ(orig.rows().size(), copy.rows().size()) << b;
     for (size_t i = 0; i < orig.rows().size(); ++i) {
-      ASSERT_EQ(CompareTuples(orig.rows()[i], copy.rows()[i]), 0);
+      ASSERT_EQ(CompareRows(orig.rows()[i], copy.rows()[i]), 0);
     }
   }
 }
@@ -209,28 +227,72 @@ TEST(RelationFileTest, VersionOneFileStillLoads) {
   EXPECT_EQ(std::get<int64_t>(loaded->ViewBlock(0).rows()[0][0]), 7);
 }
 
+// A page holding fewer rows than the blocking factor, followed by more
+// pages: the loader packs the rows into full blocks, as appends would.
+TEST(RelationFileTest, ShortMiddlePageLoadsPacked) {
+  // v1, one int64 column, 16-byte pages (two rows each); pages of 1, 2
+  // and 1 rows holding 7 | 8 9 | 10.
+  std::vector<uint8_t> out;
+  auto put_u32 = [&out](uint32_t v) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  };
+  auto put_u64 = [&out](uint64_t v) {
+    for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  };
+  for (char c : {'T', 'C', 'Q', 'F'}) out.push_back(static_cast<uint8_t>(c));
+  put_u32(1);  // version 1
+  put_u32(1);  // name length
+  out.push_back('p');
+  put_u32(1);  // one column
+  put_u32(1);  // column name length
+  out.push_back('i');
+  put_u32(0);   // DataType::kInt64
+  put_u32(0);   // width
+  put_u32(16);  // block_bytes
+  put_u64(3);   // num_blocks
+  put_u64(4);   // num_tuples
+  for (uint32_t count : {1u, 2u, 1u}) put_u32(count);
+  for (uint64_t page : {7u, 0u, 8u, 9u, 10u, 0u}) put_u64(page);
+  std::string path = TempDir() + "/short_page.tcq";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(out.data(), 1, out.size(), f), out.size());
+    std::fclose(f);
+  }
+  auto loaded = LoadRelation(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->NumTuples(), 4);
+  ASSERT_EQ(loaded->NumBlocks(), 2);
+  int64_t expect = 7;
+  for (int64_t b = 0; b < loaded->NumBlocks(); ++b) {
+    ASSERT_EQ(loaded->ViewBlock(b).num_rows(), 2);
+    for (Row row : loaded->ViewBlock(b).rows()) {
+      EXPECT_EQ(std::get<int64_t>(row[0]), expect++);
+    }
+  }
+}
+
 TEST(ColumnarPageCodecTest, RoundTripPartialPage) {
   Schema schema = Mixed();  // 24 bytes/tuple
-  Block block;
-  block.tuples.push_back(Tuple{int64_t{-1}, -0.0, std::string("a")});
-  block.tuples.push_back(Tuple{int64_t{2}, 2.5, std::string("bbbbbbbb")});
+  Block block = BlockOf({Tuple{int64_t{-1}, -0.0, std::string("a")},
+                         Tuple{int64_t{2}, 2.5, std::string("bbbbbbbb")}});
   auto page = EncodePageColumnar(block, schema, 128);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->size(), 128u);
   auto back = DecodePageColumnar(*page, 2, schema);
   ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->tuples.size(), 2u);
-  EXPECT_EQ(CompareTuples(back->tuples[0], block.tuples[0]), 0);
-  EXPECT_EQ(CompareTuples(back->tuples[1], block.tuples[1]), 0);
+  ASSERT_EQ(BlockView(&*back, 3).num_rows(), 2);
+  EXPECT_EQ(CompareTuples(RowAt(*back, 0), RowAt(block, 0)), 0);
+  EXPECT_EQ(CompareTuples(RowAt(*back, 1), RowAt(block, 1)), 0);
 }
 
 TEST(ColumnarPageCodecTest, ColumnMajorByteOrder) {
   // Two int64 columns, two tuples: the page must hold column 0's values
   // first ({1, 3}), then column 1's ({2, 4}) — not row-major {1,2,3,4}.
   Schema schema({{"a", DataType::kInt64, 0}, {"b", DataType::kInt64, 0}});
-  Block block;
-  block.tuples.push_back(Tuple{int64_t{1}, int64_t{2}});
-  block.tuples.push_back(Tuple{int64_t{3}, int64_t{4}});
+  Block block = BlockOf({Tuple{int64_t{1}, int64_t{2}},
+                         Tuple{int64_t{3}, int64_t{4}}});
   auto page = EncodePageColumnar(block, schema, 64);
   ASSERT_TRUE(page.ok());
   auto u64_at = [&page](size_t off) {
@@ -276,7 +338,7 @@ TEST(RelationFileTest, ExplicitVersionRoundTrips) {
         BlockView copy = loaded->ViewBlock(b);
         ASSERT_EQ(orig.rows().size(), copy.rows().size());
         for (size_t i = 0; i < orig.rows().size(); ++i) {
-          ASSERT_EQ(CompareTuples(orig.rows()[i], copy.rows()[i]), 0)
+          ASSERT_EQ(CompareRows(orig.rows()[i], copy.rows()[i]), 0)
               << label << " version " << version << " block " << b;
         }
       }
@@ -339,9 +401,9 @@ TEST(RelationFileTest, ConvertRoundTripsAcrossVersions) {
     BlockView orig = (*rel)->ViewBlock(b);
     for (size_t i = 0; i < orig.rows().size(); ++i) {
       ASSERT_EQ(
-          CompareTuples(orig.rows()[i], from_v3->ViewBlock(b).rows()[i]), 0);
+          CompareRows(orig.rows()[i], from_v3->ViewBlock(b).rows()[i]), 0);
       ASSERT_EQ(
-          CompareTuples(orig.rows()[i], from_back->ViewBlock(b).rows()[i]),
+          CompareRows(orig.rows()[i], from_back->ViewBlock(b).rows()[i]),
           0);
     }
   }
@@ -381,6 +443,54 @@ TEST(RelationFileTest, CorruptedColumnarPageFailsWithDataLoss) {
   EXPECT_EQ(
       ConvertRelationFile(path, TempDir() + "/never_written.tcq", 2).code(),
       StatusCode::kDataLoss);
+}
+
+// No checksum covers the header, so a tuple count that disagrees with the
+// pages is the file misdescribing itself: data loss, like a corrupt page.
+TEST(RelationFileTest, HeaderTupleCountMismatchFailsWithDataLoss) {
+  auto w = MakeSelectionWorkload(50, 13);
+  ASSERT_TRUE(w.ok());
+  auto rel = w->catalog.Find("r1");
+  ASSERT_TRUE(rel.ok());
+  std::string path = TempDir() + "/miscounted_v3.tcq";
+  ASSERT_TRUE(SaveRelationAtVersion(**rel, path, 3).ok());
+
+  std::vector<uint8_t> bytes;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 0, SEEK_END);
+    bytes.resize(static_cast<size_t>(std::ftell(f)));
+    std::fseek(f, 0, SEEK_SET);
+    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+  // Header: magic, version, name, column count, per column (name, type,
+  // width), block size, block count, then the u64 tuple count.
+  size_t pos = 4 + 4 + 4 + (*rel)->name().size() + 4;
+  for (const Column& c : (*rel)->schema().columns()) {
+    pos += 4 + c.name.size() + 4 + 4;
+  }
+  pos += 4 + 8;
+  uint64_t count = 0;
+  for (int i = 0; i < 8; ++i) {
+    count |= static_cast<uint64_t>(bytes[pos + static_cast<size_t>(i)])
+             << (8 * i);
+  }
+  ASSERT_EQ(count, 10000u);
+  bytes[pos] ^= 0x01;  // 10001 tuples claimed
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+  auto loaded = LoadRelation(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("tuple count mismatch"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 // A file whose page holds a NaN — written by another tool, since every

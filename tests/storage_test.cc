@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "storage/relation.h"
 #include "storage/schema.h"
 #include "storage/value.h"
+#include "workload/generators.h"
 
 namespace tcq {
 namespace {
@@ -169,6 +172,88 @@ TEST(RelationDeathTest, OverwideStringAbortsNamingItsColumn) {
                    {int64_t{1}, int64_t{2}, std::string(185, 'x')}),
                "185-byte string does not fit column 2, a CHAR.184.");
 }
+
+// A row of the wrong arity would shift every later row of its block, so
+// the unchecked append stops the process in every build type.
+TEST(RelationDeathTest, WrongArityAbortsNamingRelationAndArities) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto rel = Relation::Create("r7", PaperSchema());
+  ASSERT_TRUE(rel.ok());
+  EXPECT_DEATH(rel->AppendUnchecked({int64_t{1}, int64_t{2}}),
+               "relation 'r7' has 3 columns, but a row of 2 cells");
+  EXPECT_DEATH(rel->AppendUnchecked({int64_t{1}, int64_t{2}, std::string(),
+                                     int64_t{4}}),
+               "relation 'r7' has 3 columns, but a row of 4 cells");
+}
+
+// ---------------------------------------------------------------------------
+// Flat block rows: a block keeps its rows back to back in one cell array,
+// allocated once at blocking factor × arity cells.
+// ---------------------------------------------------------------------------
+
+TEST(BlockLayoutTest, RowsLieArityCellsApart) {
+  auto rel = Relation::Create("r", PaperSchema());
+  ASSERT_TRUE(rel.ok());
+  for (int i = 0; i < 12; ++i) {
+    rel->AppendUnchecked({int64_t{i}, int64_t{-i}, std::string(i, 'p')});
+  }
+  ASSERT_EQ(rel->NumBlocks(), 3);
+  int64_t id = 0;
+  for (int64_t b = 0; b < rel->NumBlocks(); ++b) {
+    const RowRange rows = rel->ViewBlock(b).rows();
+    for (size_t r = 0; r < rows.size(); ++r, ++id) {
+      EXPECT_EQ(std::get<int64_t>(rows[r][0]), id);
+      EXPECT_EQ(std::get<std::string>(rows[r][2]).size(),
+                static_cast<size_t>(id));
+      if (r + 1 < rows.size()) {
+        EXPECT_EQ(rows[r + 1].data(), rows[r].data() + 3) << b << " " << r;
+      }
+    }
+  }
+  EXPECT_EQ(id, 12);
+}
+
+TEST(BlockLayoutTest, RowAddressSurvivesLaterAppends) {
+  auto rel = Relation::Create("r", PaperSchema());
+  ASSERT_TRUE(rel.ok());
+  // Rows in the middle and at the end of a partly filled tail block.
+  for (int i = 0; i < 3; ++i) {
+    rel->AppendUnchecked({int64_t{i}, int64_t{0}, std::string("x")});
+  }
+  const Row middle = rel->ViewBlock(0).rows()[1];
+  const Row last = rel->ViewBlock(0).rows()[2];
+  for (int i = 3; i < 10003; ++i) {
+    rel->AppendUnchecked({int64_t{i}, int64_t{0}, std::string("x")});
+  }
+  // Read through the old handles: a moved cell array would be a
+  // use-after-free that the asan build reports.
+  EXPECT_EQ(rel->ViewBlock(0).rows()[1], middle);
+  EXPECT_EQ(rel->ViewBlock(0).rows()[2], last);
+  EXPECT_EQ(std::get<int64_t>(middle[0]), 1);
+  EXPECT_EQ(std::get<int64_t>(last[0]), 2);
+  EXPECT_EQ(std::get<std::string>(last[2]), "x");
+}
+
+// The sanitizers replace glibc's allocator, which mallinfo2 reports on.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+TEST(BlockLayoutTest, PaperBlockCostsOneCellArray) {
+  auto heap_bytes = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<int64_t>(info.uordblks + info.hblkhd);
+  };
+  const int64_t before = heap_bytes();
+  RelationPtr rel = MakeUniformRelation("u", 500000, 1000, 3);
+  const int64_t after = heap_bytes();
+  ASSERT_NE(rel, nullptr);
+  ASSERT_EQ(rel->NumBlocks(), 100000);
+  // Per block: 15 cells of 40 bytes in one 608-byte heap chunk, plus the
+  // block's 24-byte record in the block table.
+  const double per_block = static_cast<double>(after - before) /
+                           static_cast<double>(rel->NumBlocks());
+  EXPECT_LE(per_block, 640.0);
+  EXPECT_GE(per_block, 600.0);
+}
+#endif
 
 TEST(CatalogTest, RegisterAndFind) {
   Catalog catalog;

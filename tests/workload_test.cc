@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <string>
+
 #include "exec/exact.h"
 
 namespace tcq {
@@ -43,7 +47,7 @@ TEST(SelectionWorkloadTest, QualifyingTuplesScattered) {
   ASSERT_TRUE(rel.ok());
   int qualifying = 0;
   for (int64_t b = 0; b < 10; ++b) {
-    for (const Tuple& t : (*rel)->ViewBlock(b).rows()) {
+    for (Row t : (*rel)->ViewBlock(b).rows()) {
       if (std::get<int64_t>(t[1]) < 2000) ++qualifying;
     }
   }
@@ -101,8 +105,8 @@ TEST(UniformRelationTest, GeometryAndKeys) {
   auto rel = MakeUniformRelation("u", 500, 10, 3);
   ASSERT_NE(rel, nullptr);
   EXPECT_EQ(rel->NumTuples(), 500);
-  for (const Block& b : rel->blocks()) {
-    for (const Tuple& t : b.tuples) {
+  for (int64_t b = 0; b < rel->NumBlocks(); ++b) {
+    for (Row t : rel->ViewBlock(b).rows()) {
       int64_t key = std::get<int64_t>(t[1]);
       EXPECT_GE(key, 0);
       EXPECT_LT(key, 10);
@@ -118,9 +122,98 @@ TEST(WorkloadTest, DifferentSeedsDifferentLayouts) {
   auto ra = a->catalog.Find("r1");
   auto rb = b->catalog.Find("r1");
   // First block should differ with overwhelming probability.
-  EXPECT_NE(CompareTuples((*ra)->ViewBlock(0).rows()[0],
-                          (*rb)->ViewBlock(0).rows()[0]),
+  EXPECT_NE(CompareTuples(ToTuple((*ra)->ViewBlock(0).rows()[0], 3),
+                          ToTuple((*rb)->ViewBlock(0).rows()[0], 3)),
             0);
+}
+
+// ---------------------------------------------------------------------------
+// Catalog golden digests: every value and every block boundary of each
+// generator's relations, in block order. The digests were recorded on the
+// generators that built every row as a heap tuple and shuffled the rows
+// themselves; shuffling an index permutation and appending rows in place
+// must reproduce them bit for bit.
+// ---------------------------------------------------------------------------
+
+// FNV-1a over a relation: per block its row count, then per row each
+// cell's alternative and bytes.
+class CatalogDigest {
+ public:
+  void Add(const Relation& rel) {
+    const auto arity = static_cast<size_t>(rel.schema().num_columns());
+    Mix(static_cast<uint64_t>(rel.NumBlocks()));
+    for (int64_t b = 0; b < rel.NumBlocks(); ++b) {
+      const auto rows = rel.ViewBlock(b).rows();
+      Mix(static_cast<uint64_t>(rows.size()));
+      for (const auto& row : rows) {
+        for (size_t c = 0; c < arity; ++c) AddValue(row[c]);
+      }
+    }
+  }
+
+  void Add(const Catalog& catalog) {
+    for (const std::string& name : catalog.Names()) {
+      auto rel = catalog.Find(name);
+      ASSERT_TRUE(rel.ok());
+      Add(**rel);
+    }
+  }
+
+  std::string Hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  void AddValue(const Value& v) {
+    Mix(v.index());
+    if (const int64_t* i = std::get_if<int64_t>(&v)) {
+      Mix(static_cast<uint64_t>(*i));
+    } else if (const double* d = std::get_if<double>(&v)) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, d, sizeof(bits));
+      Mix(bits);
+    } else {
+      const std::string& s = std::get<std::string>(v);
+      Mix(s.size());
+      for (char ch : s) Byte(static_cast<uint8_t>(ch));
+    }
+  }
+
+  void Mix(uint64_t x) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(x >> (8 * i)));
+  }
+
+  void Byte(uint8_t byte) {
+    h_ ^= byte;
+    h_ *= 0x100000001b3ull;
+  }
+
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::string DigestOf(const Result<Workload>& w) {
+  EXPECT_TRUE(w.ok());
+  CatalogDigest digest;
+  if (w.ok()) digest.Add(w->catalog);
+  return digest.Hex();
+}
+
+TEST(CatalogGoldenTest, GeneratorsReproduceRecordedCatalogs) {
+  EXPECT_EQ(DigestOf(MakeSelectionWorkload(2000, 7)), "5c3e3cbb5986bb38");
+  EXPECT_EQ(DigestOf(MakeSelectionWorkload(2000, 7, kPaperTuples,
+                                           kPaperTupleBytes, 0.5)),
+            "ae7a46400557a640");
+  // A partial last block and 8 rows per block.
+  EXPECT_EQ(DigestOf(MakeSelectionWorkload(500, 11, 4321, 120, 0.5)),
+            "e9dc735f4fe89d74");
+  EXPECT_EQ(DigestOf(MakeIntersectionWorkload(1000, 7)), "839f7edd4cf9c041");
+  EXPECT_EQ(DigestOf(MakeJoinWorkload(70000, 7)), "41169524c671c954");
+  CatalogDigest uniform;
+  uniform.Add(*MakeUniformRelation("u", 10003, 100, 7));
+  EXPECT_EQ(uniform.Hex(), "62a458bead37616c");
 }
 
 }  // namespace
