@@ -135,7 +135,7 @@ ArmResult RunArm(bool predictor_on, uint64_t seed) {
                    "overspent %d wasted %lld elapsed %.2f\n",
                    predictor_on ? "on " : "off", epoch, regime, run->estimate,
                    run->stages_counted, run->stages_run,
-                   run->overspent ? 1 : 0,
+                   run->stop_reason == StopReason::kStageOverran ? 1 : 0,
                    static_cast<long long>(run->blocks_wasted),
                    run->elapsed_seconds);
       for (const StageReport& r : run->stage_reports) {
@@ -152,7 +152,7 @@ ArmResult RunArm(bool predictor_on, uint64_t seed) {
     if (epoch < kWarmupEpochs) continue;
     out.wasted_blocks += run->blocks_wasted;
     out.total_blocks += run->blocks_sampled + run->blocks_wasted;
-    if (run->overspent) ++out.overspent_runs;
+    if (run->stop_reason == StopReason::kStageOverran) ++out.overspent_runs;
     if (run->stages_counted == 0) ++out.zero_estimate_runs;
     for (const StageReport& report : run->stage_reports) {
       if (report.actual_seconds <= 0.0) continue;

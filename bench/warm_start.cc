@@ -102,8 +102,10 @@ int Main(int argc, char** argv) {
       cold_halfwidth, static_cast<long long>(cold_fresh), cold->stages_run,
       warm->estimate, warm_halfwidth, static_cast<long long>(warm_fresh),
       static_cast<long long>(warm_replayed), warm->stages_run,
-      warm->stages_counted, warm->overspent ? "true" : "false",
-      warm->stopped_for_precision ? "true" : "false", savings_pct,
+      warm->stages_counted,
+      warm->stop_reason == StopReason::kStageOverran ? "true" : "false",
+      warm->stop_reason == StopReason::kPrecisionMet ? "true" : "false",
+      savings_pct,
       kMinFreshSavingsPct, ok ? "true" : "false");
   if (!ok) {
     std::fprintf(stderr,

@@ -59,6 +59,10 @@
 #                 engine's, so the chunked scan/selection/prefix passes
 #                 and the forked sort are checked on 100k-tuple runs;
 #                 archives build/artifacts/perfbench_wall_smoke.txt
+#   paper-tables  the paper's Tables 5.1-5.3 (bench/table_5_{1,2,3}) and
+#                 EXPERIMENTS.md A9 (bench/error_constrained --reps 100),
+#                 whose outputs must match bench/paper_tables.sha256 byte
+#                 for byte; archives them at build/artifacts/paper_tables/
 #   tsan          ThreadSanitizer build + ctest (contracts armed)
 #   asan          AddressSanitizer build + ctest (contracts armed)
 #   ubsan         UndefinedBehaviorSanitizer build + ctest (contracts armed)
@@ -70,7 +74,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 jobs="$(nproc 2>/dev/null || echo 2)"
-ALL_STAGES=(lint format-check tidy thread-safety release trace-smoke warm-bench serve-bench fault-bench pred-bench perfbench-smoke tsan asan ubsan)
+ALL_STAGES=(lint format-check tidy thread-safety release trace-smoke warm-bench serve-bench fault-bench pred-bench perfbench-smoke paper-tables tsan asan ubsan)
 
 usage() {
   echo "usage: $0 [stage...]   stages: ${ALL_STAGES[*]}" >&2
@@ -380,6 +384,23 @@ print(f"perfbench-smoke: serve_small {result['attempted']} answers checked, "
 EOF_PY
     python3 perfbench/run.py --workload wall_deadline --seed 1 --seconds 5 \
       --trace 1 | tee build/artifacts/perfbench_wall_smoke.txt
+}
+
+stage_paper_tables() {
+  # The tables are pure functions of the simulator at their fixed seeds,
+  # so any change that should not move simulated work keeps them byte
+  # for byte. A change that moves it re-measures the tables, updates
+  # EXPERIMENTS.md and re-records the digests.
+  local out=build/artifacts/paper_tables
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release &&
+    cmake --build build -j "$jobs" --target table_5_1_selection \
+      table_5_2_intersection table_5_3_join error_constrained &&
+    mkdir -p "$out" &&
+    ./build/bench/table_5_1_selection >"$out/table_5_1_selection.txt" &&
+    ./build/bench/table_5_2_intersection >"$out/table_5_2_intersection.txt" &&
+    ./build/bench/table_5_3_join >"$out/table_5_3_join.txt" &&
+    ./build/bench/error_constrained --reps 100 >"$out/error_constrained.txt" &&
+    (cd "$out" && sha256sum --check ../../../bench/paper_tables.sha256)
 }
 
 stage_tsan() {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "api/tcq.h"
 #include "exec/exact.h"
@@ -86,9 +87,9 @@ int main() {
                .Run();
   if (!r.ok()) return 1;
   std::printf(
-      "  stopped %s after %.1f s of the 600 s quota: estimate %.0f, "
+      "  stopped (%s) after %.1f s of the 600 s quota: estimate %.0f, "
       "95%% CI [%.0f, %.0f], %lld blocks\n",
-      r->stopped_for_precision ? "for precision" : "otherwise",
+      std::string(StopReasonName(r->stop_reason)).c_str(),
       r->elapsed_seconds, r->estimate, r->ci.lo, r->ci.hi,
       static_cast<long long>(r->blocks_sampled));
   return 0;

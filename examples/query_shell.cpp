@@ -56,7 +56,8 @@ void RunQuery(const std::string& text, Session* session, double quota_s,
       r->estimate, r->ci.lo, r->ci.hi, r->stages_counted,
       static_cast<long long>(r->blocks_sampled), r->elapsed_seconds,
       quota_s, 100.0 * std::min(1.0, r->utilization),
-      r->overspent ? " (last stage aborted)" : "");
+      r->stop_reason == StopReason::kStageOverran ? " (last stage aborted)"
+                                                  : "");
   if (with_exact) {
     auto expr = ParseQuery(text);
     if (!expr.ok()) return;

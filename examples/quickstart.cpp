@@ -72,7 +72,9 @@ int main(int argc, char** argv) {
   std::printf("time    : %.2f s elapsed of %.2f s quota (%.0f%% used%s)\n",
               result->elapsed_seconds, 5.0,
               100.0 * std::min(1.0, result->utilization),
-              result->overspent ? ", overspent last stage" : "");
+              result->stop_reason == StopReason::kStageOverran
+                  ? ", overspent last stage"
+                  : "");
   std::printf("\n  stage  fraction  blocks  predicted  actual   estimate\n");
   for (const StageReport& s : result->stages()) {
     std::printf("  %5d  %8.4f  %6lld  %8.2fs  %6.2fs  %9.1f%s\n", s.index,

@@ -174,14 +174,11 @@ Result<ExplainResult> QueryBuilder::Explain() {
   ExecutorOptions options = options_;
   options.threads = threads_;
   TCQ_RETURN_NOT_OK(options.Validate());
-  // Planning only: no pool, no samples, no side effects, no admission.
+  // Planning only: no pool, no samples, no admission. The dry run reads
+  // the warm cache without moving a counter, so it plans what Run would.
   options.pool = nullptr;
-  // The predictor's EXPLAIN peek is read-only (PeekPrior / Peek move no
-  // counters), so attaching the session cache keeps Explain side-effect
-  // free; everything else still plans cold.
-  options.warm_cache = (warm_start_ && options.sel_predictor.enabled)
-                           ? session_->backend_->warm_cache_if_any()
-                           : nullptr;
+  options.warm_cache =
+      warm_start_ ? session_->backend_->warm_cache_if_any() : nullptr;
   return ExplainTimeConstrainedAggregate(expr_, aggregate_,
                                          session_->catalog(), options);
 }

@@ -197,7 +197,8 @@ class QueryBuilder {
   /// own samples feed the cache back. Off by default
   /// (Session::Options::warm_start flips the session default);
   /// WithWarmStart(false) is bit-identical to a session that never warmed
-  /// anything, at any seed and thread count. Explain() always plans cold.
+  /// anything, at any seed and thread count. Explain() reads the same
+  /// cache without changing it.
   QueryBuilder& WithWarmStart(bool on = true) {
     warm_start_ = on;
     return *this;
@@ -277,7 +278,8 @@ class QueryBuilder {
   [[nodiscard]] Result<QueryResult> Run();
 
   /// Runs the planner without drawing a single sample: the stages the
-  /// time-control strategy would schedule from its stage-0 priors (see
+  /// time-control strategy would schedule from its stage-0 view, whose
+  /// first stage is Run()'s first stage (see
   /// ExplainTimeConstrainedAggregate for the exact semantics).
   [[nodiscard]] Result<ExplainResult> Explain();
 

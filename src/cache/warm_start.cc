@@ -41,6 +41,13 @@ RelationSamplePool* WarmStartCache::PoolFor(const std::string& relation,
   return it->second.get();
 }
 
+int64_t WarmStartCache::PeekPoolSize(const std::string& relation) const {
+  const Shard& shard = ShardFor(relation);
+  MutexLock lock(shard.mu);
+  auto it = shard.pools.find(relation);
+  return it == shard.pools.end() ? 0 : it->second->size();
+}
+
 std::optional<double> WarmStartCache::LookupPrior(const CacheKey& key) {
   Shard& shard = ShardFor(key.text());
   MutexLock lock(shard.mu);
@@ -87,6 +94,15 @@ std::optional<AdaptiveCostModel::Snapshot> WarmStartCache::LookupCostSnapshot(
   auto it = shard.snapshots.find(key);
   if (it == shard.snapshots.end()) return std::nullopt;
   ++shard.snapshot_hits;
+  return it->second;
+}
+
+std::optional<AdaptiveCostModel::Snapshot> WarmStartCache::PeekCostSnapshot(
+    const CacheKey& key) const {
+  const Shard& shard = ShardFor(key.text());
+  MutexLock lock(shard.mu);
+  auto it = shard.snapshots.find(key);
+  if (it == shard.snapshots.end()) return std::nullopt;
   return it->second;
 }
 

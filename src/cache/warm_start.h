@@ -71,6 +71,9 @@ class WarmStartCache {
   /// stays valid until Clear() or destruction.
   RelationSamplePool* PoolFor(const std::string& relation,
                               int64_t total_blocks);
+  /// Blocks the relation's pool holds (0 without one), without creating
+  /// it — the replay prefix a run's sampler would snapshot (EXPLAIN).
+  int64_t PeekPoolSize(const std::string& relation) const;
 
   /// Last observed selectivity of a canonically equal operator, or
   /// nullopt; counts a prior hit or miss.
@@ -94,6 +97,9 @@ class WarmStartCache {
   /// equal query, or nullopt; counts a snapshot hit when found.
   std::optional<AdaptiveCostModel::Snapshot> LookupCostSnapshot(
       const CacheKey& key);
+  /// Same lookup without counting a hit (EXPLAIN).
+  std::optional<AdaptiveCostModel::Snapshot> PeekCostSnapshot(
+      const CacheKey& key) const;
   void RecordCostSnapshot(const CacheKey& key,
                           AdaptiveCostModel::Snapshot snapshot);
 

@@ -18,17 +18,21 @@ struct ErrorConstrainedOptions {
   double confidence = 0.95;
 
   Fulfillment fulfillment = Fulfillment::kFull;
-  SelectivityOptions selectivity;
   CostModel physical = CostModel::Sun360();
   uint64_t seed = 1;
   int max_stages = 200;
 
-  /// Blocks per relation at the first stage.
+  /// Blocks of the largest relation at the first stage; every stage
+  /// draws the same fraction of each relation.
   int64_t initial_blocks = 20;
-  /// Cap on the per-stage sample growth factor. The planner solves the
-  /// variance formula for the sample size the target needs (variance
-  /// shrinks ≈ 1/m) and grows toward it, but never faster than this.
+  /// Cap (>= 1.2) on the per-stage sample growth factor. The planner
+  /// solves the variance formula for the sample size the target needs
+  /// (variance shrinks ≈ 1/m) and grows toward it, never faster.
   double max_growth = 4.0;
+
+  /// Rejects a missing or non-finite target, confidence outside (0, 1),
+  /// max_growth < 1.2 and max_stages < 1; called before any data access.
+  [[nodiscard]] Status Validate() const;
 };
 
 struct ErrorConstrainedResult {
@@ -45,10 +49,9 @@ struct ErrorConstrainedResult {
 
 /// Iteratively samples until the confidence interval of the COUNT(expr)
 /// estimate meets the precision target:
-///   repeat: draw the planned blocks → evaluate all inclusion–exclusion
-///   terms → recompute estimate + CI → stop if the target is met,
-///   otherwise size the next stage from the variance ratio
-///   (m_needed ≈ m · Var_now / Var_target, growth-capped).
+///   repeat: run a stage on the engine's StageRunner → stop once
+///   ShouldStopForPrecision holds, otherwise size the next stage from the
+///   variance ratio (m_needed ≈ m · Var_now / Var_target, growth-capped).
 /// Deterministic in `options.seed`; spends simulated time through the
 /// same cost-charged substrate as the time-constrained engine.
 [[nodiscard]] Result<ErrorConstrainedResult> RunErrorConstrainedCount(

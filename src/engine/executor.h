@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cost/adaptive_model.h"
@@ -153,6 +154,20 @@ struct AdmissionReport {
   bool deadline_missed = false;    // serve_latency_s exceeded deadline_s
 };
 
+/// Why the stage loop stopped. Every run sets exactly one.
+enum class StopReason {
+  kNoSampledTerm,      // nothing to sample: the answer is exact (or empty)
+  kSamplesExhausted,   // every relation was fully drawn
+  kQuotaUsedUp,        // the quota ran out between stages
+  kStageOverran,       // a stage overran the quota (aborted if hard)
+  kNoAffordableStage,  // no further stage fits the time left
+  kPrecisionMet,       // the precision target was met
+  kMaxStages,          // ExecutorOptions::max_stages stages ran
+};
+
+/// Stable snake_case name of `reason` ("stage_overran", ...).
+std::string_view StopReasonName(StopReason reason);
+
 /// Result of a time-constrained COUNT(E) evaluation.
 struct QueryResult {
   /// The returned estimate: after the last within-quota stage under a
@@ -163,8 +178,10 @@ struct QueryResult {
 
   int stages_run = 0;        // stages started (incl. an aborted one)
   int stages_counted = 0;    // stages contributing to `estimate`
-  bool overspent = false;    // the quota expired mid-stage
-  double overspend_seconds = 0.0;  // time past the quota spent finishing it
+  StopReason stop_reason = StopReason::kNoSampledTerm;
+  /// Time past the quota spent finishing the stage that overran it
+  /// (stop_reason kStageOverran).
+  double overspend_seconds = 0.0;
   /// Share of the quota spent in the counted stages ("successfully used").
   double utilization = 0.0;
   int64_t blocks_sampled = 0;  // blocks contributing to `estimate`
@@ -174,9 +191,6 @@ struct QueryResult {
   /// (== the `engine.blocks_drawn` metric when metering).
   int64_t blocks_wasted = 0;
   double elapsed_seconds = 0.0;  // total, incl. any aborted stage
-  bool stopped_for_precision = false;
-  /// Set when the run ended because no affordable stage remained.
-  bool stopped_no_affordable_stage = false;
   /// Per-stage reports, aborted final stage included. In simulation the
   /// reports' `ledger_spend_s` values telescope: their sum equals
   /// `elapsed_seconds` (the virtual clock only advances inside stages).
@@ -248,18 +262,6 @@ struct StagePrediction {
   int64_t blocks_planned = 0;      // over all relations
 };
 
-/// One operator's stage-0 prediction in an EXPLAIN plan, as peeked from
-/// the hybrid selectivity predictor (read-only; no counters move).
-struct PredictorNodeView {
-  int term = 0;
-  int node = 0;            // pre-order id within the term
-  std::string op;          // operator kind name
-  std::string component;   // chooser pick: observed/prior/history/default
-  double selectivity = 0.0;
-  double confidence = 0.0;
-  double width_scale = 1.0;
-};
-
 /// The planner's view of a query before any sample is drawn.
 struct ExplainResult {
   std::string strategy;       // time-control strategy name
@@ -271,25 +273,23 @@ struct ExplainResult {
   /// True when the predicted stages exhaust every relation's blocks
   /// before the quota runs out.
   bool exhausts_samples = false;
-  /// Hybrid-predictor view (DESIGN.md §12): set when
-  /// `options.sel_predictor.enabled`, with one entry per sampled
-  /// operator node showing the component the chooser would pick at
-  /// stage 0, its confidence and the resulting inflation width.
+  /// Hybrid-predictor view (DESIGN.md §12): set when the run would
+  /// consult the predictor, with one entry per sampled operator node
+  /// showing the component the chooser would pick at stage 0, its
+  /// selectivity, confidence and the resulting inflation width.
   bool predictor_active = false;
-  std::vector<PredictorNodeView> predictor_nodes;
+  std::vector<OperatorSelectivity> predictor_nodes;
 
   /// Multi-line human-readable plan (the `Session::Explain` output).
   std::string ToString() const;
 };
 
-/// Runs the planning loop — inclusion–exclusion expansion, stage-1
-/// selectivity defaults, the time-control strategy and Sample-Size-
-/// Determine over the initial cost coefficients — WITHOUT drawing a
-/// single sample (EXPLAIN, not EXPLAIN ANALYZE). Predictions are the
-/// stage-0 view: block exhaustion is simulated stage over stage, but the
-/// selectivity revisions and cost-coefficient re-fits that a real run
-/// learns from its samples are not, so later stages' costs reflect the
-/// planner's priors. Deterministic and side-effect free.
+/// A dry run of RunTimeConstrainedAggregate (EXPLAIN, not EXPLAIN
+/// ANALYZE): the run's planner over hypothetical block counts and time,
+/// reading the warm cache and the predictor without moving a counter and
+/// drawing no sample. Its stage 0 is the run's (exactly, in simulation);
+/// later stages keep the stage-0 selectivities and coefficients, since
+/// re-fits need samples. Deterministic and side-effect free.
 [[nodiscard]] Result<ExplainResult> ExplainTimeConstrainedAggregate(
     const ExprPtr& expr, const AggregateSpec& aggregate,
     const Catalog& catalog, const ExecutorOptions& options);

@@ -27,7 +27,7 @@ Result<ExperimentRow> RunExperiment(const ExperimentConfig& config) {
     stages_sum += result.stages_run;
     util_sum += result.utilization;
     blocks_sum += static_cast<double>(result.blocks_sampled);
-    if (result.overspent) {
+    if (result.stop_reason == StopReason::kStageOverran) {
       ++overspent_runs;
       ovsp_sum += result.overspend_seconds;
     }

@@ -33,7 +33,7 @@ TEST(ExecutorTest, GenerousQuotaSamplesEverythingExactly) {
   auto r = RunTimeConstrainedCount(w->query, w->catalog, WithQuota(DefaultOptions(), 100000.0));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_DOUBLE_EQ(r->estimate, 2000.0);
-  EXPECT_FALSE(r->overspent);
+  EXPECT_NE(r->stop_reason, StopReason::kStageOverran);
   EXPECT_EQ(r->blocks_sampled, 2000);
   EXPECT_GT(r->stages_counted, 0);
 }
@@ -94,7 +94,7 @@ TEST(ExecutorTest, HardDeadlineDiscardsAbortedStage) {
     opts.deadline_mode = DeadlineMode::kHard;
     auto r = RunTimeConstrainedCount(w->query, w->catalog, WithQuota(opts, 10.0));
     ASSERT_TRUE(r.ok());
-    if (!r->overspent) continue;
+    if (r->stop_reason != StopReason::kStageOverran) continue;
     found = true;
     EXPECT_GT(r->overspend_seconds, 0.0);
     EXPECT_GT(r->elapsed_seconds, 10.0);
@@ -121,7 +121,7 @@ TEST(ExecutorTest, SoftDeadlineCountsFinalStage) {
     opts.deadline_mode = DeadlineMode::kSoft;
     auto r = RunTimeConstrainedCount(w->query, w->catalog, WithQuota(opts, 10.0));
     ASSERT_TRUE(r.ok());
-    if (!r->overspent) continue;
+    if (r->stop_reason != StopReason::kStageOverran) continue;
     EXPECT_EQ(r->stages_counted, r->stages_run);
     EXPECT_DOUBLE_EQ(r->estimate, r->stages().back().estimate_after);
     return;
@@ -217,7 +217,7 @@ TEST(ExecutorTest, PrecisionStopEndsEarly) {
   // the precision criterion (not exhaustion) is what stops the run.
   auto r = RunTimeConstrainedCount(w->query, w->catalog, WithQuota(opts, 30.0));
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->stopped_for_precision);
+  EXPECT_EQ(r->stop_reason, StopReason::kPrecisionMet);
   EXPECT_LT(r->blocks_sampled, 2000);
 }
 

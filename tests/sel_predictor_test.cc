@@ -172,7 +172,7 @@ void ExpectIdenticalResults(const QueryResult& a, const QueryResult& b) {
   EXPECT_EQ(a.ci.hi, b.ci.hi);
   EXPECT_EQ(a.stages_run, b.stages_run);
   EXPECT_EQ(a.stages_counted, b.stages_counted);
-  EXPECT_EQ(a.overspent, b.overspent);
+  EXPECT_EQ(a.stop_reason, b.stop_reason);
   EXPECT_EQ(a.blocks_sampled, b.blocks_sampled);
   EXPECT_EQ(a.blocks_wasted, b.blocks_wasted);
   EXPECT_EQ(a.elapsed_seconds, b.elapsed_seconds);

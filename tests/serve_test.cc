@@ -295,7 +295,7 @@ TEST(ServerTest, HardAbortAndServeDeadlineStayConsistent) {
     EXPECT_FALSE(r->admission.deadline_missed);  // a real minute is ample
     EXPECT_EQ(r->stages_run,
               static_cast<int>(r->stage_reports.size()));
-    if (r->overspent) {
+    if (r->stop_reason == StopReason::kStageOverran) {
       saw_abort = true;
       EXPECT_EQ(r->stages_counted, r->stages_run - 1);
       EXPECT_FALSE(r->stage_reports.back().within_quota);

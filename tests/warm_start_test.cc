@@ -40,7 +40,7 @@ void ExpectIdenticalResults(const QueryResult& a, const QueryResult& b) {
   EXPECT_EQ(a.ci.hi, b.ci.hi);
   EXPECT_EQ(a.stages_run, b.stages_run);
   EXPECT_EQ(a.stages_counted, b.stages_counted);
-  EXPECT_EQ(a.overspent, b.overspent);
+  EXPECT_EQ(a.stop_reason, b.stop_reason);
   EXPECT_EQ(a.utilization, b.utilization);
   EXPECT_EQ(a.blocks_sampled, b.blocks_sampled);
   EXPECT_EQ(a.blocks_wasted, b.blocks_wasted);
@@ -320,7 +320,7 @@ TEST(AccountingTest, BlocksWastedReconcilesWithStageReportsAndMetric) {
     for (const StageReport& s : r->stage_reports) reported += s.blocks_drawn;
     EXPECT_EQ(r->blocks_sampled + r->blocks_wasted, reported);
     EXPECT_EQ(metrics.counter("engine.blocks_drawn")->value(), reported);
-    if (r->overspent) {
+    if (r->stop_reason == StopReason::kStageOverran) {
       saw_abort = true;
       EXPECT_GT(r->blocks_wasted, 0);
       EXPECT_EQ(r->blocks_wasted,
@@ -371,7 +371,7 @@ TEST(AccountingTest, FaultRetriesNeverDoubleCountBlocksDrawn) {
     }
     if (r->faults.blocks_lost > 0) {
       saw_loss = true;
-      if (r->overspent) {
+      if (r->stop_reason == StopReason::kStageOverran) {
         // The aborted stage wastes all its draws, lost or not.
         EXPECT_GE(r->blocks_wasted, r->faults.blocks_lost);
       } else {
@@ -397,7 +397,7 @@ TEST(AccountingTest, SoftOverrunReportsUtilizationAboveOne) {
                  .WithDeadline(DeadlineMode::kSoft)
                  .Run();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    if (r->overspent) {
+    if (r->stop_reason == StopReason::kStageOverran) {
       saw_overrun = true;
       EXPECT_GT(r->utilization, 1.0);
       EXPECT_NEAR(r->utilization, r->elapsed_seconds / 2.0, 1e-9);
