@@ -183,14 +183,6 @@ class QueryBuilder {
     options_.cost = cost;
     return *this;
   }
-  /// Combine inclusion–exclusion terms with the Cauchy–Schwarz variance
-  /// bound instead of the independent sum — never-understated intervals
-  /// whatever the term correlations (ExecutorOptions::
-  /// conservative_term_variance).
-  QueryBuilder& WithConservativeTermVariance(bool on = true) {
-    options_.conservative_term_variance = on;
-    return *this;
-  }
   /// Attaches (or detaches) the backing warm-start cache for this query:
   /// block draws replay the sample pools earlier queries filled, stage-0
   /// planning starts from cached operator selectivities, and the run's

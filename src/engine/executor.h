@@ -96,11 +96,6 @@ struct ExecutorOptions {
   /// cold and is bit-identical to a build without the cache subsystem at
   /// any seed and thread count.
   WarmStartCache* warm_cache = nullptr;
-  /// Combine inclusion–exclusion terms with the Cauchy–Schwarz variance
-  /// bound (Σ|aᵢ|σᵢ)² instead of the independent sum Σaᵢ²σᵢ² — the
-  /// historical behaviour, kept as an explicit opt-in for callers that
-  /// want never-understated intervals whatever the term correlations.
-  bool conservative_term_variance = false;
   /// Serving-layer completion deadline in real (serving-clock) seconds,
   /// measured from submission to a tcq::Server: the admission queue
   /// orders waiters by it (earliest first) and stops waiting for budget

@@ -162,9 +162,6 @@ struct QueryPlan {
         physical(PlanningModel(options, width)),
         coefs(physical, options.cost),
         strategy(MakeStrategy(options.strategy)),
-        combine_rule(options.conservative_term_variance
-                         ? CombineVariance::kConservative
-                         : CombineVariance::kIndependent),
         cache(options.warm_cache),
         mode(options.fulfillment) {}
   QueryPlan(const QueryPlan&) = delete;
@@ -430,7 +427,6 @@ struct QueryPlan {
   const CostModel physical;  // workers = width under a wall clock
   AdaptiveCostModel coefs;
   std::unique_ptr<TimeControlStrategy> strategy;
-  const CombineVariance combine_rule;
 
   WarmStartCache* const cache;
   WarmStartStats cache_stats_before;
@@ -841,8 +837,8 @@ class StageRunner {
     }
     term_estimates.insert(term_estimates.end(), q.constants.begin(),
                           q.constants.end());
-    CountEstimate combined = CombineSignedEstimates(
-        q.signs, term_estimates, q.obs, q.combine_rule);
+    CountEstimate combined =
+        CombineSignedEstimates(q.signs, term_estimates, q.obs);
     if (q.aggregate_kind == AggregateSpec::Kind::kCount) return combined;
     // SUM and AVG sample every term, so `signs` are the sampled terms'.
     std::vector<CountEstimate> sum_estimates;
@@ -853,8 +849,7 @@ class StageRunner {
           ev->cum_value_sum(), ev->cum_value_sq_sum(), ev->cum_points(),
           ev->total_points()));
     }
-    CountEstimate sum_combined =
-        CombineSignedEstimates(q.signs, sum_estimates, q.combine_rule);
+    CountEstimate sum_combined = CombineSignedEstimates(q.signs, sum_estimates);
     if (q.aggregate_kind == AggregateSpec::Kind::kSum) return sum_combined;
     // AVG = SUM / COUNT, delta-method variance (covariance ignored).
     CountEstimate avg;

@@ -1,32 +1,22 @@
 #include "estimator/combined.h"
 
-#include <cmath>
-#include <cstdlib>
-
 #include "util/check.h"
 
 namespace tcq {
 
 CountEstimate CombineSignedEstimates(const std::vector<int>& signs,
-                                     const std::vector<CountEstimate>& terms,
-                                     CombineVariance variance_rule) {
+                                     const std::vector<CountEstimate>& terms) {
   TCQ_CHECK(signs.size() == terms.size(),
             "every inclusion-exclusion term needs a sign");
   CountEstimate out;
-  double var_sum = 0.0;    // Σ aᵢ²σᵢ²
-  double sigma_sum = 0.0;  // Σ |aᵢ|σᵢ
   for (size_t i = 0; i < terms.size(); ++i) {
     double a = static_cast<double>(signs[i]);
     out.value += a * terms[i].value;
-    var_sum += a * a * terms[i].variance;
-    sigma_sum += std::abs(a) * std::sqrt(terms[i].variance);
+    out.variance += a * a * terms[i].variance;  // Σ aᵢ²σᵢ²
     out.hits += terms[i].hits;
     out.points += terms[i].points;
     out.total_points += terms[i].total_points;
   }
-  out.variance = variance_rule == CombineVariance::kConservative
-                     ? sigma_sum * sigma_sum
-                     : var_sum;
   TCQ_CHECK_INVARIANT(out.variance >= 0.0,
                       "combined variance estimate went negative");
   return out;
@@ -34,9 +24,8 @@ CountEstimate CombineSignedEstimates(const std::vector<int>& signs,
 
 CountEstimate CombineSignedEstimates(const std::vector<int>& signs,
                                      const std::vector<CountEstimate>& terms,
-                                     const ObsHandle& obs,
-                                     CombineVariance variance_rule) {
-  CountEstimate out = CombineSignedEstimates(signs, terms, variance_rule);
+                                     const ObsHandle& obs) {
+  CountEstimate out = CombineSignedEstimates(signs, terms);
   if (obs.metering()) {
     obs.metrics->counter("estimator.combines")->Increment();
     obs.metrics->gauge("estimator.estimate")->Set(out.value);

@@ -8,42 +8,28 @@
 
 namespace tcq {
 
-/// How CombineSignedEstimates turns per-term variances into a combined
-/// variance.
-enum class CombineVariance {
-  /// Independent-sum formula Var(Σ aᵢXᵢ) = Σ aᵢ²σᵢ² — correct when the
-  /// term estimators are uncorrelated, which holds for the engine's
-  /// per-term cluster estimates (each term's hits are recounted on the
-  /// shared sample, but the dominant sampling variation is the common
-  /// block draw, and empirically the independent sum tracks the observed
-  /// estimator variance closely; see the Monte-Carlo test). The default.
-  kIndependent,
-  /// Cauchy–Schwarz upper bound (Σ |aᵢ|·σᵢ)² — never understates the
-  /// interval whatever the correlations, at the price of intervals up to
-  /// k× too wide for k terms (the historical behaviour: the bound had
-  /// been applied unconditionally, inflating every multi-term CI).
-  kConservative,
-};
-
 /// Combines the per-term estimates of an inclusion–exclusion expansion
 /// COUNT(E) = Σ sign_i · COUNT(Ei') into one estimate.
 ///
-/// The combined variance follows `variance_rule`; both rules are cheap,
-/// in the same spirit as the paper's preference for inexpensive variance
-/// approximations (§3.3). For a single term the two rules coincide.
-CountEstimate CombineSignedEstimates(
-    const std::vector<int>& signs, const std::vector<CountEstimate>& terms,
-    CombineVariance variance_rule = CombineVariance::kIndependent);
+/// The combined variance is the independent-sum formula Var(Σ aᵢXᵢ) =
+/// Σ aᵢ²σᵢ², correct when the term estimators are uncorrelated, which
+/// holds for the engine's per-term cluster estimates (each term's hits are
+/// recounted on the shared sample, but the dominant sampling variation is
+/// the common block draw, and empirically the independent sum tracks the
+/// observed estimator variance closely; see the Monte-Carlo test). It is
+/// cheap, in the same spirit as the paper's preference for inexpensive
+/// variance approximations (§3.3).
+CountEstimate CombineSignedEstimates(const std::vector<int>& signs,
+                                     const std::vector<CountEstimate>& terms);
 
 /// Same, additionally publishing the combination to `obs`: the
 /// `estimator.combines` counter, the `estimator.estimate` /
 /// `estimator.variance` gauges (last combined values), and the
 /// `estimator.stage_variance` histogram of V̂ per combination. Call from
 /// the engine's serial section only (gauge/histogram determinism).
-CountEstimate CombineSignedEstimates(
-    const std::vector<int>& signs, const std::vector<CountEstimate>& terms,
-    const ObsHandle& obs,
-    CombineVariance variance_rule = CombineVariance::kIndependent);
+CountEstimate CombineSignedEstimates(const std::vector<int>& signs,
+                                     const std::vector<CountEstimate>& terms,
+                                     const ObsHandle& obs);
 
 }  // namespace tcq
 

@@ -112,15 +112,14 @@ Result<RowSet> Evaluate(const ExprPtr& expr, const Catalog& catalog) {
         lkey.push_back(li);
         rkey.push_back(ri);
       }
-      KeyPrefixes lprefixes, rprefixes;
+      KeyedRun lrun(l.rows.size()), rrun(r.rows.size());
       int64_t comparisons = 0;  // uncharged: no ledger
-      SortRunRange(&l.rows, lkey, &comparisons, &lprefixes);
-      SortRunRange(&r.rows, rkey, &comparisons, &rprefixes);
+      SortRunRange(l.rows, lkey, &lrun, &comparisons);
+      SortRunRange(r.rows, rkey, &rrun, &comparisons);
       JoinedCells joined;
       joined.left_arity = l.arity();
       joined.right_arity = r.arity();
-      MergeJoinRange(l.rows, lprefixes, lkey, r.rows, rprefixes, rkey,
-                     &joined, &comparisons);
+      MergeJoinRange(lrun, lkey, rrun, rkey, &joined, &comparisons);
       RowSet out;
       out.schema = l.schema.ConcatForJoin(r.schema);
       OwnRows(std::move(joined.cells), joined.arity(), &out);

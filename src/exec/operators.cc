@@ -4,9 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
-#include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "util/check.h"
@@ -87,7 +85,7 @@ void ChargeOutput(const Schema& schema, int64_t out_tuples,
   return PrefixOf(row[static_cast<size_t>(key[0])]);
 }
 
-/// Prefix-first three-way comparison of two rows' keys, `a` read through
+/// Prefix-first three-way comparison of two keyed rows, `a` read through
 /// `a_key` and `b` through `b_key` (keys of one length, the arity of the
 /// comparison). Unequal prefixes decide. Equal ones fall through to the
 /// key columns — from the leading column when it is a string, whose prefix
@@ -99,23 +97,23 @@ class PrefixCompare {
   /// The leading key cell of `run`'s first row fixes the leading column's
   /// type; an empty run leaves nothing to compare.
   PrefixCompare(const std::vector<int>& a_key, const std::vector<int>& b_key,
-                RowSpan run)
+                KeyedSpan run)
       : a_key_(a_key), b_key_(b_key) {
     TCQ_DCHECK(!a_key.empty() && a_key.size() == b_key.size(),
                "compared keys are empty or differ in length");
     if (run.empty()) return;
     arity_ = a_key.size();
-    if (ValueType(run[0][static_cast<size_t>(a_key[0])]) !=
+    if (ValueType(run[0].cells[static_cast<size_t>(a_key[0])]) !=
         DataType::kString) {
       first_ = 1;
     }
   }
 
-  int operator()(uint64_t pa, Row a, uint64_t pb, Row b) const {
-    if (pa != pb) return pa < pb ? -1 : 1;
+  int operator()(const KeyedRow& a, const KeyedRow& b) const {
+    if (a.prefix != b.prefix) return a.prefix < b.prefix ? -1 : 1;
     for (size_t k = first_; k < arity_; ++k) {
-      int c = CompareValues(a[static_cast<size_t>(a_key_[k])],
-                            b[static_cast<size_t>(b_key_[k])]);
+      int c = CompareValues(a.cells[static_cast<size_t>(a_key_[k])],
+                            b.cells[static_cast<size_t>(b_key_[k])]);
       if (c != 0) return c;
     }
     return 0;
@@ -129,19 +127,14 @@ class PrefixCompare {
 };
 
 /// The merge loop shared by the intersect and join kernels, over two runs
-/// sorted on their keys with their prefixes: steps past unequal keys and
-/// hands each equal-key group, left [i, i_end) × right [j, j_end), to
-/// `on_group`. Returns the comparison count: one per cross probe and one
-/// per group-extension probe.
+/// sorted on their keys: steps past unequal keys and hands each equal-key
+/// group, left [i, i_end) × right [j, j_end), to `on_group`. Returns the
+/// comparison count: one per cross probe and one per group-extension
+/// probe.
 template <typename OnGroup>
-int64_t MergePrefixedRuns(RowSpan left, KeyPrefixSpan left_prefixes,
-                          const std::vector<int>& left_key,
-                          RowSpan right, KeyPrefixSpan right_prefixes,
-                          const std::vector<int>& right_key,
+int64_t MergePrefixedRuns(KeyedSpan left, const std::vector<int>& left_key,
+                          KeyedSpan right, const std::vector<int>& right_key,
                           OnGroup&& on_group) {
-  TCQ_DCHECK(left_prefixes.size() == left.size() &&
-                 right_prefixes.size() == right.size(),
-             "prefixes do not match their runs");
   const PrefixCompare cross(left_key, right_key, left);
   const PrefixCompare left_self(left_key, left_key, left);
   const PrefixCompare right_self(right_key, right_key, right);
@@ -149,7 +142,7 @@ int64_t MergePrefixedRuns(RowSpan left, KeyPrefixSpan left_prefixes,
   int64_t comps = 0;
   while (i < left.size() && j < right.size()) {
     ++comps;
-    int c = cross(left_prefixes[i], left[i], right_prefixes[j], right[j]);
+    int c = cross(left[i], right[j]);
     if (c != 0) {
       // Exactly one side advances, as in a branchy merge.
       i += static_cast<size_t>(c < 0);
@@ -159,19 +152,13 @@ int64_t MergePrefixedRuns(RowSpan left, KeyPrefixSpan left_prefixes,
     size_t i_end = i + 1;
     while (i_end < left.size()) {
       ++comps;
-      if (left_self(left_prefixes[i_end], left[i_end], left_prefixes[i],
-                    left[i]) != 0) {
-        break;
-      }
+      if (left_self(left[i_end], left[i]) != 0) break;
       ++i_end;
     }
     size_t j_end = j + 1;
     while (j_end < right.size()) {
       ++comps;
-      if (right_self(right_prefixes[j_end], right[j_end], right_prefixes[j],
-                     right[j]) != 0) {
-        break;
-      }
+      if (right_self(right[j_end], right[j]) != 0) break;
       ++j_end;
     }
     on_group(i, i_end, j, j_end);
@@ -357,25 +344,15 @@ int64_t InsertionPass(T* a, size_t lo, size_t hi, Less& less) {
   return skipped;
 }
 
-/// A row's first cell with its key prefix: the element the sort kernel
-/// permutes. Trivially constructible, unlike Row, whose handle starts out
-/// null: a run's buffer is allocated for overwrite and filled in one
-/// (chunked) pass.
-struct Keyed {
-  uint64_t prefix;
-  const Value* row;
-};
-static_assert(std::is_trivially_default_constructible_v<Keyed>);
-
 /// The counting prefix-first comparator of the sort kernel. Unequal
 /// prefixes decide inline; only a tie calls into PrefixCompare.
 class KeyedLess {
  public:
   explicit KeyedLess(const PrefixCompare& cmp) : cmp_(cmp) {}
-  bool operator()(const Keyed& a, const Keyed& b) {
+  bool operator()(const KeyedRow& a, const KeyedRow& b) {
     ++count_;
     if (a.prefix != b.prefix) return a.prefix < b.prefix;
-    return cmp_(a.prefix, Row(a.row), b.prefix, Row(b.row)) < 0;
+    return cmp_(a, b) < 0;
   }
   int64_t count() const { return count_; }
 
@@ -384,37 +361,25 @@ class KeyedLess {
   int64_t count_ = 0;
 };
 
-/// One sort of keyed elements, writing the sorted handles and prefixes
-/// back to `run` and `prefixes` (when non-null) leaf by leaf.
-struct SortJob {
-  Keyed* items;
-  const PrefixCompare* cmp;
-  Rows* run;
-  KeyPrefixes* prefixes;
-};
-
-/// Sorts job.items[lo, hi) with `depth` levels left, forking both halves
-/// of a partition above kSortForkCutoff when `fan_out` is given. Returns
-/// the comparisons std::sort makes on the range.
-int64_t SortRange(const SortJob& job, size_t lo, size_t hi, ptrdiff_t depth,
-                  FanOut* fan_out) {
-  KeyedLess less(*job.cmp);
+/// Sorts items[lo, hi) with `depth` levels left, forking both halves of a
+/// partition above kSortForkCutoff when `fan_out` is given. Returns the
+/// comparisons std::sort makes on the range.
+int64_t SortRange(KeyedRow* items, const PrefixCompare& cmp, size_t lo,
+                  size_t hi, ptrdiff_t depth, FanOut* fan_out) {
+  KeyedLess less(cmp);
   if (fan_out != nullptr && hi - lo > kSortForkCutoff && depth > 0) {
-    Keyed* cut = UnguardedPartitionPivot(job.items + lo, job.items + hi, less);
-    const auto mid = static_cast<size_t>(cut - job.items);
+    KeyedRow* cut = UnguardedPartitionPivot(items + lo, items + hi, less);
+    const auto mid = static_cast<size_t>(cut - items);
     int64_t halves[2] = {0, 0};
     RunSection(fan_out, 2, [&](size_t i, FanOut* inner) {
-      halves[i] = i == 0 ? SortRange(job, mid, hi, depth - 1, inner)
-                         : SortRange(job, lo, mid, depth - 1, inner);
+      halves[i] = i == 0 ? SortRange(items, cmp, mid, hi, depth - 1, inner)
+                         : SortRange(items, cmp, lo, mid, depth - 1, inner);
     });
     return less.count() + halves[0] + halves[1];
   }
-  IntroSortLoop(job.items + lo, job.items + hi, depth, less);
-  const int64_t skipped = InsertionPass(job.items, lo, hi, less);
-  for (size_t i = lo; i < hi; ++i) (*job.run)[i] = Row(job.items[i].row);
-  if (job.prefixes != nullptr) {
-    for (size_t i = lo; i < hi; ++i) (*job.prefixes)[i] = job.items[i].prefix;
-  }
+  IntroSortLoop(items + lo, items + hi, depth, less);
+  // The insertion pass counts through `less` too: read the count after it.
+  const int64_t skipped = InsertionPass(items, lo, hi, less);
   return less.count() + skipped;
 }
 
@@ -521,25 +486,17 @@ std::vector<int> AllColumns(size_t arity) {
   return key;
 }
 
-KeyPrefixes KeyPrefixesOf(RowSpan run, const std::vector<int>& key) {
-  KeyPrefixes out;
-  out.reserve(run.size());
-  for (Row row : run) out.push_back(LeadPrefix(row, key));
-  return out;
-}
-
-void SortRunRange(Rows* run, const std::vector<int>& key,
-                  int64_t* comparisons, KeyPrefixes* prefixes,
-                  FanOut* fan_out) {
-  const size_t n = run->size();
-  if (prefixes != nullptr) prefixes->resize(n);
+void SortRunRange(RowSpan rows, const std::vector<int>& key, KeyedRun* run,
+                  int64_t* comparisons, FanOut* fan_out) {
+  TCQ_DCHECK(run->size() == rows.size(), "the run is not sized to the rows");
+  const size_t n = rows.size();
   if (n == 0) return;
-  const auto items = std::make_unique_for_overwrite<Keyed[]>(n);
+  KeyedRow* items = run->begin();
   const auto lead = static_cast<size_t>(key[0]);
   auto fill = [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      PrefetchAhead(*run, i, hi, lead);
-      items[i] = Keyed{LeadPrefix((*run)[i], key), (*run)[i].data()};
+      PrefetchAhead(rows, i, hi, lead);
+      items[i] = KeyedRow{LeadPrefix(rows[i], key), rows[i].data()};
     }
   };
   const size_t chunks = PassChunks(fan_out, n, kPassChunk);
@@ -551,74 +508,64 @@ void SortRunRange(Rows* run, const std::vector<int>& key,
     });
   }
   const PrefixCompare cmp(key, key, *run);
-  const SortJob job{items.get(), &cmp, run, prefixes};
-  *comparisons += SortRange(job, 0, n, DepthLimit(n), fan_out);
+  *comparisons += SortRange(items, cmp, 0, n, DepthLimit(n), fan_out);
 }
 
-void SortRun(Rows* run, const std::vector<int>& key, CostLedger* ledger,
-             const CostModel& model, StepMetrics* metrics,
-             KeyPrefixes* prefixes) {
+KeyedRun SortRun(RowSpan rows, const std::vector<int>& key,
+                 CostLedger* ledger, const CostModel& model,
+                 StepMetrics* metrics) {
+  KeyedRun run(rows.size());
   int64_t comparisons = 0;
-  SortRunRange(run, key, &comparisons, prefixes);
+  SortRunRange(rows, key, &run, &comparisons);
   ChargeScope charge(ledger, metrics);
   charge.ChargeN(CostCategory::kSortCompare, comparisons,
                  model.sort_compare_s);
   if (metrics != nullptr) {
-    metrics->in_tuples += static_cast<int64_t>(run->size());
-    metrics->out_tuples += static_cast<int64_t>(run->size());
+    metrics->in_tuples += static_cast<int64_t>(rows.size());
+    metrics->out_tuples += static_cast<int64_t>(rows.size());
     metrics->comparisons += comparisons;
   }
+  return run;
 }
 
-void AppendJoined(RowSpan left, size_t lbeg, size_t lend, RowSpan right,
+void AppendJoined(KeyedSpan left, size_t lbeg, size_t lend, KeyedSpan right,
                   size_t rbeg, size_t rend, JoinedCells* out) {
   for (size_t a = lbeg; a < lend; ++a) {
     for (size_t b = rbeg; b < rend; ++b) {
-      out->cells.insert(out->cells.end(), left[a].data(),
-                        left[a].data() + out->left_arity);
-      out->cells.insert(out->cells.end(), right[b].data(),
-                        right[b].data() + out->right_arity);
+      out->cells.insert(out->cells.end(), left[a].cells,
+                        left[a].cells + out->left_arity);
+      out->cells.insert(out->cells.end(), right[b].cells,
+                        right[b].cells + out->right_arity);
     }
   }
 }
 
-int64_t MergeIntersectRange(RowSpan left, KeyPrefixSpan left_prefixes,
-                            RowSpan right, KeyPrefixSpan right_prefixes,
-                            size_t arity, Rows* out, int64_t* comparisons) {
+int64_t MergeIntersectRange(KeyedSpan left, KeyedSpan right, size_t arity,
+                            Rows* out, int64_t* comparisons) {
   const std::vector<int> all_columns = AllColumns(arity);
   int64_t emitted = 0;
   *comparisons += MergePrefixedRuns(
-      left, left_prefixes, all_columns, right, right_prefixes, all_columns,
+      left, all_columns, right, all_columns,
       [&](size_t i, size_t i_end, size_t j, size_t j_end) {
         // Equal group: one output point per (left, right) pair.
         emitted += static_cast<int64_t>((i_end - i) * (j_end - j));
         if (out != nullptr) {
           for (size_t a = i; a < i_end; ++a) {
-            out->insert(out->end(), j_end - j, left[a]);
+            out->insert(out->end(), j_end - j, left[a].row());
           }
         }
       });
   return emitted;
 }
 
-int64_t MergeIntersectRange(RowSpan left, RowSpan right, size_t arity,
-                            Rows* out, int64_t* comparisons) {
-  const std::vector<int> all_columns = AllColumns(arity);
-  return MergeIntersectRange(left, KeyPrefixesOf(left, all_columns), right,
-                             KeyPrefixesOf(right, all_columns), arity, out,
-                             comparisons);
-}
-
-int64_t MergeJoinRange(RowSpan left, KeyPrefixSpan left_prefixes,
-                       const std::vector<int>& left_key, RowSpan right,
-                       KeyPrefixSpan right_prefixes,
-                       const std::vector<int>& right_key, JoinedCells* out,
-                       int64_t* comparisons) {
+int64_t MergeJoinRange(KeyedSpan left, const std::vector<int>& left_key,
+                       KeyedSpan right, const std::vector<int>& right_key,
+                       JoinedCells* out, int64_t* comparisons) {
   TCQ_DCHECK(left_key.size() == right_key.size(),
              "join key lists differ in length");
   int64_t emitted = 0;
   *comparisons += MergePrefixedRuns(
-      left, left_prefixes, left_key, right, right_prefixes, right_key,
+      left, left_key, right, right_key,
       [&](size_t i, size_t i_end, size_t j, size_t j_end) {
         emitted += static_cast<int64_t>((i_end - i) * (j_end - j));
         if (out != nullptr) AppendJoined(left, i, i_end, right, j, j_end, out);
@@ -626,54 +573,24 @@ int64_t MergeJoinRange(RowSpan left, KeyPrefixSpan left_prefixes,
   return emitted;
 }
 
-int64_t MergeJoinRange(RowSpan left, const std::vector<int>& left_key,
-                       RowSpan right, const std::vector<int>& right_key,
-                       JoinedCells* out, int64_t* comparisons) {
-  return MergeJoinRange(left, KeyPrefixesOf(left, left_key), left_key, right,
-                        KeyPrefixesOf(right, right_key), right_key, out,
-                        comparisons);
-}
-
-void MergeSortedRuns(RowSpan first, KeyPrefixSpan first_prefixes,
-                     RowSpan second, KeyPrefixSpan second_prefixes,
-                     size_t arity, Rows* out, KeyPrefixes* out_prefixes) {
+KeyedRun MergeSortedRuns(KeyedSpan first, KeyedSpan second, size_t arity) {
   const std::vector<int> all_columns = AllColumns(arity);
   const PrefixCompare cmp(all_columns, all_columns,
                           first.empty() ? second : first);
-  const size_t n = first.size() + second.size();
-  out->clear();
-  out->reserve(n);
-  out_prefixes->clear();
-  out_prefixes->reserve(n);
-  size_t i = 0, j = 0;
-  while (i < first.size() && j < second.size()) {
-    if (cmp(second_prefixes[j], second[j], first_prefixes[i], first[i]) < 0) {
-      out->push_back(second[j]);
-      out_prefixes->push_back(second_prefixes[j++]);
-    } else {
-      out->push_back(first[i]);
-      out_prefixes->push_back(first_prefixes[i++]);
-    }
-  }
-  out->insert(out->end(), first.begin() + static_cast<ptrdiff_t>(i),
-              first.end());
-  out_prefixes->insert(out_prefixes->end(),
-                       first_prefixes.begin() + static_cast<ptrdiff_t>(i),
-                       first_prefixes.end());
-  out->insert(out->end(), second.begin() + static_cast<ptrdiff_t>(j),
-              second.end());
-  out_prefixes->insert(out_prefixes->end(),
-                       second_prefixes.begin() + static_cast<ptrdiff_t>(j),
-                       second_prefixes.end());
+  KeyedRun out(first.size() + second.size());
+  std::merge(first.begin(), first.end(), second.begin(), second.end(),
+             out.begin(), [&cmp](const KeyedRow& a, const KeyedRow& b) {
+               return cmp(a, b) < 0;
+             });
+  return out;
 }
 
-std::vector<size_t> PartitionSortedRun(RowSpan run,
-                                       KeyPrefixSpan prefixes,
+std::vector<size_t> PartitionSortedRun(KeyedSpan run,
                                        const std::vector<int>& key,
                                        size_t max_parts, size_t min_chunk) {
   const size_t n = run.size();
   if (min_chunk == 0) min_chunk = 1;
-  size_t parts = min_chunk > 0 ? n / min_chunk : n;
+  size_t parts = n / min_chunk;
   if (parts > max_parts) parts = max_parts;
   if (parts < 1) parts = 1;
   std::vector<size_t> bounds;
@@ -684,8 +601,7 @@ std::vector<size_t> PartitionSortedRun(RowSpan run,
     // Advance to the start of the next key group so equal keys stay in
     // one chunk.
     while (target < n && target > 0 &&
-           cmp(prefixes[target - 1], run[target - 1], prefixes[target],
-               run[target]) == 0) {
+           cmp(run[target - 1], run[target]) == 0) {
       ++target;
     }
     if (target > bounds.back() && target < n) bounds.push_back(target);
@@ -694,75 +610,20 @@ std::vector<size_t> PartitionSortedRun(RowSpan run,
   return bounds;
 }
 
-size_t LowerBoundCrossKey(RowSpan run, KeyPrefixSpan run_prefixes,
-                          const std::vector<int>& run_key, Row probe,
-                          uint64_t probe_prefix,
+size_t LowerBoundCrossKey(KeyedSpan run, const std::vector<int>& run_key,
+                          const KeyedRow& probe,
                           const std::vector<int>& probe_key) {
   const PrefixCompare cmp(run_key, probe_key, run);
-  size_t lo = 0, hi = run.size();
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (cmp(run_prefixes[mid], run[mid], probe_prefix, probe) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  const auto bound = std::partition_point(
+      run.begin(), run.end(),
+      [&](const KeyedRow& row) { return cmp(row, probe) < 0; });
+  return static_cast<size_t>(bound - run.begin());
 }
 
-Rows MergeIntersect(RowSpan left, RowSpan right, const Schema& schema,
-                    CostLedger* ledger, const CostModel& model,
-                    OpMetrics* metrics) {
-  StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
-  int64_t comparisons = 0;
-  Rows out;
-  MergeIntersectRange(left, right,
-                      static_cast<size_t>(schema.num_columns()), &out,
-                      &comparisons);
-  ChargeScope charge(ledger, process);
-  charge.ChargeN(CostCategory::kMergeCompare, comparisons,
-                 model.merge_compare_s);
-  if (process != nullptr) {
-    process->in_tuples += static_cast<int64_t>(left.size() + right.size());
-    process->comparisons += comparisons;
-  }
-  ChargeOutput(schema, static_cast<int64_t>(out.size()), ledger, model,
-               metrics != nullptr ? &metrics->output : nullptr);
-  return out;
-}
-
-JoinedCells MergeJoin(RowSpan left, const std::vector<int>& left_key,
-                      const Schema& left_schema, RowSpan right,
-                      const std::vector<int>& right_key,
-                      const Schema& right_schema, CostLedger* ledger,
-                      const CostModel& model, OpMetrics* metrics) {
-  StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
-  Schema out_schema = left_schema.ConcatForJoin(right_schema);
-  int64_t comparisons = 0;
-  JoinedCells out;
-  out.left_arity = static_cast<size_t>(left_schema.num_columns());
-  out.right_arity = static_cast<size_t>(right_schema.num_columns());
-  MergeJoinRange(left, left_key, right, right_key, &out, &comparisons);
-  ChargeScope charge(ledger, process);
-  charge.ChargeN(CostCategory::kMergeCompare, comparisons,
-                 model.merge_compare_s);
-  if (process != nullptr) {
-    process->in_tuples += static_cast<int64_t>(left.size() + right.size());
-    process->comparisons += comparisons;
-  }
-  ChargeOutput(out_schema, static_cast<int64_t>(out.size()), ledger, model,
-               metrics != nullptr ? &metrics->output : nullptr);
-  return out;
-}
-
-std::vector<GroupCount> DedupSorted(RowSpan tuples,
-                                    KeyPrefixSpan prefixes,
-                                    const Schema& schema, CostLedger* ledger,
+std::vector<GroupCount> DedupSorted(KeyedSpan tuples, const Schema& schema,
+                                    CostLedger* ledger,
                                     const CostModel& model,
                                     OpMetrics* metrics) {
-  TCQ_DCHECK(prefixes.size() == tuples.size(),
-             "prefixes do not match the run");
   StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
   const std::vector<int> all_columns =
       AllColumns(static_cast<size_t>(schema.num_columns()));
@@ -773,12 +634,12 @@ std::vector<GroupCount> DedupSorted(RowSpan tuples,
   for (size_t i = 0; i < tuples.size(); ++i) {
     if (!out.empty()) {
       ++comparisons;
-      if (cmp(prefixes[head], tuples[head], prefixes[i], tuples[i]) == 0) {
+      if (cmp(tuples[head], tuples[i]) == 0) {
         ++out.back().count;
         continue;
       }
     }
-    out.push_back(GroupCount{tuples[i], 1});
+    out.push_back(GroupCount{tuples[i].row(), 1});
     head = i;
   }
   ChargeScope charge(ledger, process);

@@ -4,7 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "exec/tuple_set.h"
@@ -119,7 +121,7 @@ void ChargeTempWrite(const Schema& schema, int64_t num_tuples,
                      CostLedger* ledger, const CostModel& model,
                      StepMetrics* metrics);
 
-/// ---- Key prefixes -------------------------------------------------------
+/// ---- Keyed runs ---------------------------------------------------------
 ///
 /// A key lists the columns a kernel compares, in order, and is never
 /// empty: an intersection, a projection's dedup and the oracle's set
@@ -127,41 +129,69 @@ void ChargeTempWrite(const Schema& schema, int64_t num_tuples,
 /// the arity of its comparisons, so no kernel reads a row's width from
 /// the row.
 ///
-/// Every sort keeps, beside each handle, an 8-byte order-preserving
-/// prefix of the row's leading key column, compared as an unsigned
-/// integer: an int64 with its sign bit flipped; a double's IEEE-754 bits
-/// (-0.0 normalized to +0.0) with every bit flipped when negative and only
-/// the sign bit flipped otherwise; a string's first 8 bytes, big-endian,
-/// zero-padded. A smaller prefix means
-/// a smaller key; equal prefixes leave the order to the full key
-/// comparison, which the kernels then call. A numeric prefix is exact
-/// (equal prefixes, equal values), so a single numeric key column is never
-/// compared any other way. Every comparator returns the same sign as the
-/// plain tuple comparison for every pair, so sorts make the same decisions
-/// and the kernels count the same comparisons (DESIGN.md, "Run
-/// representation").
+/// A sorted run is one array of keyed rows: each row's handle beside an
+/// 8-byte order-preserving prefix of its leading key column, compared as
+/// an unsigned integer: an int64 with its sign bit flipped; a double's
+/// IEEE-754 bits (-0.0 normalized to +0.0) with every bit flipped when
+/// negative and only the sign bit flipped otherwise; a string's first 8
+/// bytes, big-endian, zero-padded. A smaller prefix means a smaller key;
+/// equal prefixes leave the order to the full key comparison, which the
+/// kernels then call. A numeric prefix is exact (equal prefixes, equal
+/// values), so a single numeric key column is never compared any other
+/// way. Every comparator returns the same sign as the plain tuple
+/// comparison for every pair, so sorts make the same decisions and the
+/// kernels count the same comparisons (DESIGN.md, "Run representation").
 
 /// The key of every column of an `arity`-column row, in order.
 std::vector<int> AllColumns(size_t arity);
-
-/// Prefixes of a sorted run, index-aligned with its handles.
-using KeyPrefixes = std::vector<uint64_t>;
-using KeyPrefixSpan = std::span<const uint64_t>;
 
 /// The order-preserving 8-byte prefix of one value. NaN has none: storage
 /// rejects it at every entry point (Schema::ValidateTuple, page decoding).
 uint64_t KeyPrefix(const Value& v);
 
-/// The prefixes of `run`'s leading key column, in run order.
-KeyPrefixes KeyPrefixesOf(RowSpan run, const std::vector<int>& key);
+/// One element of a sorted run: the prefix of a row's leading key column
+/// and the row's first cell. Trivially default-constructible, unlike Row,
+/// whose handle starts out null, so a run's array is allocated for
+/// overwrite and the sort fills it in one (chunked) pass.
+struct KeyedRow {
+  uint64_t prefix;
+  const Value* cells;
 
-/// Sorts the run in place on the given key columns, charging each
-/// realized comparison (step 2, external sort; eq. 4.3's
+  Row row() const { return Row(cells); }
+};
+static_assert(std::is_trivially_default_constructible_v<KeyedRow>);
+
+/// Read-only view of a sorted run (or of a contiguous part of one).
+using KeyedSpan = std::span<const KeyedRow>;
+
+/// A sorted run: `size()` keyed rows in one array allocated for overwrite.
+/// Sizing a run writes no element, so no page is touched before the
+/// sort's fill.
+class KeyedRun {
+ public:
+  KeyedRun() = default;
+  explicit KeyedRun(size_t size)
+      : rows_(std::make_unique_for_overwrite<KeyedRow[]>(size)),
+        size_(size) {}
+
+  size_t size() const { return size_; }
+  KeyedRow* begin() { return rows_.get(); }
+  KeyedRow* end() { return rows_.get() + size_; }
+  const KeyedRow* begin() const { return rows_.get(); }
+  const KeyedRow* end() const { return rows_.get() + size_; }
+  const KeyedRow& operator[](size_t i) const { return rows_[i]; }
+
+ private:
+  std::unique_ptr<KeyedRow[]> rows_;
+  size_t size_ = 0;
+};
+
+/// Sorts `rows` on the given key columns into a new keyed run, charging
+/// each realized comparison (step 2, external sort; eq. 4.3's
 /// `C2·n·log n + C3·n` shape emerges from the realized comparison count).
-/// Leaves the sorted run's prefixes in `*prefixes` when non-null.
-void SortRun(Rows* run, const std::vector<int>& key, CostLedger* ledger,
-             const CostModel& model, StepMetrics* metrics,
-             KeyPrefixes* prefixes = nullptr);
+KeyedRun SortRun(RowSpan rows, const std::vector<int>& key,
+                 CostLedger* ledger, const CostModel& model,
+                 StepMetrics* metrics);
 
 /// ---- Merge kernels ------------------------------------------------------
 ///
@@ -175,33 +205,29 @@ void SortRun(Rows* run, const std::vector<int>& key, CostLedger* ledger,
 /// in a fixed order, so results and charges are identical for any worker
 /// count. Each merge kernel returns its output count and appends the
 /// output to `*out` only when `out` is non-null: a result nobody reads
-/// (the root of a COUNT term) is counted, never built. The prefix spans
-/// run beside their row spans (same length); the overloads without them
-/// encode the prefixes first.
+/// (the root of a COUNT term) is counted, never built.
 
-/// Sort kernel: sorts the run in place on `key` as (prefix, handle)
-/// pairs, appending the comparison count to `*comparisons` (must be
-/// non-null) and leaving the sorted run's prefixes in `*prefixes` when
-/// non-null. Same comparator decisions —
+/// Sort kernel: fills `*run`, which the caller sized to rows.size(), with
+/// the keyed rows of `rows` sorted on `key`, appending the comparison
+/// count to `*comparisons` (must be non-null). Same comparator decisions —
 /// hence the same permutation and comparison count — as sorting the rows
-/// themselves. No cost accounting.
+/// themselves. Allocates no run-sized buffer. No cost accounting.
 ///
 /// The sort is an in-repo introsort that repeats libstdc++'s std::sort
 /// step for step (median of three moved to the front, unguarded
 /// partition, a 2·⌊log₂ n⌋ depth limit with a heap-sort fallback, a final
 /// insertion pass over 16-element runs), so whichever standard library
 /// builds it, it makes the comparisons libstdc++'s std::sort makes, on
-/// which the simulated sort charges were pinned. Given `fan_out`, the prefix
-/// build runs in kPassChunk chunks on its pool and both halves of every
+/// which the simulated sort charges were pinned. Given `fan_out`, the fill
+/// runs in kPassChunk chunks on its pool and both halves of every
 /// partition above kSortForkCutoff fork; each leaf range sorts serially
 /// and runs its own slice of the insertion pass. The one comparison an
 /// insertion would make across a leaf's left cut is always false (the
 /// partitions are ordered), so the leaf counts it without making it: no
-/// task reads outside its range, and permutation, count and prefixes
-/// equal std::sort's at any width.
-void SortRunRange(Rows* run, const std::vector<int>& key,
-                  int64_t* comparisons, KeyPrefixes* prefixes = nullptr,
-                  FanOut* fan_out = nullptr);
+/// task reads outside its range, and permutation and count equal
+/// std::sort's at any width.
+void SortRunRange(RowSpan rows, const std::vector<int>& key, KeyedRun* run,
+                  int64_t* comparisons, FanOut* fan_out = nullptr);
 
 /// The rows a join creates, cell by cell: each row is a left row's
 /// `left_arity` cells followed by a right row's `right_arity` cells.
@@ -220,19 +246,14 @@ struct JoinedCells {
 /// Merge-join kernel over sorted ranges: appends one concatenated row per
 /// matching (left, right) pair to `*out` (if non-null) and the comparison
 /// count to `*comparisons` (must be non-null).
-int64_t MergeJoinRange(RowSpan left, KeyPrefixSpan left_prefixes,
-                       const std::vector<int>& left_key, RowSpan right,
-                       KeyPrefixSpan right_prefixes,
-                       const std::vector<int>& right_key, JoinedCells* out,
-                       int64_t* comparisons);
-int64_t MergeJoinRange(RowSpan left, const std::vector<int>& left_key,
-                       RowSpan right, const std::vector<int>& right_key,
+int64_t MergeJoinRange(KeyedSpan left, const std::vector<int>& left_key,
+                       KeyedSpan right, const std::vector<int>& right_key,
                        JoinedCells* out, int64_t* comparisons);
 
 /// Appends the concatenation of every (left[a], right[b]) pair, a in
 /// [lbeg, lend) and b in [rbeg, rend), to `*out` in left-major order: the
 /// output of one matching key group of a merge join.
-void AppendJoined(RowSpan left, size_t lbeg, size_t lend, RowSpan right,
+void AppendJoined(KeyedSpan left, size_t lbeg, size_t lend, KeyedSpan right,
                   size_t rbeg, size_t rend, JoinedCells* out);
 
 /// Merge-intersect kernel over ranges of `arity`-column rows sorted on all
@@ -240,19 +261,14 @@ void AppendJoined(RowSpan left, size_t lbeg, size_t lend, RowSpan right,
 /// multiplicity) outputs, the left rows' handles, appended to `*out` (if
 /// non-null). Appends the comparison count to `*comparisons` (must be
 /// non-null).
-int64_t MergeIntersectRange(RowSpan left, KeyPrefixSpan left_prefixes,
-                            RowSpan right, KeyPrefixSpan right_prefixes,
-                            size_t arity, Rows* out, int64_t* comparisons);
-int64_t MergeIntersectRange(RowSpan left, RowSpan right, size_t arity,
+int64_t MergeIntersectRange(KeyedSpan left, KeyedSpan right, size_t arity,
                             Rows* out, int64_t* comparisons);
 
-/// Merges two runs of `arity`-column rows sorted on all columns, with
-/// their prefixes, into one sorted run and its prefixes, as std::merge
-/// does: on equal keys the rows of `first` come first. Counts nothing (a
-/// projection charges its merge per output tuple).
-void MergeSortedRuns(RowSpan first, KeyPrefixSpan first_prefixes,
-                     RowSpan second, KeyPrefixSpan second_prefixes,
-                     size_t arity, Rows* out, KeyPrefixes* out_prefixes);
+/// Merges two runs of `arity`-column rows sorted on all columns into one
+/// sorted run, as std::merge does: on equal keys the rows of `first` come
+/// first. Counts nothing (a projection charges its merge per output
+/// tuple).
+KeyedRun MergeSortedRuns(KeyedSpan first, KeyedSpan second, size_t arity);
 
 /// Splits a run sorted on `key` into at most
 /// `max_parts` contiguous chunks of roughly equal size, each at least
@@ -261,34 +277,16 @@ void MergeSortedRuns(RowSpan first, KeyPrefixSpan first_prefixes,
 /// with 0 and ending with run.size(); size() - 1 is the chunk count.
 /// Depends only on the data — not on the worker count — so a partitioned
 /// evaluation is bit-identical at any parallelism.
-std::vector<size_t> PartitionSortedRun(RowSpan run,
-                                       KeyPrefixSpan prefixes,
+std::vector<size_t> PartitionSortedRun(KeyedSpan run,
                                        const std::vector<int>& key,
                                        size_t max_parts, size_t min_chunk);
 
 /// First index in `run` (sorted on `run_key`) whose key compares >= the
-/// probe's key (probe read through `probe_key`, its prefix
-/// `probe_prefix`). Binary search; charges nothing.
-size_t LowerBoundCrossKey(RowSpan run, KeyPrefixSpan run_prefixes,
-                          const std::vector<int>& run_key, Row probe,
-                          uint64_t probe_prefix,
+/// probe's key (probe read through `probe_key`, its prefix that of
+/// probe_key's leading column). Binary search; charges nothing.
+size_t LowerBoundCrossKey(KeyedSpan run, const std::vector<int>& run_key,
+                          const KeyedRow& probe,
                           const std::vector<int>& probe_key);
-
-/// Merge-intersects two runs of `schema` rows sorted on all columns. Each
-/// matching group contributes (left multiplicity × right multiplicity)
-/// output handles — the number of 1-points in the point space. Charges
-/// merge comparisons and output-page writes.
-Rows MergeIntersect(RowSpan left, RowSpan right,
-                         const Schema& schema, CostLedger* ledger,
-                         const CostModel& model, OpMetrics* metrics);
-
-/// Merge-joins two runs sorted on the given key columns, producing
-/// concatenated rows. Charges merge comparisons and output-page writes.
-JoinedCells MergeJoin(RowSpan left, const std::vector<int>& left_key,
-                      const Schema& left_schema, RowSpan right,
-                      const std::vector<int>& right_key,
-                      const Schema& right_schema, CostLedger* ledger,
-                      const CostModel& model, OpMetrics* metrics);
 
 /// One distinct tuple (the handle of its first occurrence in the deduped
 /// run) and how many times it occurred.
@@ -297,14 +295,13 @@ struct GroupCount {
   int64_t count = 0;
 };
 
-/// Scans a run sorted on all columns, with its prefixes, and collapses
-/// duplicates, returning each distinct tuple with its occupancy (step 3
-/// of the paper's Project algorithm, which writes "distinct tuples with
-/// their occupancy"). Charges one merge comparison per input tuple and
+/// Scans a run sorted on all columns and collapses duplicates, returning
+/// each distinct tuple with its occupancy (step 3 of the paper's Project
+/// algorithm, which writes "distinct tuples with their occupancy").
+/// Charges one merge comparison per input tuple after the first, and
 /// output-page writes.
-std::vector<GroupCount> DedupSorted(RowSpan tuples,
-                                    KeyPrefixSpan prefixes,
-                                    const Schema& schema, CostLedger* ledger,
+std::vector<GroupCount> DedupSorted(KeyedSpan tuples, const Schema& schema,
+                                    CostLedger* ledger,
                                     const CostModel& model,
                                     OpMetrics* metrics);
 

@@ -330,17 +330,18 @@ Status StagedTermEvaluator::ExecuteNode(
       if (ledger_ != nullptr) {
         ledger_->Charge(CostCategory::kOpSetup, model_.op_setup_s);
       }
-      const StagedNode* child = node->left.get();
+      // The child's run is this stage's input; the selection takes it over.
+      const Rows input = std::exchange(node->left->stage_out, {});
       OpMetrics om;
       double t0 = now();
       FanOut fan = fan_out();
-      Rows run = SelectTuples(child->stage_out, *node->predicate,
-                              node->out_schema, ledger_, model_, &om, &fan);
+      Rows run = SelectTuples(input, *node->predicate, node->out_schema,
+                              ledger_, model_, &om, &fan);
       double t1 = now();
       stage_parallel_.Add(fan.stats);
       rec.process = om.process;
       rec.output = om.output;
-      rec.new_points = child->stages[s].new_points;
+      rec.new_points = node->left->stages[s].new_points;
       rec.new_tuples = static_cast<int64_t>(run.size());
       if (timing_clock_ != nullptr) {
         split_delta(t1 - t0, &rec.process, &rec.output);
@@ -362,14 +363,15 @@ Status StagedTermEvaluator::ExecuteNode(
       if (ledger_ != nullptr) {
         ledger_->Charge(CostCategory::kOpSetup, model_.op_setup_s);
       }
-      // Step 1: project the new child run and write it to a temp file.
-      // Projection creates new rows; this node owns their cells.
+      // Step 1: project the new child run, which the projection takes
+      // over, and write it to a temp file. Projection creates new rows;
+      // this node owns their cells.
+      const Rows input = std::exchange(node->left->stage_out, {});
       double t0 = now();
       const size_t arity = node->proj_cols.size();
       const std::vector<Value>& projected =
-          node->projected_cells.emplace_back(
-              ProjectColumns(node->left->stage_out, node->proj_cols, ledger_,
-                             model_, &rec.write));
+          node->projected_cells.emplace_back(ProjectColumns(
+              input, node->proj_cols, ledger_, model_, &rec.write));
       const RowRange projected_rows(projected.data(), arity,
                                     projected.size() / arity);
       ChargeTempWrite(node->out_schema,
@@ -377,32 +379,27 @@ Status StagedTermEvaluator::ExecuteNode(
                       model_, &rec.write);
       double t1 = now();
       // Step 2: sort the new run.
-      Rows run(projected_rows.begin(), projected_rows.end());
-      KeyPrefixes prefixes;
+      const Rows run(projected_rows.begin(), projected_rows.end());
       rec.sort_units = SortUnits(static_cast<double>(run.size()));
-      SortRun(&run, AllColumns(arity), ledger_, model_, &rec.sort, &prefixes);
+      const KeyedRun sorted =
+          SortRun(run, AllColumns(arity), ledger_, model_, &rec.sort);
       double t2 = now();
       // Step 3: merge with the previously sorted sample and re-derive the
       // distinct groups with occupancies.
-      Rows merged;
-      KeyPrefixes merged_prefixes;
-      MergeSortedRuns(node->cum_projected_sorted,
-                      node->cum_projected_prefixes, run, prefixes, arity,
-                      &merged, &merged_prefixes);
+      node->cum_projected_sorted =
+          MergeSortedRuns(node->cum_projected_sorted, sorted, arity);
+      const auto merged =
+          static_cast<int64_t>(node->cum_projected_sorted.size());
       if (ledger_ != nullptr) {
-        ledger_->ChargeN(CostCategory::kMergeCompare,
-                         static_cast<int64_t>(merged.size()),
+        ledger_->ChargeN(CostCategory::kMergeCompare, merged,
                          model_.merge_compare_s);
       }
       rec.process.seconds +=
-          model_.merge_compare_s * static_cast<double>(merged.size());
-      rec.process.comparisons += static_cast<int64_t>(merged.size());
-      node->cum_projected_sorted = std::move(merged);
-      node->cum_projected_prefixes = std::move(merged_prefixes);
+          model_.merge_compare_s * static_cast<double>(merged);
+      rec.process.comparisons += merged;
       OpMetrics dedup_metrics;
-      node->groups = DedupSorted(
-          node->cum_projected_sorted, node->cum_projected_prefixes,
-          node->out_schema, ledger_, model_, &dedup_metrics);
+      node->groups = DedupSorted(node->cum_projected_sorted, node->out_schema,
+                                 ledger_, model_, &dedup_metrics);
       rec.process.seconds += dedup_metrics.process.seconds;
       rec.process.comparisons += dedup_metrics.process.comparisons;
       rec.process.in_tuples += dedup_metrics.process.in_tuples;
@@ -443,7 +440,8 @@ Status StagedTermEvaluator::ExecuteNode(
       const bool emit = node != root_.get() || value_col_ >= 0;
       // Steps 1–2 (Figures 4.4/4.6): write the new sample runs to temp
       // files and sort them (previous runs stay sorted from earlier
-      // stages). The children's runs become this node's new runs.
+      // stages). The node takes its children's runs over and frees them
+      // once they are sorted into its new keyed runs.
       double t0 = now();
       Rows new_l = std::exchange(node->left->stage_out, {});
       Rows new_r = std::exchange(node->right->stage_out, {});
@@ -461,17 +459,19 @@ Status StagedTermEvaluator::ExecuteNode(
       // Steps 1–2 parallel part: the two new runs sort on their own tasks,
       // each forking further on the pool when large; the realized
       // comparison counts are charged post-barrier in fixed (left, right)
-      // order, mirroring the serial SortRun sequence. Each sorted run
-      // keeps its key prefixes.
-      KeyPrefixes lprefixes, rprefixes;
+      // order, mirroring the serial SortRun sequence. Both keyed runs are
+      // sized here, on the thread that starts the section, so no sort
+      // task allocates one.
+      KeyedRun& lsorted = node->sorted_left.emplace_back(new_l.size());
+      KeyedRun& rsorted = node->sorted_right.emplace_back(new_r.size());
       {
         int64_t sort_comp[2] = {0, 0};
         FanOut fan = fan_out();
         RunSection(&fan, 2, [&](size_t k, FanOut* inner) {
           if (k == 0) {
-            SortRunRange(&new_l, lkey, &sort_comp[0], &lprefixes, inner);
+            SortRunRange(new_l, lkey, &lsorted, &sort_comp[0], inner);
           } else {
-            SortRunRange(&new_r, rkey, &sort_comp[1], &rprefixes, inner);
+            SortRunRange(new_r, rkey, &rsorted, &sort_comp[1], inner);
           }
         });
         stage_parallel_.Add(fan.stats);
@@ -489,11 +489,9 @@ Status StagedTermEvaluator::ExecuteNode(
         rec.sort.out_tuples +=
             static_cast<int64_t>(new_l.size() + new_r.size());
       }
+      new_l = Rows();
+      new_r = Rows();
       double t2 = now();
-      node->sorted_left.push_back(std::move(new_l));
-      node->sorted_right.push_back(std::move(new_r));
-      node->sorted_left_prefixes.push_back(std::move(lprefixes));
-      node->sorted_right_prefixes.push_back(std::move(rprefixes));
 
       // Step 3: merge run pairs. Full fulfillment: every pair whose newest
       // run is this stage (Figure 4.5). Partial: new×new only. Each pair's
@@ -521,13 +519,10 @@ Status StagedTermEvaluator::ExecuteNode(
       };
       std::vector<MergeChunk> chunks;
       for (size_t p = 0; p < pairs.size(); ++p) {
-        const Rows& lrun = node->sorted_left[pairs[p].first];
-        const Rows& rrun = node->sorted_right[pairs[p].second];
-        const KeyPrefixes& lpre = node->sorted_left_prefixes[pairs[p].first];
-        const KeyPrefixes& rpre =
-            node->sorted_right_prefixes[pairs[p].second];
-        std::vector<size_t> bounds = PartitionSortedRun(
-            lrun, lpre, lkey, kMaxMergeChunks, kMinMergeChunk);
+        const KeyedRun& lrun = node->sorted_left[pairs[p].first];
+        const KeyedRun& rrun = node->sorted_right[pairs[p].second];
+        std::vector<size_t> bounds =
+            PartitionSortedRun(lrun, lkey, kMaxMergeChunks, kMinMergeChunk);
         for (size_t c = 0; c + 1 < bounds.size(); ++c) {
           MergeChunk chunk;
           chunk.pair = p;
@@ -540,14 +535,12 @@ Status StagedTermEvaluator::ExecuteNode(
           // comparison count exactly; interior boundaries are located by
           // (uncharged) binary search.
           chunk.rbeg = c == 0 ? 0
-                              : LowerBoundCrossKey(rrun, rpre, rkey,
-                                                   lrun[bounds[c]],
-                                                   lpre[bounds[c]], lkey);
+                              : LowerBoundCrossKey(rrun, rkey,
+                                                   lrun[bounds[c]], lkey);
           chunk.rend = c + 2 == bounds.size()
                            ? rrun.size()
-                           : LowerBoundCrossKey(rrun, rpre, rkey,
-                                                lrun[bounds[c + 1]],
-                                                lpre[bounds[c + 1]], lkey);
+                           : LowerBoundCrossKey(rrun, rkey,
+                                                lrun[bounds[c + 1]], lkey);
           chunks.push_back(std::move(chunk));
         }
       }
@@ -556,22 +549,19 @@ Status StagedTermEvaluator::ExecuteNode(
         RunSection(&fan, chunks.size(), [&](size_t t, FanOut*) {
           MergeChunk& chunk = chunks[t];
           const auto [l, r] = pairs[chunk.pair];
-          const size_t lsize = chunk.lend - chunk.lbeg;
-          const size_t rsize = chunk.rend - chunk.rbeg;
-          RowSpan lspan(node->sorted_left[l].data() + chunk.lbeg, lsize);
-          RowSpan rspan(node->sorted_right[r].data() + chunk.rbeg, rsize);
-          KeyPrefixSpan lpspan(
-              node->sorted_left_prefixes[l].data() + chunk.lbeg, lsize);
-          KeyPrefixSpan rpspan(
-              node->sorted_right_prefixes[r].data() + chunk.rbeg, rsize);
+          const KeyedSpan lspan = KeyedSpan(node->sorted_left[l]).subspan(
+              chunk.lbeg, chunk.lend - chunk.lbeg);
+          const KeyedSpan rspan = KeyedSpan(node->sorted_right[r]).subspan(
+              chunk.rbeg, chunk.rend - chunk.rbeg);
           if (is_join) {
-            chunk.out_count = MergeJoinRange(
-                lspan, lpspan, lkey, rspan, rpspan, rkey,
-                emit ? &chunk.joined : nullptr, &chunk.comparisons);
+            chunk.out_count =
+                MergeJoinRange(lspan, lkey, rspan, rkey,
+                               emit ? &chunk.joined : nullptr,
+                               &chunk.comparisons);
           } else {
             chunk.out_count = MergeIntersectRange(
-                lspan, lpspan, rspan, rpspan, left_arity,
-                emit ? &chunk.rows : nullptr, &chunk.comparisons);
+                lspan, rspan, left_arity, emit ? &chunk.rows : nullptr,
+                &chunk.comparisons);
           }
         });
         stage_parallel_.Add(fan.stats);
@@ -605,8 +595,8 @@ Status StagedTermEvaluator::ExecuteNode(
             out.insert(out.end(), rows.begin(), rows.end());
           }
         }
-        const Rows& lrun = node->sorted_left[pairs[p].first];
-        const Rows& rrun = node->sorted_right[pairs[p].second];
+        const KeyedRun& lrun = node->sorted_left[pairs[p].first];
+        const KeyedRun& rrun = node->sorted_right[pairs[p].second];
         if (ledger_ != nullptr) {
           ledger_->ChargeN(CostCategory::kMergeCompare, comparisons,
                            model_.merge_compare_s);

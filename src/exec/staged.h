@@ -50,11 +50,12 @@ struct NodeStageRecord {
 /// tree; `id` is the pre-order index, used by the time-control layer to
 /// key selectivities and cost coefficients to operators.
 ///
-/// Runs are vectors of Row handles: they hold the addresses of rows whose
-/// cells live in the resident blocks of the scanned relations — kept alive
-/// by the scan nodes' `rel` — or in cell vectors owned by a join or
-/// project node of the same tree. No run owns or copies a row (DESIGN.md,
-/// "Run representation").
+/// Runs hold the addresses of rows whose cells live in the resident blocks
+/// of the scanned relations — kept alive by the scan nodes' `rel` — or in
+/// cell vectors owned by a join or project node of the same tree: a stage
+/// output is a vector of Row handles, a sorted run a KeyedRun of handles
+/// with their key prefixes. No run owns or copies a row (DESIGN.md, "Run
+/// representation").
 struct StagedNode {
   int id = 0;
   ExprKind kind = ExprKind::kScan;
@@ -75,21 +76,15 @@ struct StagedNode {
   // the vectors are never resized after their stage, keeping the handles
   // below valid).
   std::vector<std::vector<Value>> projected_cells;
-  Rows cum_projected_sorted;  // all projected sample rows, sorted
-  KeyPrefixes cum_projected_prefixes;  // and their key prefixes
+  KeyedRun cum_projected_sorted;  // all projected sample rows, sorted
   std::vector<GroupCount> groups;  // current distinct groups
 
   // kJoin / kIntersect
   // Key positions in the child schemas; an intersection's list every
   // column.
   std::vector<int> lkey, rkey;
-  std::vector<Rows> sorted_left;  // per-stage sorted runs
-  std::vector<Rows> sorted_right;
-  // The key prefixes of each per-stage sorted run (indices aligned with
-  // sorted_left/sorted_right): the merge, partition and lower-bound
-  // kernels compare them first.
-  std::vector<KeyPrefixes> sorted_left_prefixes;
-  std::vector<KeyPrefixes> sorted_right_prefixes;
+  std::vector<KeyedRun> sorted_left;  // per-stage sorted runs
+  std::vector<KeyedRun> sorted_right;
 
   // kJoin: the concatenated output rows' cells, one vector per merge
   // chunk, out_schema.num_columns() cells per row. Built only when
@@ -103,7 +98,8 @@ struct StagedNode {
 
   // This stage's output run (scan: fetched rows; select: qualifying rows;
   // binary: merged outputs of the stage's run pairs, left empty at a COUNT
-  // root). A binary parent takes it over as its new sorted run.
+  // root). The parent takes it over as its stage input, so a non-root
+  // node's run lives only until its parent's stage has read it.
   Rows stage_out;
 
   // Accounting.

@@ -87,7 +87,6 @@ TEST(SessionTest, TypedSettersCoverEveryOptionsField) {
                    .WithSeed(21)
                    .WithQuota(6.0)
                    .WithEpsilon(0.04)
-                   .WithConservativeTermVariance()
                    .WithServeDeadline(30.0)
                    .Run();
   ASSERT_TRUE(typed.ok()) << typed.status().ToString();

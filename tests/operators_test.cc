@@ -24,6 +24,28 @@ Schema TwoIntSchema() {
 
 Tuple T(int64_t a, int64_t b) { return Tuple{a, b}; }
 
+// The keyed run of `tuples` sorted on `key` (unforked, uncharged).
+KeyedRun SortedRun(const std::vector<Tuple>& tuples,
+                   const std::vector<int>& key) {
+  const Rows rows = RowsOf(tuples);
+  KeyedRun run(rows.size());
+  int64_t comparisons = 0;
+  SortRunRange(rows, key, &run, &comparisons);
+  return run;
+}
+
+// The handles and the prefixes of a keyed run, in run order.
+Rows HandlesOf(KeyedSpan run) {
+  Rows rows;
+  for (const KeyedRow& k : run) rows.push_back(k.row());
+  return rows;
+}
+std::vector<uint64_t> PrefixesOf(KeyedSpan run) {
+  std::vector<uint64_t> prefixes;
+  for (const KeyedRow& k : run) prefixes.push_back(k.prefix);
+  return prefixes;
+}
+
 TEST(PagesForTest, Geometry) {
   Schema s = TwoIntSchema();  // 16 bytes/tuple -> 64 per 1 KiB page
   EXPECT_EQ(PagesFor(s, 0), 0);
@@ -60,73 +82,72 @@ TEST(SelectTuplesTest, FiltersAndCharges) {
 
 TEST(SortRunTest, SortsAllColumnsAndCharges) {
   std::vector<Tuple> tuples{T(3, 1), T(1, 2), T(3, 0), T(2, 5)};
-  Rows v = RowsOf(tuples);
   CostLedger ledger(nullptr);
   CostModel model;
   StepMetrics m;
-  SortRun(&v, AllColumns(2), &ledger, model, &m);
-  EXPECT_EQ(std::get<int64_t>(v[0][0]), 1);
-  EXPECT_EQ(std::get<int64_t>(v[1][0]), 2);
-  EXPECT_EQ(std::get<int64_t>(v[2][0]), 3);
-  EXPECT_EQ(std::get<int64_t>(v[2][1]), 0);
-  EXPECT_EQ(std::get<int64_t>(v[3][1]), 1);
+  const KeyedRun v =
+      SortRun(RowsOf(tuples), AllColumns(2), &ledger, model, &m);
+  ASSERT_EQ(v.size(), 4u);
+  EXPECT_EQ(std::get<int64_t>(v[0].row()[0]), 1);
+  EXPECT_EQ(std::get<int64_t>(v[1].row()[0]), 2);
+  EXPECT_EQ(std::get<int64_t>(v[2].row()[0]), 3);
+  EXPECT_EQ(std::get<int64_t>(v[2].row()[1]), 0);
+  EXPECT_EQ(std::get<int64_t>(v[3].row()[1]), 1);
   EXPECT_GT(m.comparisons, 0);
   EXPECT_GT(ledger.Total(CostCategory::kSortCompare), 0.0);
 }
 
 TEST(SortRunTest, SortsByKeyOnly) {
   std::vector<Tuple> tuples{T(9, 2), T(0, 1)};
-  Rows v = RowsOf(tuples);
   CostModel model;
-  SortRun(&v, {1}, nullptr, model, nullptr);
-  EXPECT_EQ(std::get<int64_t>(v[0][1]), 1);
+  const KeyedRun v = SortRun(RowsOf(tuples), {1}, nullptr, model, nullptr);
+  EXPECT_EQ(std::get<int64_t>(v[0].row()[1]), 1);
 }
 
 TEST(MergeIntersectTest, CountsMatches) {
-  Schema s = TwoIntSchema();
   std::vector<Tuple> l{T(1, 1), T(2, 2), T(3, 3)};
   std::vector<Tuple> r{T(2, 2), T(3, 3), T(4, 4)};
-  CostModel model;
-  OpMetrics m;
-  auto out = MergeIntersect(RowsOf(l), RowsOf(r), s, nullptr, model, &m);
+  Rows out;
+  int64_t comparisons = 0;
+  EXPECT_EQ(MergeIntersectRange(SortedRun(l, AllColumns(2)),
+                                SortedRun(r, AllColumns(2)), 2, &out,
+                                &comparisons),
+            2);
   EXPECT_EQ(out.size(), 2u);
-  EXPECT_EQ(m.output.out_tuples, 2);
-  EXPECT_GT(m.process.comparisons, 0);
+  EXPECT_GT(comparisons, 0);
 }
 
 TEST(MergeIntersectTest, MultiplicityProduct) {
   // Duplicates produce one output per (left,right) pair: the number of
   // 1-points in the point space.
-  Schema s = TwoIntSchema();
   std::vector<Tuple> l{T(5, 5), T(5, 5)};
   std::vector<Tuple> r{T(5, 5), T(5, 5), T(5, 5)};
-  CostModel model;
-  auto out = MergeIntersect(RowsOf(l), RowsOf(r), s, nullptr, model, nullptr);
+  Rows out;
+  int64_t comparisons = 0;
+  MergeIntersectRange(SortedRun(l, AllColumns(2)), SortedRun(r, AllColumns(2)),
+                      2, &out, &comparisons);
   EXPECT_EQ(out.size(), 6u);
 }
 
 TEST(MergeIntersectTest, DisjointEmpty) {
-  Schema s = TwoIntSchema();
   std::vector<Tuple> l{T(1, 1)};
   std::vector<Tuple> r{T(2, 2)};
-  CostModel model;
-  EXPECT_TRUE(
-      MergeIntersect(RowsOf(l), RowsOf(r), s, nullptr, model, nullptr)
-          .empty());
-  EXPECT_TRUE(
-      MergeIntersect({}, RowsOf(r), s, nullptr, model, nullptr).empty());
+  Rows out;
+  int64_t comparisons = 0;
+  MergeIntersectRange(SortedRun(l, AllColumns(2)), SortedRun(r, AllColumns(2)),
+                      2, &out, &comparisons);
+  EXPECT_TRUE(out.empty());
+  MergeIntersectRange({}, SortedRun(r, AllColumns(2)), 2, &out, &comparisons);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(MergeJoinTest, JoinsOnKey) {
-  Schema ls({{"a", DataType::kInt64, 0}, {"k", DataType::kInt64, 0}});
-  Schema rs({{"k", DataType::kInt64, 0}, {"c", DataType::kInt64, 0}});
-  // Sorted by key column already.
   std::vector<Tuple> l{T(10, 1), T(20, 2), T(30, 2)};
   std::vector<Tuple> r{T(2, 100), T(2, 200), T(3, 300)};
-  CostModel model;
-  OpMetrics m;
-  auto out =
-      MergeJoin(RowsOf(l), {1}, ls, RowsOf(r), {0}, rs, nullptr, model, &m);
+  JoinedCells out{2, 2, {}};
+  int64_t comparisons = 0;
+  MergeJoinRange(SortedRun(l, {1}), {1}, SortedRun(r, {0}), {0}, &out,
+                 &comparisons);
   // key 2: two left × two right = 4 joined tuples.
   ASSERT_EQ(out.size(), 4u);
   ASSERT_EQ(out.arity(), 4u);
@@ -138,32 +159,34 @@ TEST(MergeJoinTest, JoinsOnKey) {
 }
 
 TEST(MergeJoinTest, NoMatches) {
-  Schema ls = TwoIntSchema();
   std::vector<Tuple> l{T(1, 1)};
   std::vector<Tuple> r{T(2, 2)};
-  CostModel model;
-  EXPECT_TRUE(MergeJoin(RowsOf(l), {0}, ls, RowsOf(r), {0}, ls, nullptr,
-                        model, nullptr)
-                  .empty());
+  JoinedCells out{2, 2, {}};
+  int64_t comparisons = 0;
+  MergeJoinRange(SortedRun(l, {0}), {0}, SortedRun(r, {0}), {0}, &out,
+                 &comparisons);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(DedupSortedTest, Occupancies) {
   Schema s = TwoIntSchema();
   std::vector<Tuple> v{T(1, 1), T(1, 1), T(2, 2), T(3, 3), T(3, 3)};
   CostModel model;
-  Rows refs = RowsOf(v);
-  auto groups = DedupSorted(refs, KeyPrefixesOf(refs, AllColumns(2)), s,
-                            nullptr, model, nullptr);
+  OpMetrics m;
+  auto groups = DedupSorted(SortedRun(v, AllColumns(2)), s, nullptr, model,
+                            &m);
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].count, 2);
   EXPECT_EQ(groups[1].count, 1);
   EXPECT_EQ(groups[2].count, 2);
+  // One comparison per input tuple after the first.
+  EXPECT_EQ(m.process.comparisons, 4);
 }
 
 TEST(DedupSortedTest, Empty) {
   Schema s = TwoIntSchema();
   CostModel model;
-  EXPECT_TRUE(DedupSorted({}, {}, s, nullptr, model, nullptr).empty());
+  EXPECT_TRUE(DedupSorted({}, s, nullptr, model, nullptr).empty());
 }
 
 TEST(ProjectColumnsTest, KeepsRequestedOrder) {
@@ -469,7 +492,8 @@ std::vector<int64_t> AntiQsortKeys(size_t n) {
 
 // The sort kernel pins every simulated sort charge. Unforked and on pools
 // of 0, 1, 3 and 7 workers, a run must come out in the same permutation,
-// with the same comparison count and prefixes, at every width; and, on
+// with the same comparison count and prefixes, at every width, each
+// prefix that of its row's leading key cell; and, on
 // libstdc++, the library the simulated charges were pinned on, equal to
 // std::sort with the plain comparator.
 class SortParity {
@@ -483,28 +507,30 @@ class SortParity {
   void Check(const std::vector<Tuple>& tuples,
              const std::vector<int>& key_or_all) {
     const std::vector<int> key = Columns(key_or_all, tuples[0].size());
-    Rows serial = RowsOf(tuples);
+    const Rows rows = RowsOf(tuples);
+    KeyedRun serial(rows.size());
     int64_t serial_comp = 0;
-    KeyPrefixes serial_prefixes;
-    SortRunRange(&serial, key, &serial_comp, &serial_prefixes);
-    EXPECT_EQ(serial_prefixes, KeyPrefixesOf(serial, key));
+    SortRunRange(rows, key, &serial, &serial_comp);
+    for (const KeyedRow& k : serial) {
+      ASSERT_EQ(k.prefix, KeyPrefix(k.row()[static_cast<size_t>(key[0])]));
+    }
 #ifdef __GLIBCXX__
     Rows expect = RowsOf(tuples);
     int64_t expect_comp = 0;
     reference::SortRunRange(&expect, key, &expect_comp);
     EXPECT_EQ(serial_comp, expect_comp);
-    ASSERT_EQ(serial, expect);  // the same permutation, equal keys included
+    // The same permutation, equal keys included.
+    ASSERT_EQ(HandlesOf(serial), expect);
 #endif
     for (const auto& pool : pools_) {
       SCOPED_TRACE("pool of " + std::to_string(pool->workers()) + " workers");
       FanOut fan{pool.get(), 0, {}};
-      Rows got = RowsOf(tuples);
+      KeyedRun got(rows.size());
       int64_t got_comp = 0;
-      KeyPrefixes got_prefixes;
-      SortRunRange(&got, key, &got_comp, &got_prefixes, &fan);
+      SortRunRange(rows, key, &got, &got_comp, &fan);
       EXPECT_EQ(got_comp, serial_comp);
-      ASSERT_EQ(got, serial);
-      EXPECT_EQ(got_prefixes, serial_prefixes);
+      ASSERT_EQ(HandlesOf(got), HandlesOf(serial));
+      EXPECT_EQ(PrefixesOf(got), PrefixesOf(serial));
       EXPECT_EQ(fan.stats.tasks > 0, tuples.size() > kPassChunk);
     }
   }
@@ -564,11 +590,9 @@ TEST(KeyPrefixParityTest, MergesMatchPlainComparator) {
       // Shared tuples, so whole-tuple groups match too.
       right_tuples.insert(right_tuples.end(), left_tuples.begin(),
                           left_tuples.begin() + 60);
-      Rows left = RowsOf(left_tuples), right = RowsOf(right_tuples);
-      KeyPrefixes lp, rp;
-      int64_t ignore = 0;
-      SortRunRange(&left, key, &ignore, &lp);
-      SortRunRange(&right, key, &ignore, &rp);
+      const KeyedRun lrun = SortedRun(left_tuples, key);
+      const KeyedRun rrun = SortedRun(right_tuples, key);
+      const Rows left = HandlesOf(lrun), right = HandlesOf(rrun);
 
       if (key_or_all.empty()) {
         Rows expect_out, got_out;
@@ -582,15 +606,15 @@ TEST(KeyPrefixParityTest, MergesMatchPlainComparator) {
               }
             });
         int64_t got_comp = 0;
-        int64_t got_n = MergeIntersectRange(left, lp, right, rp, arity,
-                                            &got_out, &got_comp);
+        int64_t got_n =
+            MergeIntersectRange(lrun, rrun, arity, &got_out, &got_comp);
         EXPECT_GT(expect_n, 0);
         EXPECT_EQ(got_n, expect_n);
         EXPECT_EQ(got_comp, expect_comp);
         EXPECT_EQ(got_out, expect_out);
         // Dedup of the sorted left run: the same groups.
         const std::vector<GroupCount> groups =
-            DedupSorted(left, lp, schema, nullptr, CostModel{}, nullptr);
+            DedupSorted(lrun, schema, nullptr, CostModel{}, nullptr);
         size_t g = 0;
         reference::Merge(left, key, left, key,
                          [&](size_t i, size_t i_end, size_t, size_t) {
@@ -609,17 +633,16 @@ TEST(KeyPrefixParityTest, MergesMatchPlainComparator) {
           left, key, right, key,
           [&](size_t i, size_t i_end, size_t j, size_t j_end) {
             expect_n += static_cast<int64_t>((i_end - i) * (j_end - j));
-            AppendJoined(left, i, i_end, right, j, j_end, &expect_rows);
+            AppendJoined(lrun, i, i_end, rrun, j, j_end, &expect_rows);
           });
       int64_t got_comp = 0;
-      int64_t got_n = MergeJoinRange(left, lp, key, right, rp, key, &got_rows,
-                                     &got_comp);
+      int64_t got_n =
+          MergeJoinRange(lrun, key, rrun, key, &got_rows, &got_comp);
       EXPECT_EQ(got_n, expect_n);
       EXPECT_EQ(got_comp, expect_comp);
       EXPECT_EQ(got_rows, expect_rows);
       int64_t count_comp = 0;
-      EXPECT_EQ(MergeJoinRange(left, lp, key, right, rp, key, nullptr,
-                               &count_comp),
+      EXPECT_EQ(MergeJoinRange(lrun, key, rrun, key, nullptr, &count_comp),
                 expect_n);
       EXPECT_EQ(count_comp, expect_comp);
     }
@@ -639,23 +662,21 @@ TEST(KeyPrefixParityTest, CrossPositionJoinMatchesPlainComparator) {
     std::vector<Tuple> left_tuples = AdversarialTuples(ls, 250, ++seed);
     std::vector<Tuple> right_tuples = AdversarialTuples(rs, 250, ++seed);
     const auto arity = static_cast<size_t>(ls.num_columns());
-    Rows left = RowsOf(left_tuples), right = RowsOf(right_tuples);
-    KeyPrefixes lp, rp;
-    int64_t ignore = 0;
-    SortRunRange(&left, lkey, &ignore, &lp);
-    SortRunRange(&right, rkey, &ignore, &rp);
+    const KeyedRun lrun = SortedRun(left_tuples, lkey);
+    const KeyedRun rrun = SortedRun(right_tuples, rkey);
+    const Rows left = HandlesOf(lrun), right = HandlesOf(rrun);
     JoinedCells expect_rows{arity, arity, {}}, got_rows{arity, arity, {}};
     int64_t expect_comp = reference::Merge(
         left, lkey, right, rkey,
         [&](size_t i, size_t i_end, size_t j, size_t j_end) {
-          AppendJoined(left, i, i_end, right, j, j_end, &expect_rows);
+          AppendJoined(lrun, i, i_end, rrun, j, j_end, &expect_rows);
         });
     int64_t got_comp = 0;
-    MergeJoinRange(left, lp, lkey, right, rp, rkey, &got_rows, &got_comp);
+    MergeJoinRange(lrun, lkey, rrun, rkey, &got_rows, &got_comp);
     EXPECT_EQ(got_comp, expect_comp);
     EXPECT_EQ(got_rows, expect_rows);
     for (size_t b = 0; b < left.size(); b += 7) {
-      EXPECT_EQ(LowerBoundCrossKey(right, rp, rkey, left[b], lp[b], lkey),
+      EXPECT_EQ(LowerBoundCrossKey(rrun, rkey, lrun[b], lkey),
                 reference::LowerBoundCrossKey(right, rkey, left[b], lkey))
           << b;
     }
@@ -670,13 +691,11 @@ TEST(KeyPrefixParityTest, PartitionAndLowerBoundMatchPlainComparator) {
       const std::vector<int> key =
           Columns(key_or_all, static_cast<size_t>(schema.num_columns()));
       std::vector<Tuple> tuples = AdversarialTuples(schema, 500, ++seed);
-      Rows run = RowsOf(tuples);
-      KeyPrefixes prefixes;
-      int64_t ignore = 0;
-      SortRunRange(&run, key, &ignore, &prefixes);
+      const KeyedRun keyed = SortedRun(tuples, key);
+      const Rows run = HandlesOf(keyed);
       for (size_t min_chunk : {size_t{1}, size_t{7}, size_t{40}}) {
         std::vector<size_t> bounds =
-            PartitionSortedRun(run, prefixes, key, 32, min_chunk);
+            PartitionSortedRun(keyed, key, 32, min_chunk);
         EXPECT_EQ(bounds,
                   reference::PartitionSortedRun(run, key, 32, min_chunk))
             << min_chunk;
@@ -684,9 +703,9 @@ TEST(KeyPrefixParityTest, PartitionAndLowerBoundMatchPlainComparator) {
       std::vector<Tuple> probes = AdversarialTuples(schema, 60, ++seed);
       for (const Tuple& probe : probes) {
         const std::vector<int> lead = {key[0]};
-        const uint64_t probe_prefix = KeyPrefix(probe[static_cast<size_t>(lead[0])]);
-        EXPECT_EQ(LowerBoundCrossKey(run, prefixes, key, RowOf(probe),
-                                     probe_prefix, key),
+        const KeyedRow keyed_probe{
+            KeyPrefix(probe[static_cast<size_t>(lead[0])]), probe.data()};
+        EXPECT_EQ(LowerBoundCrossKey(keyed, key, keyed_probe, key),
                   reference::LowerBoundCrossKey(run, key, RowOf(probe), key));
       }
     }
