@@ -7,8 +7,9 @@
 // each with a serving deadline of a few T, admission control on and the
 // per-relation circuit breaker enabled at its default threshold (10%,
 // comfortably above the injected ~6% fault rate, so a healthy storm-free
-// breaker must stay quiet). Emits one JSON object with the run and the
-// gate verdict:
+// breaker must stay quiet). Emits one JSON object with the run, a
+// `summary` of it (what `ci.sh fault-bench` writes to BENCH_fault.json)
+// and the gate verdict:
 //
 //   ./build/bench/fault_tolerance [--n N] [--overload F]
 //
@@ -295,6 +296,20 @@ int Main(int argc, char** argv) {
       static_cast<long long>(r.breaker_trips),
       static_cast<long long>(r.breaker_sheds),
       r.counters_sum ? "true" : "false");
+  std::printf(
+      "  \"summary\": {\"bench\": \"fault_tolerance\", \"n\": %d, "
+      "\"overload\": %.1f, \"t_svc_s\": %.5f, \"transient_rate\": %.3f, "
+      "\"permanent_rate\": %.3f, \"miss_pct\": %.2f, "
+      "\"coverage_pct\": %.1f, \"mean_rel_err_pct\": %.2f, "
+      "\"transient_faults\": %lld, \"retries\": %lld, "
+      "\"blocks_lost\": %lld, \"degraded\": %d, \"max_widening\": %.4f, "
+      "\"breaker_sheds\": %lld, \"ok\": %s},\n",
+      n, overload, t_svc_s, kTransientRate, kPermanentRate, r.miss_pct,
+      r.coverage_pct, r.mean_rel_err_pct,
+      static_cast<long long>(r.transient_faults),
+      static_cast<long long>(r.retries),
+      static_cast<long long>(r.blocks_lost), r.degraded, r.max_widening,
+      static_cast<long long>(r.breaker_sheds), ok ? "true" : "false");
   std::printf(
       "  \"ok_miss\": %s, \"ok_ci\": %s, \"ok_faults\": %s, "
       "\"ok_breaker\": %s, \"ok\": %s\n",

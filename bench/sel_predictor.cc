@@ -26,7 +26,8 @@
 //   ./build/bench/sel_predictor [--seed S]
 //
 // Prints one JSON object (the ci.sh `pred-bench` stage archives it at
-// build/artifacts/sel_predictor.json); exits 1 when a gate fails.
+// build/artifacts/sel_predictor.json and writes its `summary` to
+// BENCH_pred.json); exits 1 when a gate fails.
 
 #include <cmath>
 #include <cstdio>
@@ -209,6 +210,13 @@ int Main(int argc, char** argv) {
       "\"stage_cost_overrun_err\": %.4f, "
       "\"overspent_runs\": %d, \"zero_estimate_runs\": %d}, "
       "\"wasted_savings_pct\": %.1f, \"min_savings_pct\": %.1f, "
+      "\"summary\": {\"bench\": \"sel_predictor\", "
+      "\"wasted_savings_pct\": %.1f, \"min_savings_pct\": %.1f, "
+      "\"overrun_err_predictor\": %.4f, \"overrun_err_prior_cache\": %.4f, "
+      "\"stage_cost_err_predictor\": %.4f, "
+      "\"stage_cost_err_prior_cache\": %.4f, "
+      "\"zero_estimate_runs_predictor\": %d, "
+      "\"zero_estimate_runs_prior_cache\": %d, \"ok\": %s}, "
       "\"ok\": %s}\n",
       static_cast<unsigned long long>(args.seed), kEpochs,
       kEpochs - kWarmupEpochs, static_cast<long long>(off.wasted_blocks),
@@ -219,7 +227,9 @@ int Main(int argc, char** argv) {
       static_cast<long long>(on.total_blocks),
       static_cast<long long>(on.fresh_draws), err_on, overrun_on,
       on.overspent_runs, on.zero_estimate_runs, savings_pct,
-      kMinWastedSavingsPct, ok ? "true" : "false");
+      kMinWastedSavingsPct, savings_pct, kMinWastedSavingsPct, overrun_on,
+      overrun_off, err_on, err_off, on.zero_estimate_runs,
+      off.zero_estimate_runs, ok ? "true" : "false", ok ? "true" : "false");
   if (!ok) {
     std::fprintf(stderr,
                  "sel_predictor: wasted-draw savings %.1f%% (gate %.1f%%), "

@@ -8,7 +8,8 @@
 // the queries it actually grants still meet their deadlines; with
 // admission OFF everything runs at once, latency balloons, and the
 // deadline-miss rate of those same "admitted" queries blows through the
-// bound. Emits one JSON object with both runs and the gate verdict:
+// bound. Emits one JSON object with both runs, a `summary` of them (what
+// `ci.sh serve-bench` writes to BENCH_serve.json) and the gate verdict:
 //
 //   ./build/bench/serve_load [--n N] [--overload F]
 //
@@ -204,6 +205,18 @@ void PrintRunJson(const LoadResult& r, bool last) {
       r.counters_sum ? "true" : "false", last ? "" : ",");
 }
 
+/// One run's entry of the summary object.
+void PrintSummaryRunJson(const char* key, const LoadResult& r) {
+  std::printf(
+      "    \"%s\": {\"qps\": %.1f, \"p99_latency_s\": %.4f, "
+      "\"miss_pct\": %.2f, \"admitted\": %lld, \"shrunk\": %lld, "
+      "\"queued\": %lld, \"rejected\": %lld, \"completed\": %lld},\n",
+      key, r.qps, r.p99_latency_s, r.miss_pct,
+      static_cast<long long>(r.admitted), static_cast<long long>(r.shrunk),
+      static_cast<long long>(r.queued), static_cast<long long>(r.rejected),
+      static_cast<long long>(r.completed));
+}
+
 int Main(int argc, char** argv) {
   int n = 40;
   double overload = 4.0;
@@ -233,6 +246,13 @@ int Main(int argc, char** argv) {
   PrintRunJson(on, /*last=*/false);
   PrintRunJson(off, /*last=*/true);
   std::printf("  ],\n");
+  std::printf(
+      "  \"summary\": {\"bench\": \"serve_load\", \"n\": %d, "
+      "\"overload\": %.1f, \"t_svc_s\": %.5f, \"deadline_s\": %.5f,\n",
+      n, overload, t_svc_s, 6.0 * t_svc_s);
+  PrintSummaryRunJson("admission_on", on);
+  PrintSummaryRunJson("admission_off", off);
+  std::printf("    \"ok\": %s},\n", ok ? "true" : "false");
   std::printf("  \"ok_admission_on\": %s, \"ok_admission_off\": %s, "
               "\"ok\": %s\n",
               ok_on ? "true" : "false", ok_off ? "true" : "false",

@@ -4,8 +4,6 @@
 #
 #   ./ci.sh                      # every stage
 #   ./ci.sh lint release         # just those stages, in that order
-#   ./ci.sh --release            # legacy spelling of "release"
-#   ./ci.sh --tsan               # legacy spelling of "tsan"
 #
 # Stages:
 #   lint          tools/tcq_lint.py over the tree + its self-test; archives
@@ -22,23 +20,22 @@
 #   trace-smoke   traced quickstart run; validates + archives the Chrome
 #                 trace JSON at build/artifacts/trace_smoke.json, then
 #                 gates disabled-tracing overhead via bench/trace_overhead
-#   warm-bench    cold-vs-warm comparison via bench/warm_start; archives
-#                 the JSON at build/artifacts/warm_start.json and gates
+#   The four gated benches below each build their bench, archive its JSON
+#   at build/artifacts/<bench>.json and fail unless its "ok" holds; three
+#   also write the bench's "summary" object to a top-level BENCH_*.json.
+#   warm-bench    cold-vs-warm comparison via bench/warm_start; gates
 #                 the >=20% fresh-draw savings of the warm run
 #   serve-bench   4x-overload serving run via bench/serve_load (admission
-#                 on vs off); archives build/artifacts/serve_load.json,
-#                 refreshes the top-level BENCH_serve.json summary, and
-#                 gates the <=5% deadline-miss rate of admitted queries
-#                 (and that admission OFF violates it)
+#                 on vs off); refreshes BENCH_serve.json, and gates the
+#                 <=5% deadline-miss rate of admitted queries (and that
+#                 admission OFF violates it)
 #   fault-bench   the same 4x-overload harness with deterministic fault
 #                 injection armed (5% transient + 1% permanent) via
-#                 bench/fault_tolerance; archives build/artifacts/
-#                 fault_tolerance.json, refreshes BENCH_fault.json, and
+#                 bench/fault_tolerance; refreshes BENCH_fault.json, and
 #                 gates the <=5% miss rate and >=80% exact-count CI
 #                 coverage of the degraded answers
 #   pred-bench    hybrid-selectivity-predictor comparison on a drifting
-#                 join workload via bench/sel_predictor; archives
-#                 build/artifacts/sel_predictor.json, refreshes
+#                 join workload via bench/sel_predictor; refreshes
 #                 BENCH_pred.json, and gates the >=10% wasted-draw savings
 #                 and lower stage-cost error vs the prior-cache baseline
 #   perfbench-smoke
@@ -204,127 +201,36 @@ EOF
     ./build/bench/trace_overhead
 }
 
-stage_warm_bench() {
+# Builds bench target $1, archives its JSON at build/artifacts/$1.json and
+# fails unless the bench's "ok" holds; given a file as $2, writes the
+# bench's "summary" object to it.
+gated_bench() { # <target> [summary-file]
+  local target="$1" summary="${2:-}"
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release &&
-    cmake --build build -j "$jobs" --target warm_start &&
+    cmake --build build -j "$jobs" --target "$target" &&
     mkdir -p build/artifacts &&
-    ./build/bench/warm_start | tee build/artifacts/warm_start.json &&
-    python3 - <<'EOF_PY'
+    "./build/bench/$target" | tee "build/artifacts/$target.json" &&
+    python3 - "build/artifacts/$target.json" "$summary" <<'EOF_PY'
 import json
-with open("build/artifacts/warm_start.json") as f:
+import sys
+path, summary_path = sys.argv[1:3]
+with open(path) as f:
     result = json.load(f)
-assert result["ok"], "warm_start bench gate failed"
-print(f"warm-bench: {result['fresh_savings_pct']:.1f}% fresh-draw savings "
-      "archived at build/artifacts/warm_start.json")
+assert result["ok"], f"{path}: bench gate failed"
+note = ""
+if summary_path:
+    with open(summary_path, "w") as f:
+        json.dump(result["summary"], f, indent=2)
+        f.write("\n")
+    note = f"; summary at {summary_path}"
+print(f"gated bench: {path} passed its gate{note}")
 EOF_PY
 }
 
-stage_serve_bench() {
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release &&
-    cmake --build build -j "$jobs" --target serve_load &&
-    mkdir -p build/artifacts &&
-    ./build/bench/serve_load | tee build/artifacts/serve_load.json &&
-    python3 - <<'EOF_PY'
-import json
-with open("build/artifacts/serve_load.json") as f:
-    result = json.load(f)
-assert result["ok"], "serve_load bench gate failed"
-on = next(r for r in result["runs"] if r["admission"])
-off = next(r for r in result["runs"] if not r["admission"])
-summary = {
-    "bench": "serve_load",
-    "n": result["n"],
-    "overload": result["overload"],
-    "t_svc_s": result["t_svc_s"],
-    "deadline_s": result["deadline_s"],
-    "admission_on": {k: on[k] for k in
-                     ("qps", "p99_latency_s", "miss_pct", "admitted",
-                      "shrunk", "queued", "rejected", "completed")},
-    "admission_off": {k: off[k] for k in
-                      ("qps", "p99_latency_s", "miss_pct", "admitted",
-                       "shrunk", "queued", "rejected", "completed")},
-    "ok": result["ok"],
-}
-with open("BENCH_serve.json", "w") as f:
-    json.dump(summary, f, indent=2)
-    f.write("\n")
-print(f"serve-bench: admission on {on['miss_pct']:.1f}% miss / "
-      f"off {off['miss_pct']:.1f}% miss; summary at BENCH_serve.json")
-EOF_PY
-}
-
-stage_fault_bench() {
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release &&
-    cmake --build build -j "$jobs" --target fault_tolerance &&
-    mkdir -p build/artifacts &&
-    ./build/bench/fault_tolerance | tee build/artifacts/fault_tolerance.json &&
-    python3 - <<'EOF_PY'
-import json
-with open("build/artifacts/fault_tolerance.json") as f:
-    result = json.load(f)
-assert result["ok"], "fault_tolerance bench gate failed"
-summary = {
-    "bench": "fault_tolerance",
-    "n": result["n"],
-    "overload": result["overload"],
-    "t_svc_s": result["t_svc_s"],
-    "transient_rate": result["transient_rate"],
-    "permanent_rate": result["permanent_rate"],
-    "miss_pct": result["miss_pct"],
-    "coverage_pct": result["coverage_pct"],
-    "mean_rel_err_pct": result["mean_rel_err_pct"],
-    "transient_faults": result["transient_faults"],
-    "retries": result["retries"],
-    "blocks_lost": result["blocks_lost"],
-    "degraded": result["degraded"],
-    "max_widening": result["max_widening"],
-    "breaker_sheds": result["breaker_sheds"],
-    "ok": result["ok"],
-}
-with open("BENCH_fault.json", "w") as f:
-    json.dump(summary, f, indent=2)
-    f.write("\n")
-print(f"fault-bench: {result['miss_pct']:.1f}% miss, "
-      f"{result['coverage_pct']:.1f}% CI coverage under faults; "
-      "summary at BENCH_fault.json")
-EOF_PY
-}
-
-stage_pred_bench() {
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release &&
-    cmake --build build -j "$jobs" --target sel_predictor &&
-    mkdir -p build/artifacts &&
-    ./build/bench/sel_predictor | tee build/artifacts/sel_predictor.json &&
-    python3 - <<'EOF_PY'
-import json
-with open("build/artifacts/sel_predictor.json") as f:
-    result = json.load(f)
-assert result["ok"], "sel_predictor bench gate failed"
-assert result["wasted_savings_pct"] >= result["min_savings_pct"]
-assert (result["predictor"]["stage_cost_overrun_err"]
-        < result["prior_cache"]["stage_cost_overrun_err"])
-summary = {
-    "bench": "sel_predictor",
-    "wasted_savings_pct": result["wasted_savings_pct"],
-    "min_savings_pct": result["min_savings_pct"],
-    "overrun_err_predictor": result["predictor"]["stage_cost_overrun_err"],
-    "overrun_err_prior_cache": result["prior_cache"]["stage_cost_overrun_err"],
-    "stage_cost_err_predictor": result["predictor"]["stage_cost_err"],
-    "stage_cost_err_prior_cache": result["prior_cache"]["stage_cost_err"],
-    "zero_estimate_runs_predictor": result["predictor"]["zero_estimate_runs"],
-    "zero_estimate_runs_prior_cache": result["prior_cache"]["zero_estimate_runs"],
-    "ok": result["ok"],
-}
-with open("BENCH_pred.json", "w") as f:
-    json.dump(summary, f, indent=2)
-    f.write("\n")
-print(f"pred-bench: {result['wasted_savings_pct']:.1f}% wasted-draw savings, "
-      f"stage-cost overrun error "
-      f"{result['predictor']['stage_cost_overrun_err']:.3f} vs "
-      f"{result['prior_cache']['stage_cost_overrun_err']:.3f}; "
-      "summary at BENCH_pred.json")
-EOF_PY
-}
+stage_warm_bench() { gated_bench warm_start; }
+stage_serve_bench() { gated_bench serve_load BENCH_serve.json; }
+stage_fault_bench() { gated_bench fault_tolerance BENCH_fault.json; }
+stage_pred_bench() { gated_bench sel_predictor BENCH_pred.json; }
 
 stage_perfbench_smoke() {
   # A pure speed change never moves the simulated work: the first 32
@@ -428,8 +334,6 @@ stage_ubsan() {
 stages=()
 for arg in "$@"; do
   case "$arg" in
-    --release) stages+=(release) ;;
-    --tsan) stages+=(tsan) ;;
     -h | --help) usage ;;
     *)
       ok=0

@@ -4,6 +4,19 @@
 
 namespace tcq {
 
+namespace {
+
+/// EWMA weight of the newest observation when re-fitting.
+constexpr double kEwma = 0.5;
+/// Assumed tuples per page of the initial write coefficients: the paper
+/// initialized for its largest tuples; 2 per page keeps the pessimism
+/// while still letting a 2.5 s quota fund a first stage.
+constexpr double kAssumedBlockingFactor = 2.0;
+/// Assumed comparisons per tuple of the initial selection coefficient.
+constexpr double kAssumedComparisons = 2.0;
+
+}  // namespace
+
 std::string_view CostStepName(CostStep step) {
   switch (step) {
     case CostStep::kFetch:
@@ -64,8 +77,7 @@ void AdaptiveCostModel::ObserveParallelism(double work_seconds,
       (speedup - 1.0) / static_cast<double>(physical_.workers - 1);
   if (observed < 0.0) observed = 0.0;
   if (observed > 1.0) observed = 1.0;
-  efficiency_ =
-      (1.0 - options_.ewma) * efficiency_ + options_.ewma * observed;
+  efficiency_ = (1.0 - kEwma) * efficiency_ + kEwma * observed;
 }
 
 AdaptiveCostModel::Snapshot AdaptiveCostModel::ExportSnapshot() const {
@@ -83,17 +95,15 @@ void AdaptiveCostModel::RestoreSnapshot(const Snapshot& snapshot) {
 
 double AdaptiveCostModel::Initial(CostStep step) const {
   const double scale = options_.initial_scale;
-  const double bf = options_.assumed_blocking_factor;
   switch (step) {
     case CostStep::kFetch:
       return scale * physical_.block_read_s;
     case CostStep::kFilter:
-      return scale * options_.assumed_comparisons *
-             physical_.predicate_compare_s;
+      return scale * kAssumedComparisons * physical_.predicate_compare_s;
     case CostStep::kTempWrite:
     case CostStep::kOutput:
-      return scale *
-             (physical_.tuple_move_s + physical_.block_write_s / bf);
+      return scale * (physical_.tuple_move_s +
+                      physical_.block_write_s / kAssumedBlockingFactor);
     case CostStep::kSort:
       return scale * physical_.sort_compare_s;
     case CostStep::kMerge:
@@ -124,12 +134,7 @@ void AdaptiveCostModel::Observe(int node_id, CostStep step, double units,
     coefs_[key] = observed;
     return;
   }
-  it->second = (1.0 - options_.ewma) * it->second + options_.ewma * observed;
-}
-
-double SortCostUnits(double n) {
-  if (n <= 0.0) return 0.0;
-  return n * std::log2(n + 2.0);
+  it->second = (1.0 - kEwma) * it->second + kEwma * observed;
 }
 
 int64_t BlocksForFraction(double fraction, int64_t total_blocks) {

@@ -48,17 +48,9 @@ class AdaptiveCostModel {
  public:
   struct Options {
     bool adaptive = true;
-    /// EWMA weight of the newest observation when re-fitting.
-    double ewma = 0.5;
     /// Multiplier applied to the physically derived initial values,
     /// modelling the paper's deliberately pessimistic initialization.
     double initial_scale = 1.5;
-    /// Assumed tuples-per-page for the initial write coefficients (the
-    /// paper initialized for its largest tuples; 2/page keeps the
-    /// pessimism while still letting a 2.5 s quota fund a first stage).
-    double assumed_blocking_factor = 2.0;
-    /// Assumed comparisons per tuple in selection formulas.
-    double assumed_comparisons = 2.0;
   };
 
   /// Portable image of the fitted state: the per-(node, step) coefficient
@@ -125,9 +117,6 @@ class AdaptiveCostModel {
   double efficiency_;
   std::map<std::pair<int, int>, double> coefs_;
 };
-
-/// The shared sort-cost basis n·log2(n+2).
-double SortCostUnits(double n);
 
 /// Number of blocks a sample fraction maps to: round(f·D), clamped to
 /// [0, D]. Both the sampler and the predictor use this rounding so

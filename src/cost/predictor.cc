@@ -135,18 +135,11 @@ Result<NodePrediction> Predict(const StagedNode& node, double f, int stage,
 Result<TermStagePrediction> PredictTermStageCost(
     const StagedTermEvaluator& term, double f,
     const std::map<int, double>& sel_plus, const AdaptiveCostModel& coefs) {
-  return PredictTermStageCost(term, f, sel_plus, coefs, term.fulfillment());
-}
-
-Result<TermStagePrediction> PredictTermStageCost(
-    const StagedTermEvaluator& term, double f,
-    const std::map<int, double>& sel_plus, const AdaptiveCostModel& coefs,
-    Fulfillment mode) {
   TermStagePrediction out;
   TCQ_ASSIGN_OR_RETURN(
       NodePrediction root,
-      Predict(term.root(), f, term.num_stages(), mode, sel_plus, coefs,
-              &out.seconds));
+      Predict(term.root(), f, term.num_stages(), term.fulfillment(),
+              sel_plus, coefs, &out.seconds));
   out.new_points = root.new_points;
   out.new_tuples = root.new_out;
   return out;

@@ -23,7 +23,8 @@ struct TermStagePrediction {
 };
 
 /// Evaluates the term's time-cost formula QCOST(f, SEL⁺) (paper §4) against
-/// the current stage history in `term`. `sel_plus` maps operator node ids
+/// the current stage history in `term`, for a next stage in the term's
+/// current fulfillment mode. `sel_plus` maps operator node ids
 /// (pre-order, as assigned by StagedTermEvaluator) to the inflated
 /// selectivities sel⁺ chosen by the time-control strategy; every non-scan
 /// node id must be present.
@@ -39,14 +40,6 @@ struct TermStagePrediction {
 [[nodiscard]] Result<TermStagePrediction> PredictTermStageCost(
     const StagedTermEvaluator& term, double f,
     const std::map<int, double>& sel_plus, const AdaptiveCostModel& coefs);
-
-/// Same, with an explicit fulfillment mode for the candidate stage
-/// (hybrid planning: price a final partial stage while the evaluator's
-/// default is full fulfillment).
-[[nodiscard]] Result<TermStagePrediction> PredictTermStageCost(
-    const StagedTermEvaluator& term, double f,
-    const std::map<int, double>& sel_plus, const AdaptiveCostModel& coefs,
-    Fulfillment mode);
 
 /// Feeds the realized step times of the term's most recent stage back into
 /// the adaptive model (paper §4's run-time coefficient adjustment). Block

@@ -14,7 +14,7 @@ std::unique_ptr<TimeControlStrategy> MakeStrategy(
       return std::make_unique<SingleIntervalStrategy>(
           config.single_interval);
     case StrategyConfig::Kind::kHeuristic:
-      return std::make_unique<HeuristicStrategy>(config.heuristic);
+      return std::make_unique<HeuristicStrategy>();
   }
   return std::make_unique<OneAtATimeStrategy>(config.one_at_a_time);
 }

@@ -32,7 +32,6 @@ struct StrategyConfig {
   Kind kind = Kind::kOneAtATime;
   OneAtATimeStrategy::Options one_at_a_time;
   SingleIntervalStrategy::Options single_interval;
-  HeuristicStrategy::Options heuristic;
 };
 
 std::unique_ptr<TimeControlStrategy> MakeStrategy(

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -162,8 +161,7 @@ struct QueryPlan {
         physical(PlanningModel(options, width)),
         coefs(physical, options.cost),
         strategy(MakeStrategy(options.strategy)),
-        cache(options.warm_cache),
-        mode(options.fulfillment) {}
+        cache(options.warm_cache) {}
   QueryPlan(const QueryPlan&) = delete;
   QueryPlan& operator=(const QueryPlan&) = delete;
 
@@ -258,7 +256,6 @@ struct QueryPlan {
       }
       if (!dry_run) {
         if (wall) ev->MeasureStepsWith(&clock);
-        ev->UseThreadPool(pool, max_width);
         ev->SetObs(obs, static_cast<int>(evaluators.size()));
       }
       std::vector<std::string> scans;
@@ -445,7 +442,6 @@ struct QueryPlan {
   std::unique_ptr<SelPredictor> query_predictor;
   std::vector<std::map<int, CacheKey>> node_keys;
   std::vector<std::map<int, std::string>> node_structs;
-  Fulfillment mode;  // §5.B may downgrade it to partial once
 };
 
 /// Plans one stage: Revise-Selectivities with the warm priors, the
@@ -533,7 +529,6 @@ class StagePlanner {
     context.f_max = f_max;
     context.f_min_step = min_step;
     context.epsilon = q.options.epsilon_s;
-    context.predictor_active = q.predictor != nullptr;
     context.obs = q.obs;
     context.qcost = [this](double f, double d_beta) {
       return QCost(f, d_beta);
@@ -547,15 +542,16 @@ class StagePlanner {
   }
 
   /// §5.B hybrid: when a full-fulfillment stage no longer fits and the
-  /// options ask for it, switches the query to partial (new×new only)
-  /// stages, which may still use the residual time. True when it
+  /// options ask for it, switches every evaluator to partial (new×new
+  /// only) stages, which may still use the residual time. True when it
   /// switched: the caller re-plans the same stage.
   bool FallBackToPartial() {
-    if (!plan_.options.final_partial_stages ||
-        plan_.mode != Fulfillment::kFull) {
+    QueryPlan& q = plan_;
+    if (!q.options.final_partial_stages ||
+        q.evaluators.front()->fulfillment() != Fulfillment::kFull) {
       return false;
     }
-    plan_.mode = Fulfillment::kPartial;
+    for (const auto& ev : q.evaluators) ev->SwitchToPartial();
     return true;
   }
 
@@ -617,11 +613,11 @@ class StagePlanner {
     double seconds = q.coefs.Coef(kGlobalCostNode, CostStep::kSetup) + fetch_s;
     for (size_t t = 0; t < q.evaluators.size(); ++t) {
       std::map<int, double> sel_plus = ComputeSelPlus(
-          *q.evaluators[t], sel_prev_[t], f, d_beta, q.mode,
+          *q.evaluators[t], sel_prev_[t], f, d_beta,
           q.predictor != nullptr ? &sel_widths_[t] : nullptr);
-      TCQ_ASSIGN_OR_RETURN(TermStagePrediction p,
-                           PredictTermStageCost(*q.evaluators[t], f, sel_plus,
-                                                q.coefs, q.mode));
+      TCQ_ASSIGN_OR_RETURN(
+          TermStagePrediction p,
+          PredictTermStageCost(*q.evaluators[t], f, sel_plus, q.coefs));
       seconds += p.seconds;
     }
     return seconds;
@@ -636,10 +632,9 @@ class StagePlanner {
     double sigma = 0.0;
     for (size_t t = 0; t < q.evaluators.size(); ++t) {
       const StagedTermEvaluator& ev = *q.evaluators[t];
-      std::map<int, NodePoints> points = PredictNodePoints(ev, f, q.mode);
-      TCQ_ASSIGN_OR_RETURN(
-          TermStagePrediction base,
-          PredictTermStageCost(ev, f, sel_prev_[t], q.coefs, q.mode));
+      std::map<int, NodePoints> points = PredictNodePoints(ev, f);
+      TCQ_ASSIGN_OR_RETURN(TermStagePrediction base,
+                           PredictTermStageCost(ev, f, sel_prev_[t], q.coefs));
       for (const auto& [id, sel] : sel_prev_[t]) {
         auto it = points.find(id);
         if (it == points.end()) continue;
@@ -648,9 +643,8 @@ class StagePlanner {
         if (sd <= 0.0) continue;
         std::map<int, double> bumped = sel_prev_[t];
         bumped[id] = std::min(1.0, sel + sd);
-        TCQ_ASSIGN_OR_RETURN(
-            TermStagePrediction hi,
-            PredictTermStageCost(ev, f, bumped, q.coefs, q.mode));
+        TCQ_ASSIGN_OR_RETURN(TermStagePrediction hi,
+                             PredictTermStageCost(ev, f, bumped, q.coefs));
         sigma += std::max(0.0, hi.seconds - base.seconds);
       }
     }
@@ -684,7 +678,7 @@ class StageRunner {
     report.planned_fraction = stage_plan.fraction;
     report.d_beta_used = stage_plan.d_beta_used;
     report.predicted_seconds = stage_plan.predicted_seconds;
-    report.predictor_used = stage_plan.predictor_used;
+    report.predictor_used = q.predictor != nullptr;
     report.quota_s = q.options.quota_s;
 
     const double stage_start = q.clock.Now();
@@ -700,10 +694,11 @@ class StageRunner {
                       q.clock.Now() - stage_start);
     }
 
-    // Realized work/span of this stage's fan-out sections (η re-fit).
-    ParallelStats parallel;
-    TCQ_RETURN_NOT_OK(Draw(stage, stage_plan.fraction, &report, &parallel));
-    TCQ_RETURN_NOT_OK(Evaluate(&parallel));
+    // Every section of the stage runs on this fan-out; its stats are the
+    // stage's realized work, span and tasks (the η re-fit's observation).
+    FanOut fan{q.pool, q.max_width, {}};
+    TCQ_RETURN_NOT_OK(Draw(stage, stage_plan.fraction, &report, &fan));
+    TCQ_RETURN_NOT_OK(Evaluate(&fan));
 
     // A wall-clock fetch is the draw plus the scans' run building over
     // the drawn blocks, summed over every term scanning the relation.
@@ -749,8 +744,8 @@ class StageRunner {
     if (q.wall) {
       // Re-fit the parallel-efficiency coefficient η from the realized
       // speedup of this stage's fan-out sections.
-      q.coefs.ObserveParallelism(parallel.work_seconds,
-                                 parallel.span_seconds);
+      q.coefs.ObserveParallelism(fan.stats.work_seconds,
+                                 fan.stats.span_seconds);
     }
     const double stage_end = q.clock.Now();
     report.actual_seconds = stage_end - stage_start;
@@ -780,9 +775,9 @@ class StageRunner {
     // query's elapsed_seconds (the acceptance identity).
     report.ledger_spend_s = stage_end - stage_start;
     report.cumulative_spend_s = q.deadline.Elapsed(q.clock);
-    report.work_seconds = parallel.work_seconds;
-    report.span_seconds = parallel.span_seconds;
-    report.parallel_tasks = parallel.tasks;
+    report.work_seconds = fan.stats.work_seconds;
+    report.span_seconds = fan.stats.span_seconds;
+    report.parallel_tasks = fan.stats.tasks;
     if (planner_ != nullptr) report.selectivities = planner_->Selectivities();
 
     const ObsHandle& obs = q.obs;
@@ -874,13 +869,13 @@ class StageRunner {
   }
 
  private:
-  /// Draws the stage's blocks: one task per relation, each from its own
-  /// deterministic substream of (seed, relation, stage). Ledger charges —
-  /// which consume the per-block jitter noise — and the fault resolution
-  /// happen post-barrier in relation-name order, so neither depends on
-  /// the worker count.
+  /// Draws the stage's blocks: one task per relation on `fan_out`, each
+  /// from its own deterministic substream of (seed, relation, stage).
+  /// Ledger charges — which consume the per-block jitter noise — and the
+  /// fault resolution happen post-barrier in relation-name order, so
+  /// neither depends on the worker count.
   [[nodiscard]] Status Draw(int stage, double fraction, StageReport* report,
-                            ParallelStats* parallel) {
+                            FanOut* fan_out) {
     QueryPlan& q = plan_;
     const CostModel& physical = q.options.physical;
     TraceSpan draw_span(q.obs.tracer, "draw_blocks", "engine");
@@ -903,39 +898,34 @@ class StageRunner {
                                      blocks.remaining());
       draws.push_back(std::move(slot));
     }
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(draws.size());
-    for (DrawSlot& slot : draws) {
-      tasks.push_back([sp = &slot, seed = q.options.seed,
-                       stage_idx = static_cast<uint64_t>(stage),
-                       checked = q.faults_on] {
-        auto start = std::chrono::steady_clock::now();
-        if (!checked) {
-          sp->blocks = sp->sampler->DrawSubstream(sp->count, seed, stage_idx);
+    // Each draw also times itself: a wall-clock fetch observation is the
+    // draw's seconds plus the scans' run building.
+    const uint64_t seed = q.options.seed;
+    const auto stage_idx = static_cast<uint64_t>(stage);
+    RunSection(fan_out, draws.size(), [&](size_t i, FanOut*) {
+      DrawSlot& slot = draws[i];
+      auto start = std::chrono::steady_clock::now();
+      if (!q.faults_on) {
+        slot.blocks = slot.sampler->DrawSubstream(slot.count, seed, stage_idx);
+      } else {
+        // Fault path: the draw is identical, but blocks come back with
+        // their indices through the checked storage read API (the
+        // injector keys on the physical block identity).
+        Result<std::vector<DrawnBlock>> drawn =
+            slot.sampler->DrawSubstreamChecked(slot.count, seed, stage_idx);
+        if (!drawn.ok()) {
+          slot.status = drawn.status();
         } else {
-          // Fault path: the draw is identical, but blocks come back with
-          // their indices through the checked storage read API (the
-          // injector keys on the physical block identity).
-          Result<std::vector<DrawnBlock>> drawn =
-              sp->sampler->DrawSubstreamChecked(sp->count, seed, stage_idx);
-          if (!drawn.ok()) {
-            sp->status = drawn.status();
-          } else {
-            sp->blocks.reserve(drawn->size());
-            sp->indices.reserve(drawn->size());
-            for (const DrawnBlock& b : *drawn) {
-              sp->indices.push_back(b.index);
-              sp->blocks.push_back(b.block);
-            }
+          slot.blocks.reserve(drawn->size());
+          slot.indices.reserve(drawn->size());
+          for (const DrawnBlock& b : *drawn) {
+            slot.indices.push_back(b.index);
+            slot.blocks.push_back(b.block);
           }
         }
-        sp->seconds = SecondsSince(start);
-      });
-    }
-    auto section_start = std::chrono::steady_clock::now();
-    RunTasks(q.pool, &tasks, q.max_width);
-    parallel->span_seconds += SecondsSince(section_start);
-    parallel->tasks += static_cast<int>(tasks.size());
+      }
+      slot.seconds = SecondsSince(start);
+    });
 
     TraceSpan fault_span(q.faults_on ? q.obs.tracer : nullptr,
                          "inject_faults", "fault");
@@ -943,7 +933,6 @@ class StageRunner {
     int64_t blocks_replayed = 0;
     for (DrawSlot& slot : draws) {
       TCQ_RETURN_NOT_OK(slot.status);
-      parallel->work_seconds += slot.seconds;
       report->blocks_drawn += static_cast<int64_t>(slot.blocks.size());
       const int64_t replayed = slot.sampler->last_draw_replayed();
       blocks_replayed += replayed;
@@ -1036,10 +1025,11 @@ class StageRunner {
     return Status::OK();
   }
 
-  /// Runs every term as its own task (each term's merge pairs fan out
-  /// further inside the evaluator), then reduces statuses, clock advances
-  /// and coefficient re-fits in term order after the barrier.
-  [[nodiscard]] Status Evaluate(ParallelStats* parallel) {
+  /// Runs every term as its own task on `fan_out` (each term's sections
+  /// fan out further on its task's inner fan-out), then reduces statuses,
+  /// clock advances and coefficient re-fits in term order after the
+  /// barrier.
+  [[nodiscard]] Status Evaluate(FanOut* fan_out) {
     QueryPlan& q = plan_;
     const size_t n = q.evaluators.size();
     std::vector<double> prev_totals(n, 0.0);
@@ -1050,36 +1040,10 @@ class StageRunner {
     }
     TraceSpan eval_span(q.obs.tracer, "eval_terms", "engine");
     std::vector<Status> statuses(n);
-    std::vector<double> durs(n, 0.0);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n);
-    for (size_t t = 0; t < n; ++t) {
-      StagedTermEvaluator* ev = q.evaluators[t].get();
-      Status* status = &statuses[t];
-      double* dur = &durs[t];
-      const auto* blocks = &stage_blocks_;
-      const Fulfillment mode = q.mode;
-      tasks.push_back([ev, status, dur, blocks, mode] {
-        auto start = std::chrono::steady_clock::now();
-        *status = ev->ExecuteStageWithMode(*blocks, mode);
-        *dur = SecondsSince(start);
-      });
-    }
-    auto section_start = std::chrono::steady_clock::now();
-    RunTasks(q.pool, &tasks, q.max_width);
-    parallel->span_seconds += SecondsSince(section_start);
-    parallel->tasks += static_cast<int>(tasks.size());
-    for (size_t t = 0; t < n; ++t) {
-      TCQ_RETURN_NOT_OK(statuses[t]);
-      // The term task ran its evaluator's sort/merge fan-out inside it:
-      // count those sections' summed task work in place of their elapsed
-      // span, and their tasks, so work/span (and the η fit) sees the
-      // evaluator's parallelism even when a lone term task runs inline.
-      const ParallelStats& inner = q.evaluators[t]->last_stage_parallelism();
-      parallel->work_seconds +=
-          durs[t] - inner.span_seconds + inner.work_seconds;
-      parallel->tasks += inner.tasks;
-    }
+    RunSection(fan_out, n, [&](size_t t, FanOut* inner) {
+      statuses[t] = q.evaluators[t]->ExecuteStage(stage_blocks_, inner);
+    });
+    for (const Status& status : statuses) TCQ_RETURN_NOT_OK(status);
     // The term ledgers fold into the virtual clock inside this span so
     // its duration covers the stage's simulated evaluation cost.
     for (size_t t = 0; t < n; ++t) {

@@ -387,27 +387,31 @@ int64_t SortRange(KeyedRow* items, const PrefixCompare& cmp, size_t lo,
 
 void RunSection(FanOut* fan_out, size_t count,
                 const std::function<void(size_t, FanOut*)>& body) {
-  std::vector<ParallelStats> inner(count);
-  std::vector<double> work(count, 0.0);
+  // Each task's work and the task count of its inner sections.
+  struct TaskTally {
+    double work = 0.0;
+    int inner_tasks = 0;
+  };
+  std::vector<TaskTally> tallies(count);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    tasks.push_back([fan_out, &body, &inner, &work, i] {
+    tasks.push_back([fan_out, &body, &tallies, i] {
       FanOut sub{fan_out->pool, fan_out->max_width, {}};
       auto start = std::chrono::steady_clock::now();
       body(i, &sub);
-      work[i] = SecondsSince(start) - sub.stats.span_seconds +
-                sub.stats.work_seconds;
-      inner[i] = sub.stats;
+      tallies[i] = {SecondsSince(start) - sub.stats.span_seconds +
+                        sub.stats.work_seconds,
+                    sub.stats.tasks};
     });
   }
   auto start = std::chrono::steady_clock::now();
   RunTasks(fan_out->pool, &tasks, fan_out->max_width);
   fan_out->stats.span_seconds += SecondsSince(start);
   fan_out->stats.tasks += static_cast<int>(count);
-  for (size_t i = 0; i < count; ++i) {
-    fan_out->stats.work_seconds += work[i];
-    fan_out->stats.tasks += inner[i].tasks;
+  for (const TaskTally& tally : tallies) {
+    fan_out->stats.work_seconds += tally.work;
+    fan_out->stats.tasks += tally.inner_tasks;
   }
 }
 
@@ -511,21 +515,16 @@ void SortRunRange(RowSpan rows, const std::vector<int>& key, KeyedRun* run,
   *comparisons += SortRange(items, cmp, 0, n, DepthLimit(n), fan_out);
 }
 
-KeyedRun SortRun(RowSpan rows, const std::vector<int>& key,
-                 CostLedger* ledger, const CostModel& model,
-                 StepMetrics* metrics) {
-  KeyedRun run(rows.size());
-  int64_t comparisons = 0;
-  SortRunRange(rows, key, &run, &comparisons);
-  ChargeScope charge(ledger, metrics);
+void ChargeSort(int64_t tuples, int64_t comparisons, CostLedger* ledger,
+                const CostModel& model, StepMetrics* step) {
+  ChargeScope charge(ledger, step);
   charge.ChargeN(CostCategory::kSortCompare, comparisons,
                  model.sort_compare_s);
-  if (metrics != nullptr) {
-    metrics->in_tuples += static_cast<int64_t>(rows.size());
-    metrics->out_tuples += static_cast<int64_t>(rows.size());
-    metrics->comparisons += comparisons;
+  if (step != nullptr) {
+    step->in_tuples += tuples;
+    step->out_tuples += tuples;
+    step->comparisons += comparisons;
   }
-  return run;
 }
 
 void AppendJoined(KeyedSpan left, size_t lbeg, size_t lend, KeyedSpan right,

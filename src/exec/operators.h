@@ -186,13 +186,6 @@ class KeyedRun {
   size_t size_ = 0;
 };
 
-/// Sorts `rows` on the given key columns into a new keyed run, charging
-/// each realized comparison (step 2, external sort; eq. 4.3's
-/// `C2·n·log n + C3·n` shape emerges from the realized comparison count).
-KeyedRun SortRun(RowSpan rows, const std::vector<int>& key,
-                 CostLedger* ledger, const CostModel& model,
-                 StepMetrics* metrics);
-
 /// ---- Merge kernels ------------------------------------------------------
 ///
 /// The raw sorted-run merge logic, exposed over index ranges so the staged
@@ -228,6 +221,13 @@ KeyedRun SortRun(RowSpan rows, const std::vector<int>& key,
 /// std::sort's at any width.
 void SortRunRange(RowSpan rows, const std::vector<int>& key, KeyedRun* run,
                   int64_t* comparisons, FanOut* fan_out = nullptr);
+
+/// Charges a sort of `tuples` tuples that made `comparisons` comparisons
+/// (step 2, external sort; eq. 4.3's `C2·n·log n + C3·n` shape emerges
+/// from the realized comparison count) and records it into `step`. Called
+/// after the sort's barrier, once per sorted run, in a fixed order.
+void ChargeSort(int64_t tuples, int64_t comparisons, CostLedger* ledger,
+                const CostModel& model, StepMetrics* step);
 
 /// The rows a join creates, cell by cell: each row is a left row's
 /// `left_arity` cells followed by a right row's `right_arity` cells.
@@ -307,7 +307,7 @@ std::vector<GroupCount> DedupSorted(KeyedSpan tuples, const Schema& schema,
 
 /// Projects `tuples` onto the given column positions, materializing the
 /// new rows' cells, columns.size() per row, back to back (no dedup;
-/// charges tuple moves only — dedup is SortRun + DedupSorted).
+/// charges tuple moves only — dedup is SortRunRange + DedupSorted).
 std::vector<Value> ProjectColumns(RowSpan tuples,
                                   const std::vector<int>& columns,
                                   CostLedger* ledger, const CostModel& model,

@@ -1,7 +1,6 @@
 #include "exec/staged.h"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <utility>
 
@@ -10,13 +9,6 @@
 namespace tcq {
 
 namespace {
-
-/// The cost-formula basis for a sort of `n` tuples (eq. 4.3's n·log n
-/// shape); shared with the cost predictor via the stage records.
-double SortUnits(double n) {
-  if (n <= 0) return 0.0;
-  return n * std::log2(n + 2.0);
-}
 
 /// Merge-chunk granularity: a sorted left run is split into at most
 /// kMaxMergeChunks pieces of at least kMinMergeChunk tuples each. Both are
@@ -142,11 +134,6 @@ Result<std::unique_ptr<StagedTermEvaluator>> StagedTermEvaluator::Create(
   return evaluator;
 }
 
-Status StagedTermEvaluator::ExecuteStage(
-    const std::map<std::string, std::vector<const Block*>>& new_blocks) {
-  return ExecuteStageWithMode(new_blocks, fulfillment_);
-}
-
 void StagedTermEvaluator::SetObs(const ObsHandle& obs, int term_index) {
   tracer_ = obs.tracer;
   tuples_counter_ =
@@ -154,17 +141,14 @@ void StagedTermEvaluator::SetObs(const ObsHandle& obs, int term_index) {
   term_index_ = term_index;
 }
 
-Status StagedTermEvaluator::ExecuteStageWithMode(
+Status StagedTermEvaluator::ExecuteStage(
     const std::map<std::string, std::vector<const Block*>>& new_blocks,
-    Fulfillment mode) {
-  if (ran_partial_stage_ && mode == Fulfillment::kFull) {
-    return Status::InvalidArgument(
-        "a full-fulfillment stage cannot follow a partial one");
-  }
+    FanOut* fan_out) {
   TraceSpan span(tracer_, "term_stage", "exec");
   span.Arg("term", static_cast<double>(term_index_));
   span.Arg("stage", static_cast<double>(num_stages_));
-  stage_parallel_ = ParallelStats{};
+  FanOut inline_fan_out;
+  if (fan_out == nullptr) fan_out = &inline_fan_out;
   // Previous per-scan cumulative block counts, for coverage accounting.
   std::vector<const StagedNode*> scan_nodes;
   CollectScanNodes(root_.get(), &scan_nodes);
@@ -173,23 +157,21 @@ Status StagedTermEvaluator::ExecuteStageWithMode(
     prev_cum.push_back(scan->cum_blocks);
   }
 
-  TCQ_RETURN_NOT_OK(ExecuteNode(root_.get(), new_blocks, mode));
+  TCQ_RETURN_NOT_OK(ExecuteNode(root_.get(), new_blocks, fan_out));
 
-  // Record per-scan new block counts and the space-block coverage gained
-  // by this stage: full fulfillment covers every combination of the
-  // cumulative samples; partial covers only the new×new combinations.
-  std::vector<int64_t> counts;
+  // The space-block coverage gained by this stage: full fulfillment
+  // covers every combination of the cumulative samples; partial covers
+  // only the new×new combinations.
   double prev_product = 1.0, cum_product = 1.0, new_product = 1.0;
   for (size_t i = 0; i < scan_nodes.size(); ++i) {
     auto it = new_blocks.find(scan_nodes[i]->rel->name());
     int64_t added =
         it == new_blocks.end() ? 0 : static_cast<int64_t>(it->second.size());
-    counts.push_back(added);
     prev_product *= static_cast<double>(prev_cum[i]);
     cum_product *= static_cast<double>(scan_nodes[i]->cum_blocks);
     new_product *= static_cast<double>(added);
   }
-  if (mode == Fulfillment::kFull) {
+  if (fulfillment_ == Fulfillment::kFull) {
     // Cumulative per-scan block counts only grow, so the covered
     // product can never shrink; negative growth would mean the
     // coverage accounting (and with it every estimate scale factor)
@@ -201,9 +183,7 @@ Status StagedTermEvaluator::ExecuteStageWithMode(
     TCQ_CHECK_INVARIANT(new_product >= 0.0,
                         "negative new-block product in a partial stage");
     covered_space_blocks_ += new_product;
-    ran_partial_stage_ = true;
   }
-  stage_scan_blocks_.push_back(std::move(counts));
   if (tuples_counter_ != nullptr) {
     // Tuples fetched from disk blocks this stage: the scans' newest stage
     // records. Deterministic at a fixed seed, so the atomic adds keep the
@@ -249,41 +229,49 @@ Status StagedTermEvaluator::TrackValueColumn(int index) {
 Status StagedTermEvaluator::ExecuteNode(
     StagedNode* node,
     const std::map<std::string, std::vector<const Block*>>& new_blocks,
-    Fulfillment mode) {
+    FanOut* fan_out) {
   const size_t s = static_cast<size_t>(num_stages_);
   NodeStageRecord rec;
-  // Recorded step times must match what the clock actually advanced by,
-  // including the stage's machine-speed noise factor — the adaptive cost
-  // formulas are fitted from these "measured" times, noise and all, just
-  // as the paper fit them from wall-clock measurements.
-  const double speed =
-      ledger_ != nullptr ? ledger_->current_stage_factor() : 1.0;
-  auto scale_record = [speed](NodeStageRecord* r) {
-    r->write.seconds *= speed;
-    r->sort.seconds *= speed;
-    r->process.seconds *= speed;
-    r->output.seconds *= speed;
-    r->seconds *= speed;
-  };
-  // Wall-clock mode helpers: steps are timed with real clock deltas; a
-  // combined process+output delta is split proportionally to the two
-  // steps' simulated charges (they interleave inside one operator call).
   auto now = [this] {
     return timing_clock_ != nullptr ? timing_clock_->Now() : 0.0;
   };
-  // Each fan-out section runs on the evaluator's pool; its realized
-  // work/span folds into the stage's tally.
-  auto fan_out = [this] { return FanOut{pool_, pool_max_width_, {}}; };
-  auto split_delta = [](double delta, StepMetrics* process,
-                        StepMetrics* output) {
-    double total = process->seconds + output->seconds;
-    if (total > 0.0) {
-      process->seconds = delta * process->seconds / total;
-      output->seconds = delta - process->seconds;
-    } else {
-      process->seconds = delta;
-      output->seconds = 0.0;
+  // The one epilogue of an operator's record, given the times its stage
+  // started (t0), finished its temp writes (t1) and finished its sorts
+  // (t2); a selection, which does neither, passes t0 for both. Wall-clock
+  // mode records the real step deltas; process and output interleave
+  // inside one kernel call, so their combined delta is split in
+  // proportion to their simulated charges. Simulated mode records the
+  // charged steps plus the operator setup, scaled by the stage's
+  // machine-speed factor: recorded step times must match what the clock
+  // actually advanced by, noise and all, as the paper fitted its adaptive
+  // formulas from measured times.
+  auto finish_record = [&](double t0, double t1, double t2) {
+    if (timing_clock_ != nullptr) {
+      const double t3 = now();
+      const double merge = t3 - t2;
+      const double charged = rec.process.seconds + rec.output.seconds;
+      rec.write.seconds = t1 - t0;
+      rec.sort.seconds = t2 - t1;
+      if (charged > 0.0) {
+        rec.process.seconds = merge * rec.process.seconds / charged;
+        rec.output.seconds = merge - rec.process.seconds;
+      } else {
+        rec.process.seconds = merge;
+        rec.output.seconds = 0.0;
+      }
+      rec.seconds = t3 - t0;
+      return;
     }
+    rec.seconds = rec.write.seconds + rec.sort.seconds +
+                  rec.process.seconds + rec.output.seconds +
+                  model_.op_setup_s;
+    const double speed =
+        ledger_ != nullptr ? ledger_->current_stage_factor() : 1.0;
+    rec.write.seconds *= speed;
+    rec.sort.seconds *= speed;
+    rec.process.seconds *= speed;
+    rec.output.seconds *= speed;
+    rec.seconds *= speed;
   };
 
   switch (node->kind) {
@@ -295,16 +283,15 @@ Status StagedTermEvaluator::ExecuteNode(
       }
       // The run holds the fetched blocks' resident rows, which the
       // relation this node holds keeps alive. A stage of more than
-      // kPassChunk rows fills in chunks of blocks on the pool.
+      // kPassChunk rows fills in chunks of blocks.
       double t0 = now();
       const std::vector<const Block*>& blocks = it->second;
       const auto rows_per_block =
           static_cast<size_t>(node->rel->blocking_factor());
       const int arity = node->out_schema.num_columns();
-      FanOut fan = fan_out();
       Rows run = CollectChunks(
-          &fan, blocks.size(), std::max<size_t>(1, kPassChunk / rows_per_block),
-          rows_per_block,
+          fan_out, blocks.size(),
+          std::max<size_t>(1, kPassChunk / rows_per_block), rows_per_block,
           [&blocks, rows_per_block, arity](size_t lo, size_t hi, Rows* out) {
             out->reserve(out->size() + (hi - lo) * rows_per_block);
             for (size_t b = lo; b < hi; ++b) {
@@ -312,7 +299,6 @@ Status StagedTermEvaluator::ExecuteNode(
               out->insert(out->end(), rows.begin(), rows.end());
             }
           });
-      stage_parallel_.Add(fan.stats);
       if (timing_clock_ != nullptr) rec.seconds = now() - t0;
       node->cum_blocks += static_cast<int64_t>(it->second.size());
       rec.new_blocks = static_cast<int64_t>(it->second.size());
@@ -326,7 +312,7 @@ Status StagedTermEvaluator::ExecuteNode(
     }
 
     case ExprKind::kSelect: {
-      TCQ_RETURN_NOT_OK(ExecuteNode(node->left.get(), new_blocks, mode));
+      TCQ_RETURN_NOT_OK(ExecuteNode(node->left.get(), new_blocks, fan_out));
       if (ledger_ != nullptr) {
         ledger_->Charge(CostCategory::kOpSetup, model_.op_setup_s);
       }
@@ -334,23 +320,13 @@ Status StagedTermEvaluator::ExecuteNode(
       const Rows input = std::exchange(node->left->stage_out, {});
       OpMetrics om;
       double t0 = now();
-      FanOut fan = fan_out();
       Rows run = SelectTuples(input, *node->predicate, node->out_schema,
-                              ledger_, model_, &om, &fan);
-      double t1 = now();
-      stage_parallel_.Add(fan.stats);
+                              ledger_, model_, &om, fan_out);
       rec.process = om.process;
       rec.output = om.output;
       rec.new_points = node->left->stages[s].new_points;
       rec.new_tuples = static_cast<int64_t>(run.size());
-      if (timing_clock_ != nullptr) {
-        split_delta(t1 - t0, &rec.process, &rec.output);
-        rec.seconds = t1 - t0;
-      } else {
-        rec.seconds = rec.process.seconds + rec.output.seconds +
-                      model_.op_setup_s;
-        scale_record(&rec);
-      }
+      finish_record(t0, t0, t0);
       node->cum_points += rec.new_points;
       node->cum_tuples += rec.new_tuples;
       node->stage_out = std::move(run);
@@ -359,7 +335,7 @@ Status StagedTermEvaluator::ExecuteNode(
     }
 
     case ExprKind::kProject: {
-      TCQ_RETURN_NOT_OK(ExecuteNode(node->left.get(), new_blocks, mode));
+      TCQ_RETURN_NOT_OK(ExecuteNode(node->left.get(), new_blocks, fan_out));
       if (ledger_ != nullptr) {
         ledger_->Charge(CostCategory::kOpSetup, model_.op_setup_s);
       }
@@ -378,11 +354,16 @@ Status StagedTermEvaluator::ExecuteNode(
                       static_cast<int64_t>(projected_rows.size()), ledger_,
                       model_, &rec.write);
       double t1 = now();
-      // Step 2: sort the new run.
+      // Step 2: sort the new run, as a binary node sorts each side: into a
+      // keyed run sized here, charged after the sort's barrier.
       const Rows run(projected_rows.begin(), projected_rows.end());
-      rec.sort_units = SortUnits(static_cast<double>(run.size()));
-      const KeyedRun sorted =
-          SortRun(run, AllColumns(arity), ledger_, model_, &rec.sort);
+      rec.sort_units = SortCostUnits(static_cast<double>(run.size()));
+      const std::vector<int> key = AllColumns(arity);
+      KeyedRun sorted(run.size());
+      int64_t sort_comparisons = 0;
+      SortRunRange(run, key, &sorted, &sort_comparisons, fan_out);
+      ChargeSort(static_cast<int64_t>(run.size()), sort_comparisons, ledger_,
+                 model_, &rec.sort);
       double t2 = now();
       // Step 3: merge with the previously sorted sample and re-derive the
       // distinct groups with occupancies.
@@ -408,18 +389,7 @@ Status StagedTermEvaluator::ExecuteNode(
       node->cum_tuples = static_cast<int64_t>(node->groups.size());
       rec.new_tuples = node->cum_tuples - prev_groups;
       rec.new_points = node->left->stages[s].new_points;
-      if (timing_clock_ != nullptr) {
-        double t3 = now();
-        rec.write.seconds = t1 - t0;
-        rec.sort.seconds = t2 - t1;
-        split_delta(t3 - t2, &rec.process, &rec.output);
-        rec.seconds = t3 - t0;
-      } else {
-        rec.seconds = rec.write.seconds + rec.sort.seconds +
-                      rec.process.seconds + rec.output.seconds +
-                      model_.op_setup_s;
-        scale_record(&rec);
-      }
+      finish_record(t0, t1, t2);
       node->cum_points += rec.new_points;
       node->stages.push_back(std::move(rec));  // projection is terminal
       return Status::OK();
@@ -429,8 +399,8 @@ Status StagedTermEvaluator::ExecuteNode(
     case ExprKind::kIntersect: {
       const double prev_l = node->left->cum_points;
       const double prev_r = node->right->cum_points;
-      TCQ_RETURN_NOT_OK(ExecuteNode(node->left.get(), new_blocks, mode));
-      TCQ_RETURN_NOT_OK(ExecuteNode(node->right.get(), new_blocks, mode));
+      TCQ_RETURN_NOT_OK(ExecuteNode(node->left.get(), new_blocks, fan_out));
+      TCQ_RETURN_NOT_OK(ExecuteNode(node->right.get(), new_blocks, fan_out));
       if (ledger_ != nullptr) {
         ledger_->Charge(CostCategory::kOpSetup, model_.op_setup_s);
       }
@@ -452,43 +422,29 @@ Status StagedTermEvaluator::ExecuteNode(
                       static_cast<int64_t>(new_r.size()), ledger_, model_,
                       &rec.write);
       double t1 = now();
-      rec.sort_units = SortUnits(static_cast<double>(new_l.size())) +
-                       SortUnits(static_cast<double>(new_r.size()));
+      rec.sort_units = SortCostUnits(static_cast<double>(new_l.size())) +
+                       SortCostUnits(static_cast<double>(new_r.size()));
       const std::vector<int>& lkey = node->lkey;
       const std::vector<int>& rkey = node->rkey;
       // Steps 1–2 parallel part: the two new runs sort on their own tasks,
-      // each forking further on the pool when large; the realized
-      // comparison counts are charged post-barrier in fixed (left, right)
-      // order, mirroring the serial SortRun sequence. Both keyed runs are
-      // sized here, on the thread that starts the section, so no sort
-      // task allocates one.
+      // each forking further when large; the realized comparison counts
+      // are charged post-barrier in fixed (left, right) order. Both keyed
+      // runs are sized here, on the thread that starts the section, so no
+      // sort task allocates one.
       KeyedRun& lsorted = node->sorted_left.emplace_back(new_l.size());
       KeyedRun& rsorted = node->sorted_right.emplace_back(new_r.size());
-      {
-        int64_t sort_comp[2] = {0, 0};
-        FanOut fan = fan_out();
-        RunSection(&fan, 2, [&](size_t k, FanOut* inner) {
-          if (k == 0) {
-            SortRunRange(new_l, lkey, &lsorted, &sort_comp[0], inner);
-          } else {
-            SortRunRange(new_r, rkey, &rsorted, &sort_comp[1], inner);
-          }
-        });
-        stage_parallel_.Add(fan.stats);
-        for (int k = 0; k < 2; ++k) {
-          if (ledger_ != nullptr) {
-            ledger_->ChargeN(CostCategory::kSortCompare, sort_comp[k],
-                             model_.sort_compare_s);
-          }
-          rec.sort.seconds +=
-              model_.sort_compare_s * static_cast<double>(sort_comp[k]);
-          rec.sort.comparisons += sort_comp[k];
+      int64_t sort_comp[2] = {0, 0};
+      RunSection(fan_out, 2, [&](size_t k, FanOut* inner) {
+        if (k == 0) {
+          SortRunRange(new_l, lkey, &lsorted, &sort_comp[0], inner);
+        } else {
+          SortRunRange(new_r, rkey, &rsorted, &sort_comp[1], inner);
         }
-        rec.sort.in_tuples +=
-            static_cast<int64_t>(new_l.size() + new_r.size());
-        rec.sort.out_tuples +=
-            static_cast<int64_t>(new_l.size() + new_r.size());
-      }
+      });
+      ChargeSort(static_cast<int64_t>(new_l.size()), sort_comp[0], ledger_,
+                 model_, &rec.sort);
+      ChargeSort(static_cast<int64_t>(new_r.size()), sort_comp[1], ledger_,
+                 model_, &rec.sort);
       new_l = Rows();
       new_r = Rows();
       double t2 = now();
@@ -499,7 +455,7 @@ Status StagedTermEvaluator::ExecuteNode(
       // merges on its own task; chunk outputs concatenated in task order
       // equal the serial pair-by-pair merge exactly.
       std::vector<std::pair<size_t, size_t>> pairs;
-      if (mode == Fulfillment::kFull) {
+      if (fulfillment_ == Fulfillment::kFull) {
         for (size_t j = 0; j <= s; ++j) pairs.emplace_back(s, j);
         for (size_t i = 0; i < s; ++i) pairs.emplace_back(i, s);
       } else {
@@ -544,28 +500,23 @@ Status StagedTermEvaluator::ExecuteNode(
           chunks.push_back(std::move(chunk));
         }
       }
-      {
-        FanOut fan = fan_out();
-        RunSection(&fan, chunks.size(), [&](size_t t, FanOut*) {
-          MergeChunk& chunk = chunks[t];
-          const auto [l, r] = pairs[chunk.pair];
-          const KeyedSpan lspan = KeyedSpan(node->sorted_left[l]).subspan(
-              chunk.lbeg, chunk.lend - chunk.lbeg);
-          const KeyedSpan rspan = KeyedSpan(node->sorted_right[r]).subspan(
-              chunk.rbeg, chunk.rend - chunk.rbeg);
-          if (is_join) {
-            chunk.out_count =
-                MergeJoinRange(lspan, lkey, rspan, rkey,
-                               emit ? &chunk.joined : nullptr,
-                               &chunk.comparisons);
-          } else {
-            chunk.out_count = MergeIntersectRange(
-                lspan, rspan, left_arity, emit ? &chunk.rows : nullptr,
-                &chunk.comparisons);
-          }
-        });
-        stage_parallel_.Add(fan.stats);
-      }
+      RunSection(fan_out, chunks.size(), [&](size_t t, FanOut*) {
+        MergeChunk& chunk = chunks[t];
+        const auto [l, r] = pairs[chunk.pair];
+        const KeyedSpan lspan = KeyedSpan(node->sorted_left[l]).subspan(
+            chunk.lbeg, chunk.lend - chunk.lbeg);
+        const KeyedSpan rspan = KeyedSpan(node->sorted_right[r]).subspan(
+            chunk.rbeg, chunk.rend - chunk.rbeg);
+        if (is_join) {
+          chunk.out_count = MergeJoinRange(lspan, lkey, rspan, rkey,
+                                           emit ? &chunk.joined : nullptr,
+                                           &chunk.comparisons);
+        } else {
+          chunk.out_count = MergeIntersectRange(
+              lspan, rspan, left_arity, emit ? &chunk.rows : nullptr,
+              &chunk.comparisons);
+        }
+      });
       // Fixed-order reduction: per pair, sum the chunk counts and charge
       // merge comparisons + output writes exactly as the serial
       // MergeJoin/MergeIntersect calls did (pages from the pair's total
@@ -627,7 +578,7 @@ Status StagedTermEvaluator::ExecuteNode(
                           "merge-chunk reduction left chunks unconsumed "
                           "or out of pair order");
 
-      if (mode == Fulfillment::kFull) {
+      if (fulfillment_ == Fulfillment::kFull) {
         rec.new_points = node->left->cum_points * node->right->cum_points -
                          prev_l * prev_r;
       } else {
@@ -637,18 +588,7 @@ Status StagedTermEvaluator::ExecuteNode(
       rec.process = om.process;
       rec.output = om.output;
       rec.new_tuples = total_out;
-      if (timing_clock_ != nullptr) {
-        double t3 = now();
-        rec.write.seconds = t1 - t0;
-        rec.sort.seconds = t2 - t1;
-        split_delta(t3 - t2, &rec.process, &rec.output);
-        rec.seconds = t3 - t0;
-      } else {
-        rec.seconds = rec.write.seconds + rec.sort.seconds +
-                      rec.process.seconds + rec.output.seconds +
-                      model_.op_setup_s;
-        scale_record(&rec);
-      }
+      finish_record(t0, t1, t2);
       node->cum_points += rec.new_points;
       node->cum_tuples += rec.new_tuples;
       node->stage_out = std::move(out);

@@ -9,7 +9,6 @@
 #include "exec/operators.h"
 #include "exec/tuple_set.h"
 #include "obs/obs.h"
-#include "parallel/thread_pool.h"
 #include "ra/expr.h"
 #include "sim/clock.h"
 #include "sim/cost_model.h"
@@ -132,28 +131,6 @@ class StagedTermEvaluator {
   /// same clock the engine's deadline uses.
   void MeasureStepsWith(const Clock* clock) { timing_clock_ = clock; }
 
-  /// Fans each stage's scan fills, selections, run sorts and merge-pair
-  /// partitions out across `pool` workers (null or 0-worker pool = inline
-  /// execution). The task decomposition depends only on the data —
-  /// fixed-size chunks, partition cuts, chunks split at key-group
-  /// boundaries — and all cost charges happen post-barrier in a fixed
-  /// order, so results and simulated charges are bit-identical for any
-  /// pool width. `pool` is not owned and must outlive this evaluator.
-  /// `max_width` > 0 caps the threads participating in this evaluator's
-  /// batches (counting the caller) — a query narrower than a shared
-  /// high-water pool passes its configured width here; 0 = uncapped.
-  void UseThreadPool(ThreadPool* pool, int max_width = 0) {
-    pool_ = pool;
-    pool_max_width_ = max_width;
-  }
-
-  /// Realized work/span of the last executed stage's fan-out sections
-  /// (scan, selection, sort and merge); the engine folds it into the
-  /// stage's work/span.
-  const ParallelStats& last_stage_parallelism() const {
-    return stage_parallel_;
-  }
-
   /// Attaches observability sinks: each executed stage records a
   /// `term_stage` trace span and adds its scans' fetched tuples to the
   /// `exec.tuples_scanned` counter. ExecuteStage may run on a pool worker;
@@ -162,20 +139,29 @@ class StagedTermEvaluator {
   /// scanned tuples are. `term_index` labels this evaluator's spans.
   void SetObs(const ObsHandle& obs, int term_index);
 
-  /// Runs one stage over the newly drawn blocks. The map must contain an
-  /// entry for every relation scanned by this term (value = pointers to
-  /// the new blocks; may be empty).
+  /// Runs one stage over the newly drawn blocks in the evaluator's current
+  /// fulfillment mode. The map must contain an entry for every relation
+  /// scanned by this term (value = pointers to the new blocks; may be
+  /// empty).
+  ///
+  /// Every section of the stage — the scan fills, the selections, the run
+  /// sorts and the merge chunks — runs on `fan_out`: on its pool (none =
+  /// inline), capped at its width, with the sections' work, span and
+  /// tasks added to its stats. The task lists depend only on the data —
+  /// fixed-size chunks, partition cuts, chunks split at key-group
+  /// boundaries — and every cost charge happens post-barrier in a fixed
+  /// order, so results and simulated charges are bit-identical on any
+  /// pool. A null `fan_out` runs the same task lists inline.
   [[nodiscard]] Status ExecuteStage(
-      const std::map<std::string, std::vector<const Block*>>& new_blocks);
-
-  /// Runs one stage with an explicit per-stage fulfillment mode (the
-  /// paper's §5.B hybrid: full stages first, then partial ones to use up
-  /// residual time). Once a partial stage has run, a later full stage is
-  /// rejected — its all-pairs merges would assume prior pairs that the
-  /// partial stage never evaluated, corrupting the coverage accounting.
-  [[nodiscard]] Status ExecuteStageWithMode(
       const std::map<std::string, std::vector<const Block*>>& new_blocks,
-      Fulfillment mode);
+      FanOut* fan_out = nullptr);
+
+  /// The paper's §5.B hybrid: once no further full stage fits, the
+  /// remaining stages run under partial fulfillment to use up the
+  /// residual time. One-way — a full stage after a partial one would merge
+  /// against pairs the partial stages never evaluated, corrupting the
+  /// coverage accounting.
+  void SwitchToPartial() { fulfillment_ = Fulfillment::kPartial; }
 
   int num_stages() const { return num_stages_; }
 
@@ -229,7 +215,7 @@ class StagedTermEvaluator {
   [[nodiscard]] Status ExecuteNode(
       StagedNode* node,
       const std::map<std::string, std::vector<const Block*>>& new_blocks,
-      Fulfillment mode);
+      FanOut* fan_out);
 
   void CollectScanNodes(const StagedNode* node,
                         std::vector<const StagedNode*>* out) const;
@@ -241,20 +227,13 @@ class StagedTermEvaluator {
   Tracer* tracer_ = nullptr;
   Counter* tuples_counter_ = nullptr;
   int term_index_ = 0;
-  ThreadPool* pool_ = nullptr;
-  int pool_max_width_ = 0;
-  ParallelStats stage_parallel_;
   CostModel model_;
   std::unique_ptr<StagedNode> root_;
   int num_stages_ = 0;
   int value_col_ = -1;
   double value_sum_ = 0.0;
   double value_sq_sum_ = 0.0;
-  bool ran_partial_stage_ = false;
   double covered_space_blocks_ = 0.0;
-  // Per-stage per-scan new block counts (scan id -> counts), for the
-  // partial-fulfillment space-block bookkeeping.
-  std::vector<std::vector<int64_t>> stage_scan_blocks_;
 };
 
 }  // namespace tcq

@@ -95,6 +95,11 @@ struct CostModel {
   }
 };
 
+/// The sort-cost basis n·log2(n+2) of a sort of `n` tuples (eq. 4.3's
+/// n·log n shape): the planner prices sorts in these units and the
+/// evaluator's stage records count them.
+double SortCostUnits(double n);
+
 }  // namespace tcq
 
 #endif  // TCQ_SIM_COST_MODEL_H_

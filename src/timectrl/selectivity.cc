@@ -16,7 +16,7 @@ double InitialSelectivity(const StagedNode& node,
     case ExprKind::kSelect:
       return options.initial_select;
     case ExprKind::kProject:
-      return options.initial_project;
+      return 1.0;
     case ExprKind::kJoin:
       return options.initial_join;
     case ExprKind::kIntersect: {
@@ -31,7 +31,7 @@ double InitialSelectivity(const StagedNode& node,
         if (intersect_fallback != nullptr) *intersect_fallback = true;
         return options.initial_select;
       }
-      return std::min(1.0, options.initial_intersect_scale / max_side);
+      return std::min(1.0, 1.0 / max_side);
     }
     default:
       return 1.0;
@@ -148,34 +148,15 @@ std::map<int, double> ReviseSelectivities(
 
 std::map<int, NodePoints> PredictNodePoints(const StagedTermEvaluator& term,
                                             double f) {
-  return PredictNodePoints(term, f, term.fulfillment());
-}
-
-std::map<int, NodePoints> PredictNodePoints(const StagedTermEvaluator& term,
-                                            double f, Fulfillment mode) {
   std::map<int, NodePoints> out;
-  WalkPoints(term.root(), f, mode, &out);
+  WalkPoints(term.root(), f, term.fulfillment(), &out);
   return out;
-}
-
-std::map<int, double> ComputeSelPlus(const StagedTermEvaluator& term,
-                                     const std::map<int, double>& sel_prev,
-                                     double f, double d_beta) {
-  return ComputeSelPlus(term, sel_prev, f, d_beta, term.fulfillment());
-}
-
-std::map<int, double> ComputeSelPlus(const StagedTermEvaluator& term,
-                                     const std::map<int, double>& sel_prev,
-                                     double f, double d_beta,
-                                     Fulfillment mode) {
-  return ComputeSelPlus(term, sel_prev, f, d_beta, mode, nullptr);
 }
 
 std::map<int, double> ComputeSelPlus(
     const StagedTermEvaluator& term, const std::map<int, double>& sel_prev,
-    double f, double d_beta, Fulfillment mode,
-    const std::map<int, double>* width_scales) {
-  std::map<int, NodePoints> points = PredictNodePoints(term, f, mode);
+    double f, double d_beta, const std::map<int, double>* width_scales) {
+  std::map<int, NodePoints> points = PredictNodePoints(term, f);
   std::map<int, double> out;
   // At stage 1 no samples exist, so there is no variation to estimate
   // Var(sel) from (Figure 3.5 uses "the variation among previously

@@ -11,15 +11,12 @@ namespace tcq {
 /// Stage-1 defaults and knobs for the run-time selectivity estimation
 /// (paper Figure 3.3 + §3.4).
 struct SelectivityOptions {
-  /// First-stage selectivity assumed for Select/Project/Join: the paper's
-  /// reference algorithm uses the maximum (1); §5's join experiment
-  /// overrides it to 0.1.
+  /// First-stage selectivity assumed for Select/Join: the paper's
+  /// reference algorithm uses the maximum (1), as it does for Project;
+  /// §5's join experiment overrides it to 0.1. Intersect's first-stage
+  /// default is 1/max(|r1|, |r2|) (Figure 3.3).
   double initial_select = 1.0;
-  double initial_project = 1.0;
   double initial_join = 1.0;
-  /// Intersect's first-stage default is 1/max(|r1|, |r2|) (Figure 3.3);
-  /// this scales it (1.0 = paper behaviour).
-  double initial_intersect_scale = 1.0;
   /// Confidence parameter of the zero-selectivity fix: after a stage with
   /// zero output tuples, use the (1−beta) upper confidence bound
   /// 1 − beta^(1/m) instead of 0 (§3.4; see DESIGN.md substitutions).
@@ -86,20 +83,16 @@ std::map<int, double> ReviseSelectivities(
     const ObsHandle& obs,
     const std::map<int, double>* stage0_priors = nullptr);
 
-/// Per-node point-space deltas for a candidate fraction `f` of the next
-/// stage: `new_points` the stage would cover and `remaining_points` not
-/// yet covered (Figure 3.5's m_i and N_i). Purely structural — does not
-/// depend on selectivities.
+/// Per-node point-space deltas for a candidate fraction `f` of the
+/// term's next stage, in its current fulfillment mode: `new_points` the
+/// stage would cover and `remaining_points` not yet covered (Figure 3.5's
+/// m_i and N_i). Purely structural — does not depend on selectivities.
 struct NodePoints {
   double new_points = 0.0;
   double remaining_points = 0.0;
 };
 std::map<int, NodePoints> PredictNodePoints(const StagedTermEvaluator& term,
                                             double f);
-/// Same, for an explicit fulfillment mode of the candidate stage (hybrid
-/// planning).
-std::map<int, NodePoints> PredictNodePoints(const StagedTermEvaluator& term,
-                                            double f, Fulfillment mode);
 
 /// ComputeSel⁺ (Figure 3.5): inflates each operator's selectivity so that
 /// P(sel⁺ ≥ realized stage selectivity) ≈ 1 − β, using the simple-random-
@@ -110,26 +103,19 @@ std::map<int, NodePoints> PredictNodePoints(const StagedTermEvaluator& term,
 /// predicted m_i is 0 (an exhausted side under partial fulfillment) gets
 /// no inflation: there is nothing to sample, so there is no stage
 /// selectivity to overshoot.
-std::map<int, double> ComputeSelPlus(const StagedTermEvaluator& term,
-                                     const std::map<int, double>& sel_prev,
-                                     double f, double d_beta);
-std::map<int, double> ComputeSelPlus(const StagedTermEvaluator& term,
-                                     const std::map<int, double>& sel_prev,
-                                     double f, double d_beta,
-                                     Fulfillment mode);
-/// Same, with per-node inflation-width multipliers from the hybrid
-/// selectivity predictor (DESIGN.md §12): node id → multiplier on d_β,
-/// so high-confidence predictions inflate less and low-confidence ones
-/// more. With `width_scales` non-null, inflation is also applied at
-/// stage 1 — the predictor supplies a defensible variance basis where
-/// the flat path has none (its "no samples yet" exemption) — using the
-/// SRS variance of the predicted selectivity at the candidate fraction.
-/// Passing nullptr is exactly the flat d_β behaviour above.
-std::map<int, double> ComputeSelPlus(const StagedTermEvaluator& term,
-                                     const std::map<int, double>& sel_prev,
-                                     double f, double d_beta,
-                                     Fulfillment mode,
-                                     const std::map<int, double>* width_scales);
+///
+/// `width_scales` (optional) holds per-node inflation-width multipliers
+/// from the hybrid selectivity predictor (DESIGN.md §12): node id →
+/// multiplier on d_β, so high-confidence predictions inflate less and
+/// low-confidence ones more. With it, inflation also applies at stage 1 —
+/// the predictor supplies a defensible variance basis where the flat path
+/// has none (its "no samples yet" exemption) — using the SRS variance of
+/// the predicted selectivity at the candidate fraction. Without it, every
+/// node inflates by the flat d_β.
+std::map<int, double> ComputeSelPlus(
+    const StagedTermEvaluator& term, const std::map<int, double>& sel_prev,
+    double f, double d_beta,
+    const std::map<int, double>* width_scales = nullptr);
 
 }  // namespace tcq
 

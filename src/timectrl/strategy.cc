@@ -20,7 +20,6 @@ Result<StagePlan> OneAtATimeStrategy::PlanStage(
   StagePlan plan;
   plan.fraction = r.fraction;
   plan.predicted_seconds = r.predicted_seconds;
-  plan.predictor_used = context.predictor_active;
   plan.d_beta_used = d_beta;
   return plan;
 }
@@ -40,14 +39,12 @@ Result<StagePlan> SingleIntervalStrategy::PlanStage(
   StagePlan plan;
   plan.fraction = r.fraction;
   plan.predicted_seconds = r.predicted_seconds;
-  plan.predictor_used = context.predictor_active;
   plan.d_beta_used = 0.0;
   return plan;
 }
 
 Result<StagePlan> HeuristicStrategy::PlanStage(
     const StagePlanContext& context) {
-  if (gamma_ <= 0.0) gamma_ = options_.gamma;
   double target = gamma_ * context.time_left;
   QCostFn qcost = [&context](double f) { return context.qcost(f, 0.0); };
   TCQ_ASSIGN_OR_RETURN(
@@ -57,7 +54,6 @@ Result<StagePlan> HeuristicStrategy::PlanStage(
   StagePlan plan;
   plan.fraction = r.fraction;
   plan.predicted_seconds = r.predicted_seconds;
-  plan.predictor_used = context.predictor_active;
   plan.d_beta_used = 0.0;
   return plan;
 }
@@ -67,11 +63,10 @@ void HeuristicStrategy::OnStageOutcome(double predicted_seconds,
                                        bool overspent) {
   (void)predicted_seconds;
   (void)actual_seconds;
-  if (gamma_ <= 0.0) gamma_ = options_.gamma;
   if (overspent) {
-    gamma_ *= options_.shrink;
+    gamma_ *= kShrink;
   } else {
-    gamma_ = std::min(options_.gamma_max, gamma_ * options_.grow);
+    gamma_ = std::min(kMaxGamma, gamma_ * kGrow);
   }
 }
 

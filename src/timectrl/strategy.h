@@ -21,11 +21,6 @@ struct StagePlanContext {
   double f_min_step = 0.0;  // one disk block, as a fraction
   double epsilon = 0.0;     // Figure 3.4's tolerance
 
-  /// True when a hybrid selectivity predictor supplied the selectivities
-  /// (and inflation widths) behind `qcost` (DESIGN.md §12). Strategies
-  /// copy it into StagePlan::predictor_used for the stage report.
-  bool predictor_active = false;
-
   /// Observability sinks for the planning pass (tracer spans around the
   /// Sample-Size-Determine bisection, probe counters). Default-empty =
   /// no instrumentation.
@@ -45,8 +40,6 @@ struct StagePlan {
   double fraction = 0.0;  // 0 => stop: no affordable stage remains
   double predicted_seconds = 0.0;
   double d_beta_used = 0.0;
-  /// Echo of StagePlanContext::predictor_active for the stage report.
-  bool predictor_used = false;
 };
 
 /// Strategy interface (paper §3.3): decide how much of the remaining quota
@@ -109,30 +102,25 @@ class SingleIntervalStrategy : public TimeControlStrategy {
 };
 
 /// Heuristic strategy (§3.3 mentions it; the paper defers details to its
-/// tech report — see DESIGN.md): commit a fixed share γ of the remaining
-/// time each stage, shrinking γ multiplicatively after any overspend and
-/// growing it slowly after on-time stages.
+/// tech report — see DESIGN.md): commit a share γ of the remaining time
+/// each stage, starting at kInitialGamma, shrinking γ by kShrink after any
+/// overspend and growing it by kGrow, up to kMaxGamma, after on-time
+/// stages.
 class HeuristicStrategy : public TimeControlStrategy {
  public:
-  struct Options {
-    double gamma = 0.5;
-    double shrink = 0.7;
-    double grow = 1.05;
-    double gamma_max = 0.9;
-  };
-
-  explicit HeuristicStrategy(Options options) : options_(options) {}
-  HeuristicStrategy() : HeuristicStrategy(Options()) {}
+  static constexpr double kInitialGamma = 0.5;
+  static constexpr double kShrink = 0.7;
+  static constexpr double kGrow = 1.05;
+  static constexpr double kMaxGamma = 0.9;
 
   [[nodiscard]] Result<StagePlan> PlanStage(const StagePlanContext& context) override;
   void OnStageOutcome(double predicted_seconds, double actual_seconds,
                       bool overspent) override;
   std::string_view name() const override { return "heuristic"; }
-  double gamma() const { return gamma_ > 0.0 ? gamma_ : options_.gamma; }
+  double gamma() const { return gamma_; }
 
  private:
-  Options options_;
-  double gamma_ = 0.0;  // 0 until first use
+  double gamma_ = kInitialGamma;
 };
 
 }  // namespace tcq

@@ -49,9 +49,7 @@ TEST(AdaptiveCostModelTest, FirstObservationReplacesInitial) {
 
 TEST(AdaptiveCostModelTest, EwmaBlendsSubsequentObservations) {
   CostModel physical;
-  AdaptiveCostModel::Options opts;
-  opts.ewma = 0.5;
-  AdaptiveCostModel m(physical, opts);
+  AdaptiveCostModel m(physical);  // EWMA weight 0.5
   m.Observe(1, CostStep::kOutput, 100.0, 1.0);   // coef = 0.01
   m.Observe(1, CostStep::kOutput, 100.0, 3.0);   // obs 0.03 -> 0.02
   EXPECT_NEAR(m.Coef(1, CostStep::kOutput), 0.02, 1e-12);

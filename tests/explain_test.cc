@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 
@@ -213,6 +216,64 @@ TEST(ExplainTest, FirstStageMatchesTheRunInEveryMode) {
   };
   ASSERT_TRUE(with_predictor(1)(&predicted).Run().ok());
   ExplainThenRun(&predicted, with_predictor(2), "warm with the predictor");
+}
+
+/// FNV-1a over every field of every predicted stage of `plan`.
+std::string PlanDigest(const ExplainResult& plan) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto add = [&h](uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<uint8_t>(x >> (8 * i));
+      h *= 0x100000001b3ull;
+    }
+  };
+  auto add_double = [&add](double x) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof(bits));
+    add(bits);
+  };
+  add(plan.stages.size());
+  for (const StagePrediction& s : plan.stages) {
+    add(static_cast<uint64_t>(s.index));
+    add_double(s.time_left_before);
+    add_double(s.planned_fraction);
+    add_double(s.d_beta_used);
+    add_double(s.predicted_seconds);
+    add(static_cast<uint64_t>(s.blocks_planned));
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(ExplainTest, FinalPartialStagesPlanIsPinned) {
+  // EngineGoldenTest.FinalPartialStages's query and options, explained.
+  // The digest was recorded against the planner that kept the switched
+  // mode beside the evaluators instead of in them.
+  Session session = MakeSession();
+  auto explain = [&](bool final_partial_stages) {
+    return session.Query("r1 INTERSECT r2")
+        .WithQuota(15.0)
+        .WithSeed(3)
+        .WithFinalPartialStages(final_partial_stages)
+        .Explain();
+  };
+  auto hybrid = explain(true);
+  auto full_only = explain(false);
+  ASSERT_TRUE(hybrid.ok()) << hybrid.status().ToString();
+  ASSERT_TRUE(full_only.ok()) << full_only.status().ToString();
+  // The full-only plan stops because no further stage fits, before the
+  // blocks or the stage cap run out: that is where the hybrid plan
+  // switches its dry evaluators to partial stages and plans again.
+  EXPECT_FALSE(full_only->exhausts_samples);
+  EXPECT_LT(full_only->stages.size(), 200u);
+  // A dry evaluator never runs a stage, so it prices every planned stage
+  // as a first stage, where partial and full fulfillment cost the same:
+  // the switched plan finds no affordable stage either and equals the
+  // full-only plan.
+  EXPECT_EQ(PlanDigest(*hybrid), PlanDigest(*full_only));
+  EXPECT_EQ(PlanDigest(*hybrid), "423abafdf4f55dbb");
 }
 
 TEST(ExplainTest, WallClockPlansForTheRunsWidth) {

@@ -85,22 +85,29 @@ TEST(SortRunTest, SortsAllColumnsAndCharges) {
   CostLedger ledger(nullptr);
   CostModel model;
   StepMetrics m;
-  const KeyedRun v =
-      SortRun(RowsOf(tuples), AllColumns(2), &ledger, model, &m);
+  const Rows rows = RowsOf(tuples);
+  KeyedRun v(rows.size());
+  int64_t comparisons = 0;
+  SortRunRange(rows, AllColumns(2), &v, &comparisons);
+  ChargeSort(static_cast<int64_t>(rows.size()), comparisons, &ledger, model,
+             &m);
   ASSERT_EQ(v.size(), 4u);
   EXPECT_EQ(std::get<int64_t>(v[0].row()[0]), 1);
   EXPECT_EQ(std::get<int64_t>(v[1].row()[0]), 2);
   EXPECT_EQ(std::get<int64_t>(v[2].row()[0]), 3);
   EXPECT_EQ(std::get<int64_t>(v[2].row()[1]), 0);
   EXPECT_EQ(std::get<int64_t>(v[3].row()[1]), 1);
+  EXPECT_EQ(m.comparisons, comparisons);
   EXPECT_GT(m.comparisons, 0);
+  EXPECT_EQ(m.in_tuples, 4);
+  EXPECT_EQ(m.out_tuples, 4);
   EXPECT_GT(ledger.Total(CostCategory::kSortCompare), 0.0);
+  EXPECT_DOUBLE_EQ(m.seconds, ledger.Total(CostCategory::kSortCompare));
 }
 
 TEST(SortRunTest, SortsByKeyOnly) {
   std::vector<Tuple> tuples{T(9, 2), T(0, 1)};
-  CostModel model;
-  const KeyedRun v = SortRun(RowsOf(tuples), {1}, nullptr, model, nullptr);
+  const KeyedRun v = SortedRun(tuples, {1});
   EXPECT_EQ(std::get<int64_t>(v[0].row()[1]), 1);
 }
 

@@ -331,18 +331,17 @@ TEST(SelectivityFixTest, StageZeroInflatesOnlyWithPredictorWidths) {
   const int node_id = sel_prev.begin()->first;
 
   // Flat path: stage 0 never inflates (no samples, no variance basis).
-  std::map<int, double> flat = ComputeSelPlus(**ev, sel_prev, 0.25, 2.0,
-                                              Fulfillment::kFull, nullptr);
+  std::map<int, double> flat = ComputeSelPlus(**ev, sel_prev, 0.25, 2.0);
   EXPECT_EQ(flat.at(node_id), 0.5);
 
   // Predictor widths supply the basis: inflation applies at stage 0 and
   // scales with the width.
   std::map<int, double> narrow{{node_id, 0.25}};
   std::map<int, double> wide{{node_id, 1.25}};
-  std::map<int, double> inflated_narrow = ComputeSelPlus(
-      **ev, sel_prev, 0.25, 2.0, Fulfillment::kFull, &narrow);
-  std::map<int, double> inflated_wide = ComputeSelPlus(
-      **ev, sel_prev, 0.25, 2.0, Fulfillment::kFull, &wide);
+  std::map<int, double> inflated_narrow =
+      ComputeSelPlus(**ev, sel_prev, 0.25, 2.0, &narrow);
+  std::map<int, double> inflated_wide =
+      ComputeSelPlus(**ev, sel_prev, 0.25, 2.0, &wide);
   EXPECT_GT(inflated_narrow.at(node_id), 0.5);
   EXPECT_GT(inflated_wide.at(node_id), inflated_narrow.at(node_id));
   EXPECT_LE(inflated_wide.at(node_id), 1.0);

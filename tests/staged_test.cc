@@ -265,32 +265,25 @@ TEST_F(StagedTest, HybridModeCoverageAccounting) {
   auto term = Intersect(Scan("A"), Scan("B"));
   auto ev = Make(term, Fulfillment::kFull);
   // Stage 1 full: 2×2 blocks -> covers 4 space blocks.
-  ASSERT_TRUE(ev->ExecuteStageWithMode({{"A", BlocksOf(a_, Range(0, 2))},
-                                        {"B", BlocksOf(b_, Range(0, 2))}},
-                                       Fulfillment::kFull)
+  ASSERT_TRUE(ev->ExecuteStage({{"A", BlocksOf(a_, Range(0, 2))},
+                                {"B", BlocksOf(b_, Range(0, 2))}})
                   .ok());
   EXPECT_EQ(ev->cum_space_blocks(), 4.0);
+  // §5.B's one-way switch: every later stage is partial.
+  ev->SwitchToPartial();
+  EXPECT_EQ(ev->fulfillment(), Fulfillment::kPartial);
   // Stage 2 partial: only the new 1×1 combination adds coverage.
-  ASSERT_TRUE(ev->ExecuteStageWithMode({{"A", BlocksOf(a_, Range(2, 3))},
-                                        {"B", BlocksOf(b_, Range(2, 3))}},
-                                       Fulfillment::kPartial)
+  ASSERT_TRUE(ev->ExecuteStage({{"A", BlocksOf(a_, Range(2, 3))},
+                                {"B", BlocksOf(b_, Range(2, 3))}})
                   .ok());
   EXPECT_EQ(ev->cum_space_blocks(), 5.0);
   // bf = 4: stage 1 covers (2·4)² = 64 points, stage 2 adds 4·4 = 16.
   EXPECT_EQ(ev->cum_points(), 80.0);
-  // A full stage after a partial one is rejected: its all-pairs merges
-  // would assume combinations the partial stage never evaluated.
-  EXPECT_FALSE(
-      ev->ExecuteStageWithMode({{"A", BlocksOf(a_, Range(3, 4))},
-                                {"B", BlocksOf(b_, Range(3, 4))}},
-                               Fulfillment::kFull)
-          .ok());
   // Another partial stage is fine.
-  EXPECT_TRUE(
-      ev->ExecuteStageWithMode({{"A", BlocksOf(a_, Range(3, 4))},
-                                {"B", BlocksOf(b_, Range(3, 4))}},
-                               Fulfillment::kPartial)
-          .ok());
+  EXPECT_TRUE(ev->ExecuteStage({{"A", BlocksOf(a_, Range(3, 4))},
+                                {"B", BlocksOf(b_, Range(3, 4))}})
+                  .ok());
+  EXPECT_EQ(ev->fulfillment(), Fulfillment::kPartial);
   EXPECT_EQ(ev->cum_space_blocks(), 6.0);
 }
 
@@ -377,7 +370,6 @@ class JoinMaterializationTest : public ::testing::Test {
     if (!created.ok()) return out;
     std::unique_ptr<StagedTermEvaluator> ev = std::move(*created);
     ThreadPool pool(threads - 1);
-    ev->UseThreadPool(&pool);
     if (value_col >= 0) {
       EXPECT_TRUE(ev->TrackValueColumn(value_col).ok());
     }
@@ -390,8 +382,9 @@ class JoinMaterializationTest : public ::testing::Test {
           blocks[node->rel->name()] = BlocksOf(node->rel, Range(lo, hi));
         }
       }
-      EXPECT_TRUE(ev->ExecuteStage(blocks).ok());
-      out.tasks += ev->last_stage_parallelism().tasks;
+      FanOut fan_out{&pool, 0, {}};
+      EXPECT_TRUE(ev->ExecuteStage(blocks, &fan_out).ok());
+      out.tasks += fan_out.stats.tasks;
     }
     out.hits = ev->cum_hits();
     out.points = ev->cum_points();

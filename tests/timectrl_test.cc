@@ -241,8 +241,7 @@ TEST(StrategyTest, SingleIntervalReservesSigma) {
 
 TEST(StrategyTest, HeuristicSpendsGammaShare) {
   auto ctx = LinearContext(10.0);
-  HeuristicStrategy s({.gamma = 0.5, .shrink = 0.7, .grow = 1.05,
-                       .gamma_max = 0.9});
+  HeuristicStrategy s;  // γ starts at 0.5, shrinks by 0.7, grows by 1.05
   auto p = s.PlanStage(ctx);
   ASSERT_TRUE(p.ok());
   EXPECT_NEAR(p->fraction, 0.05, 0.002);  // 100f = 5 (half of 10)
