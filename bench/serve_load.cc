@@ -1,9 +1,12 @@
-// Serving-layer load benchmark: an open-loop 4x-overload arrival schedule
-// against one tcq::Server, with admission control on and off.
+// Serving-layer load benchmark: an open-loop arrival schedule at 4x the
+// host's capacity against one tcq::Server, with admission control on and
+// off.
 //
 // Method: the median wall service time T of the benchmark query is
-// calibrated first; then N submissions arrive T/4 apart (4x the service
-// rate), each with a serving deadline of a few T. With admission ON the
+// calibrated first; then N submissions arrive T/(4·P) apart, where P is
+// the host's hardware thread count: 4x the rate at which P cores, each
+// running one query at a time, serve them. Each has a serving deadline of
+// a few T. With admission ON the
 // controller sheds the excess (shrink / EDF queue / typed rejection), so
 // the queries it actually grants still meet their deadlines; with
 // admission OFF everything runs at once, latency balloons, and the
@@ -101,7 +104,9 @@ struct LoadResult {
 LoadResult RunLoad(bool admission_on, int n, double overload,
                    double t_svc_s) {
   const double deadline_s = 6.0 * t_svc_s;
-  const double gap_s = t_svc_s / overload;
+  // Queries run serially, one per submitting thread (the server has no
+  // pool), so the host serves one per hardware thread at a time.
+  const double gap_s = t_svc_s / (overload * ThreadPool::HardwareThreads());
 
   Server::Options options;
   options.admission.enabled = admission_on;
@@ -240,16 +245,19 @@ int Main(int argc, char** argv) {
   std::printf("{\n");
   std::printf(
       "  \"t_svc_s\": %.5f, \"n\": %d, \"overload\": %.1f, "
-      "\"deadline_s\": %.5f, \"miss_bound_pct\": %.1f,\n",
-      t_svc_s, n, overload, 6.0 * t_svc_s, kMissBoundPct);
+      "\"host_threads\": %d, \"deadline_s\": %.5f, "
+      "\"miss_bound_pct\": %.1f,\n",
+      t_svc_s, n, overload, ThreadPool::HardwareThreads(), 6.0 * t_svc_s,
+      kMissBoundPct);
   std::printf("  \"runs\": [\n");
   PrintRunJson(on, /*last=*/false);
   PrintRunJson(off, /*last=*/true);
   std::printf("  ],\n");
   std::printf(
       "  \"summary\": {\"bench\": \"serve_load\", \"n\": %d, "
-      "\"overload\": %.1f, \"t_svc_s\": %.5f, \"deadline_s\": %.5f,\n",
-      n, overload, t_svc_s, 6.0 * t_svc_s);
+      "\"overload\": %.1f, \"host_threads\": %d, \"t_svc_s\": %.5f, "
+      "\"deadline_s\": %.5f,\n",
+      n, overload, ThreadPool::HardwareThreads(), t_svc_s, 6.0 * t_svc_s);
   PrintSummaryRunJson("admission_on", on);
   PrintSummaryRunJson("admission_off", off);
   std::printf("    \"ok\": %s},\n", ok ? "true" : "false");

@@ -18,15 +18,14 @@ namespace {
 struct RowSet {
   Schema schema;
   Rows rows;
-  std::vector<std::vector<Value>> owned;
-
-  size_t arity() const { return static_cast<size_t>(schema.num_columns()); }
+  std::vector<std::vector<Cell>> owned;
 };
 
-/// Three-way comparison of two rows over all `arity` columns.
-int CompareRows(Row a, Row b, size_t arity) {
-  for (size_t c = 0; c < arity; ++c) {
-    int cmp = CompareValues(a[c], b[c]);
+/// Three-way comparison of two rows on `key`.
+int CompareRows(Row a, Row b, const Key& key) {
+  for (const KeyColumn& k : key) {
+    const auto c = static_cast<size_t>(k.column);
+    int cmp = CompareCells(a[c], b[c], k.type);
     if (cmp != 0) return cmp;
   }
   return 0;
@@ -34,13 +33,13 @@ int CompareRows(Row a, Row b, size_t arity) {
 
 /// Sorts the rows on all columns and drops duplicates.
 void SortDistinct(RowSet* set) {
-  const size_t arity = set->arity();
-  std::sort(set->rows.begin(), set->rows.end(), [arity](Row a, Row b) {
-    return CompareRows(a, b, arity) < 0;
+  const Key all = AllColumns(set->schema);
+  std::sort(set->rows.begin(), set->rows.end(), [&all](Row a, Row b) {
+    return CompareRows(a, b, all) < 0;
   });
   set->rows.erase(std::unique(set->rows.begin(), set->rows.end(),
-                              [arity](Row a, Row b) {
-                                return CompareRows(a, b, arity) == 0;
+                              [&all](Row a, Row b) {
+                                return CompareRows(a, b, all) == 0;
                               }),
                   set->rows.end());
 }
@@ -48,14 +47,14 @@ void SortDistinct(RowSet* set) {
 /// Takes over the cells `from` owns, keeping every handle into them valid
 /// (moving a vector keeps its buffer).
 void AdoptCells(RowSet* from, RowSet* to) {
-  for (std::vector<Value>& cells : from->owned) {
+  for (std::vector<Cell>& cells : from->owned) {
     to->owned.push_back(std::move(cells));
   }
 }
 
 /// The rows of `cells`, `arity` cells each, owned by `set`.
-void OwnRows(std::vector<Value> cells, size_t arity, RowSet* set) {
-  const std::vector<Value>& stored = set->owned.emplace_back(std::move(cells));
+void OwnRows(std::vector<Cell> cells, size_t arity, RowSet* set) {
+  const std::vector<Cell>& stored = set->owned.emplace_back(std::move(cells));
   const RowRange rows(stored.data(), arity, stored.size() / arity);
   set->rows.insert(set->rows.end(), rows.begin(), rows.end());
 }
@@ -105,20 +104,16 @@ Result<RowSet> Evaluate(const ExprPtr& expr, const Catalog& catalog) {
     case ExprKind::kJoin: {
       TCQ_ASSIGN_OR_RETURN(RowSet l, Evaluate(expr->left, catalog));
       TCQ_ASSIGN_OR_RETURN(RowSet r, Evaluate(expr->right, catalog));
-      std::vector<int> lkey, rkey;
-      for (const auto& [lname, rname] : expr->join_keys) {
-        TCQ_ASSIGN_OR_RETURN(int li, l.schema.IndexOf(lname));
-        TCQ_ASSIGN_OR_RETURN(int ri, r.schema.IndexOf(rname));
-        lkey.push_back(li);
-        rkey.push_back(ri);
-      }
+      Key lkey, rkey;
+      TCQ_RETURN_NOT_OK(
+          BindJoinKeys(expr->join_keys, l.schema, r.schema, &lkey, &rkey));
       KeyedRun lrun(l.rows.size()), rrun(r.rows.size());
       int64_t comparisons = 0;  // uncharged: no ledger
       SortRunRange(l.rows, lkey, &lrun, &comparisons);
       SortRunRange(r.rows, rkey, &rrun, &comparisons);
       JoinedCells joined;
-      joined.left_arity = l.arity();
-      joined.right_arity = r.arity();
+      joined.left_arity = static_cast<size_t>(l.schema.num_columns());
+      joined.right_arity = static_cast<size_t>(r.schema.num_columns());
       MergeJoinRange(lrun, lkey, rrun, rkey, &joined, &comparisons);
       RowSet out;
       out.schema = l.schema.ConcatForJoin(r.schema);
@@ -137,10 +132,8 @@ Result<RowSet> Evaluate(const ExprPtr& expr, const Catalog& catalog) {
       SortDistinct(&r);
       RowSet out;
       out.schema = l.schema;
-      const size_t arity = l.arity();
-      auto less = [arity](Row a, Row b) {
-        return CompareRows(a, b, arity) < 0;
-      };
+      const Key all = AllColumns(l.schema);
+      auto less = [&all](Row a, Row b) { return CompareRows(a, b, all) < 0; };
       auto into = std::back_inserter(out.rows);
       if (expr->kind == ExprKind::kUnion) {
         std::set_union(l.rows.begin(), l.rows.end(), r.rows.begin(),
@@ -164,15 +157,14 @@ Result<RowSet> Evaluate(const ExprPtr& expr, const Catalog& catalog) {
 Result<double> SumColumn(const RowSet& result, const std::string& column,
                          const char* aggregate) {
   TCQ_ASSIGN_OR_RETURN(int col, result.schema.IndexOf(column));
-  if (result.schema.column(col).type == DataType::kString) {
+  const DataType type = result.schema.column(col).type;
+  if (type == DataType::kString) {
     return Status::InvalidArgument(std::string(aggregate) +
                                    " column must be numeric");
   }
   double sum = 0.0;
   for (Row row : result.rows) {
-    const Value& v = row[static_cast<size_t>(col)];
-    sum += v.index() == 0 ? static_cast<double>(std::get<int64_t>(v))
-                          : std::get<double>(v);
+    sum += CellNumber(row[static_cast<size_t>(col)], type);
   }
   return sum;
 }
@@ -185,7 +177,7 @@ Result<TupleSet> EvaluateExact(const ExprPtr& expr, const Catalog& catalog) {
   out.schema = result.schema;
   out.tuples.reserve(result.rows.size());
   for (Row row : result.rows) {
-    out.tuples.push_back(ToTuple(row, result.arity()));
+    out.tuples.push_back(ToTuple(row, result.schema));
   }
   return out;
 }

@@ -4,7 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
-#include <string>
+#include <string_view>
 #include <utility>
 
 #include "util/check.h"
@@ -54,23 +54,26 @@ void ChargeOutput(const Schema& schema, int64_t out_tuples,
 }
 
 /// KeyPrefix, inlined into the per-tuple loops of the sort kernels.
-[[gnu::always_inline]] inline uint64_t PrefixOf(const Value& v) {
-  if (const int64_t* i = std::get_if<int64_t>(&v)) {
-    // Flipping the sign bit turns two's-complement order into unsigned
-    // order.
-    return static_cast<uint64_t>(*i) ^ (1ull << 63);
-  }
-  if (const double* x = std::get_if<double>(&v)) {
-    double d = *x;
-    if (d == 0.0) d = 0.0;  // -0.0, which CompareValues ties with +0.0
-    uint64_t u = 0;
-    std::memcpy(&u, &d, sizeof(u));
-    // Negative: reverse the order of the whole range; positive: lift
-    // above every negative.
-    return (u >> 63) != 0 ? ~u : u ^ (1ull << 63);
+[[gnu::always_inline]] inline uint64_t PrefixOf(Cell cell, DataType type) {
+  switch (type) {
+    case DataType::kInt64:
+      // Flipping the sign bit turns two's-complement order into unsigned
+      // order.
+      return static_cast<uint64_t>(cell.int64()) ^ (1ull << 63);
+    case DataType::kDouble: {
+      double d = cell.float64();
+      if (d == 0.0) d = 0.0;  // -0.0, which CompareCells ties with +0.0
+      uint64_t u = 0;
+      std::memcpy(&u, &d, sizeof(u));
+      // Negative: reverse the order of the whole range; positive: lift
+      // above every negative.
+      return (u >> 63) != 0 ? ~u : u ^ (1ull << 63);
+    }
+    case DataType::kString:
+      break;
   }
   // A string's first 8 bytes, zero-padded.
-  const std::string& s = std::get<std::string>(v);
+  const std::string_view s = cell.string();
   uint64_t u = 0;
   const size_t n = std::min<size_t>(s.size(), 8);
   for (size_t i = 0; i < n; ++i) {
@@ -80,50 +83,43 @@ void ChargeOutput(const Schema& schema, int64_t out_tuples,
 }
 
 /// The prefix of `row`'s leading key column.
-[[gnu::always_inline]] inline uint64_t LeadPrefix(
-    Row row, const std::vector<int>& key) {
-  return PrefixOf(row[static_cast<size_t>(key[0])]);
+[[gnu::always_inline]] inline uint64_t LeadPrefix(Row row, const Key& key) {
+  return PrefixOf(row[static_cast<size_t>(key[0].column)], key[0].type);
 }
 
 /// Prefix-first three-way comparison of two keyed rows, `a` read through
-/// `a_key` and `b` through `b_key` (keys of one length, the arity of the
-/// comparison). Unequal prefixes decide. Equal ones fall through to the
-/// key columns — from the leading column when it is a string, whose prefix
-/// holds only its first bytes, and from the next one when it is numeric,
-/// whose prefix is exact — so a single numeric key column never reaches a
-/// cell. Same sign as CompareTuples/CompareTuplesOnKey for every pair.
+/// `a_key` and `b` through `b_key` (keys of one length and of the same
+/// column types, the arity of the comparison). Unequal prefixes decide.
+/// Equal ones fall through to the key columns — from the leading column
+/// when it is a string, whose prefix holds only its first bytes, and from
+/// the next one when it is numeric, whose prefix is exact — so a single
+/// numeric key column never reaches a cell. Same sign as the plain tuple
+/// comparison for every pair.
 class PrefixCompare {
  public:
-  /// The leading key cell of `run`'s first row fixes the leading column's
-  /// type; an empty run leaves nothing to compare.
-  PrefixCompare(const std::vector<int>& a_key, const std::vector<int>& b_key,
-                KeyedSpan run)
-      : a_key_(a_key), b_key_(b_key) {
+  PrefixCompare(const Key& a_key, const Key& b_key)
+      : a_key_(a_key),
+        b_key_(b_key),
+        first_(a_key[0].type == DataType::kString ? 0 : 1) {
     TCQ_DCHECK(!a_key.empty() && a_key.size() == b_key.size(),
                "compared keys are empty or differ in length");
-    if (run.empty()) return;
-    arity_ = a_key.size();
-    if (ValueType(run[0].cells[static_cast<size_t>(a_key[0])]) !=
-        DataType::kString) {
-      first_ = 1;
-    }
   }
 
   int operator()(const KeyedRow& a, const KeyedRow& b) const {
     if (a.prefix != b.prefix) return a.prefix < b.prefix ? -1 : 1;
-    for (size_t k = first_; k < arity_; ++k) {
-      int c = CompareValues(a.cells[static_cast<size_t>(a_key_[k])],
-                            b.cells[static_cast<size_t>(b_key_[k])]);
+    for (size_t k = first_; k < a_key_.size(); ++k) {
+      int c = CompareCells(a.cells[static_cast<size_t>(a_key_[k].column)],
+                           b.cells[static_cast<size_t>(b_key_[k].column)],
+                           a_key_[k].type);
       if (c != 0) return c;
     }
     return 0;
   }
 
  private:
-  const std::vector<int>& a_key_;
-  const std::vector<int>& b_key_;
-  size_t arity_ = 0;
-  size_t first_ = 0;
+  const Key& a_key_;
+  const Key& b_key_;
+  size_t first_;
 };
 
 /// The merge loop shared by the intersect and join kernels, over two runs
@@ -132,12 +128,12 @@ class PrefixCompare {
 /// comparison count: one per cross probe and one per group-extension
 /// probe.
 template <typename OnGroup>
-int64_t MergePrefixedRuns(KeyedSpan left, const std::vector<int>& left_key,
-                          KeyedSpan right, const std::vector<int>& right_key,
+int64_t MergePrefixedRuns(KeyedSpan left, const Key& left_key,
+                          KeyedSpan right, const Key& right_key,
                           OnGroup&& on_group) {
-  const PrefixCompare cross(left_key, right_key, left);
-  const PrefixCompare left_self(left_key, left_key, left);
-  const PrefixCompare right_self(right_key, right_key, right);
+  const PrefixCompare cross(left_key, right_key);
+  const PrefixCompare left_self(left_key, left_key);
+  const PrefixCompare right_self(right_key, right_key);
   size_t i = 0, j = 0;
   int64_t comps = 0;
   while (i < left.size() && j < right.size()) {
@@ -482,21 +478,48 @@ void ChargeTempWrite(const Schema& schema, int64_t num_tuples,
   }
 }
 
-uint64_t KeyPrefix(const Value& v) { return PrefixOf(v); }
+uint64_t KeyPrefix(Cell cell, DataType type) { return PrefixOf(cell, type); }
 
-std::vector<int> AllColumns(size_t arity) {
-  std::vector<int> key(arity);
-  for (size_t c = 0; c < arity; ++c) key[c] = static_cast<int>(c);
+Key KeyOf(const Schema& schema, const std::vector<int>& columns) {
+  Key key;
+  key.reserve(columns.size());
+  for (int c : columns) key.push_back({c, schema.column(c).type});
   return key;
 }
 
-void SortRunRange(RowSpan rows, const std::vector<int>& key, KeyedRun* run,
+Key AllColumns(const Schema& schema) {
+  Key key;
+  key.reserve(static_cast<size_t>(schema.num_columns()));
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    key.push_back({c, schema.column(c).type});
+  }
+  return key;
+}
+
+Status BindJoinKeys(
+    const std::vector<std::pair<std::string, std::string>>& names,
+    const Schema& left, const Schema& right, Key* left_key, Key* right_key) {
+  for (const auto& [lname, rname] : names) {
+    TCQ_ASSIGN_OR_RETURN(int li, left.IndexOf(lname));
+    TCQ_ASSIGN_OR_RETURN(int ri, right.IndexOf(rname));
+    const DataType type = left.column(li).type;
+    if (right.column(ri).type != type) {
+      return Status::InvalidArgument("join key type mismatch: '" + lname +
+                                     "' vs '" + rname + "'");
+    }
+    left_key->push_back({li, type});
+    right_key->push_back({ri, type});
+  }
+  return Status::OK();
+}
+
+void SortRunRange(RowSpan rows, const Key& key, KeyedRun* run,
                   int64_t* comparisons, FanOut* fan_out) {
   TCQ_DCHECK(run->size() == rows.size(), "the run is not sized to the rows");
   const size_t n = rows.size();
   if (n == 0) return;
   KeyedRow* items = run->begin();
-  const auto lead = static_cast<size_t>(key[0]);
+  const auto lead = static_cast<size_t>(key[0].column);
   auto fill = [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       PrefetchAhead(rows, i, hi, lead);
@@ -511,7 +534,7 @@ void SortRunRange(RowSpan rows, const std::vector<int>& key, KeyedRun* run,
       fill(c * kPassChunk, std::min(n, (c + 1) * kPassChunk));
     });
   }
-  const PrefixCompare cmp(key, key, *run);
+  const PrefixCompare cmp(key, key);
   *comparisons += SortRange(items, cmp, 0, n, DepthLimit(n), fan_out);
 }
 
@@ -539,9 +562,9 @@ void AppendJoined(KeyedSpan left, size_t lbeg, size_t lend, KeyedSpan right,
   }
 }
 
-int64_t MergeIntersectRange(KeyedSpan left, KeyedSpan right, size_t arity,
-                            Rows* out, int64_t* comparisons) {
-  const std::vector<int> all_columns = AllColumns(arity);
+int64_t MergeIntersectRange(KeyedSpan left, KeyedSpan right,
+                            const Key& all_columns, Rows* out,
+                            int64_t* comparisons) {
   int64_t emitted = 0;
   *comparisons += MergePrefixedRuns(
       left, all_columns, right, all_columns,
@@ -557,9 +580,9 @@ int64_t MergeIntersectRange(KeyedSpan left, KeyedSpan right, size_t arity,
   return emitted;
 }
 
-int64_t MergeJoinRange(KeyedSpan left, const std::vector<int>& left_key,
-                       KeyedSpan right, const std::vector<int>& right_key,
-                       JoinedCells* out, int64_t* comparisons) {
+int64_t MergeJoinRange(KeyedSpan left, const Key& left_key, KeyedSpan right,
+                       const Key& right_key, JoinedCells* out,
+                       int64_t* comparisons) {
   TCQ_DCHECK(left_key.size() == right_key.size(),
              "join key lists differ in length");
   int64_t emitted = 0;
@@ -572,10 +595,9 @@ int64_t MergeJoinRange(KeyedSpan left, const std::vector<int>& left_key,
   return emitted;
 }
 
-KeyedRun MergeSortedRuns(KeyedSpan first, KeyedSpan second, size_t arity) {
-  const std::vector<int> all_columns = AllColumns(arity);
-  const PrefixCompare cmp(all_columns, all_columns,
-                          first.empty() ? second : first);
+KeyedRun MergeSortedRuns(KeyedSpan first, KeyedSpan second,
+                         const Key& all_columns) {
+  const PrefixCompare cmp(all_columns, all_columns);
   KeyedRun out(first.size() + second.size());
   std::merge(first.begin(), first.end(), second.begin(), second.end(),
              out.begin(), [&cmp](const KeyedRow& a, const KeyedRow& b) {
@@ -584,8 +606,7 @@ KeyedRun MergeSortedRuns(KeyedSpan first, KeyedSpan second, size_t arity) {
   return out;
 }
 
-std::vector<size_t> PartitionSortedRun(KeyedSpan run,
-                                       const std::vector<int>& key,
+std::vector<size_t> PartitionSortedRun(KeyedSpan run, const Key& key,
                                        size_t max_parts, size_t min_chunk) {
   const size_t n = run.size();
   if (min_chunk == 0) min_chunk = 1;
@@ -594,7 +615,7 @@ std::vector<size_t> PartitionSortedRun(KeyedSpan run,
   if (parts < 1) parts = 1;
   std::vector<size_t> bounds;
   bounds.push_back(0);
-  const PrefixCompare cmp(key, key, run);
+  const PrefixCompare cmp(key, key);
   for (size_t p = 1; p < parts; ++p) {
     size_t target = p * n / parts;
     // Advance to the start of the next key group so equal keys stay in
@@ -609,10 +630,9 @@ std::vector<size_t> PartitionSortedRun(KeyedSpan run,
   return bounds;
 }
 
-size_t LowerBoundCrossKey(KeyedSpan run, const std::vector<int>& run_key,
-                          const KeyedRow& probe,
-                          const std::vector<int>& probe_key) {
-  const PrefixCompare cmp(run_key, probe_key, run);
+size_t LowerBoundCrossKey(KeyedSpan run, const Key& run_key,
+                          const KeyedRow& probe, const Key& probe_key) {
+  const PrefixCompare cmp(run_key, probe_key);
   const auto bound = std::partition_point(
       run.begin(), run.end(),
       [&](const KeyedRow& row) { return cmp(row, probe) < 0; });
@@ -624,9 +644,8 @@ std::vector<GroupCount> DedupSorted(KeyedSpan tuples, const Schema& schema,
                                     const CostModel& model,
                                     OpMetrics* metrics) {
   StepMetrics* process = metrics != nullptr ? &metrics->process : nullptr;
-  const std::vector<int> all_columns =
-      AllColumns(static_cast<size_t>(schema.num_columns()));
-  const PrefixCompare cmp(all_columns, all_columns, tuples);
+  const Key all_columns = AllColumns(schema);
+  const PrefixCompare cmp(all_columns, all_columns);
   std::vector<GroupCount> out;
   int64_t comparisons = 0;
   size_t head = 0;  // index of the current group's first tuple
@@ -653,11 +672,11 @@ std::vector<GroupCount> DedupSorted(KeyedSpan tuples, const Schema& schema,
   return out;
 }
 
-std::vector<Value> ProjectColumns(RowSpan tuples,
-                                  const std::vector<int>& columns,
-                                  CostLedger* ledger, const CostModel& model,
-                                  StepMetrics* metrics) {
-  std::vector<Value> out;
+std::vector<Cell> ProjectColumns(RowSpan tuples,
+                                 const std::vector<int>& columns,
+                                 CostLedger* ledger, const CostModel& model,
+                                 StepMetrics* metrics) {
+  std::vector<Cell> out;
   out.reserve(tuples.size() * columns.size());
   for (Row row : tuples) {
     for (int c : columns) out.push_back(row[static_cast<size_t>(c)]);

@@ -6,7 +6,9 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "exec/tuple_set.h"
@@ -123,11 +125,12 @@ void ChargeTempWrite(const Schema& schema, int64_t num_tuples,
 
 /// ---- Keyed runs ---------------------------------------------------------
 ///
-/// A key lists the columns a kernel compares, in order, and is never
-/// empty: an intersection, a projection's dedup and the oracle's set
-/// operations compare every column, AllColumns(arity). A key's length is
-/// the arity of its comparisons, so no kernel reads a row's width from
-/// the row.
+/// A key lists the columns a kernel compares, in order, each with its
+/// type, and is never empty: an intersection, a projection's dedup and the
+/// oracle's set operations compare every column, AllColumns(schema). A
+/// key's length is the arity of its comparisons and its types are those of
+/// the cells it reads, so no kernel reads a row's width or a cell's type
+/// from the row.
 ///
 /// A sorted run is one array of keyed rows: each row's handle beside an
 /// 8-byte order-preserving prefix of its leading key column, compared as
@@ -142,12 +145,31 @@ void ChargeTempWrite(const Schema& schema, int64_t num_tuples,
 /// comparison for every pair, so sorts make the same decisions and the
 /// kernels count the same comparisons (DESIGN.md, "Run representation").
 
-/// The key of every column of an `arity`-column row, in order.
-std::vector<int> AllColumns(size_t arity);
+/// One compared column: its position in the row and its type.
+struct KeyColumn {
+  int column = 0;
+  DataType type = DataType::kInt64;
+};
+using Key = std::vector<KeyColumn>;
 
-/// The order-preserving 8-byte prefix of one value. NaN has none: storage
-/// rejects it at every entry point (Schema::ValidateTuple, page decoding).
-uint64_t KeyPrefix(const Value& v);
+/// The key of `schema`'s columns at `columns`, in that order.
+Key KeyOf(const Schema& schema, const std::vector<int>& columns);
+
+/// The key of every column of `schema`, in order.
+Key AllColumns(const Schema& schema);
+
+/// Resolves a join's (left, right) key column names against its operands'
+/// schemas into its two keys: NotFound for an unknown name,
+/// InvalidArgument when a pair's column types differ, since the merge
+/// reads both cells as one type.
+[[nodiscard]] Status BindJoinKeys(
+    const std::vector<std::pair<std::string, std::string>>& names,
+    const Schema& left, const Schema& right, Key* left_key, Key* right_key);
+
+/// The order-preserving 8-byte prefix of a `type` cell. NaN has none:
+/// storage rejects it at every entry point (Schema::ValidateTuple, page
+/// decoding).
+uint64_t KeyPrefix(Cell cell, DataType type);
 
 /// One element of a sorted run: the prefix of a row's leading key column
 /// and the row's first cell. Trivially default-constructible, unlike Row,
@@ -155,7 +177,7 @@ uint64_t KeyPrefix(const Value& v);
 /// overwrite and the sort fills it in one (chunked) pass.
 struct KeyedRow {
   uint64_t prefix;
-  const Value* cells;
+  const Cell* cells;
 
   Row row() const { return Row(cells); }
 };
@@ -219,7 +241,7 @@ class KeyedRun {
 /// partitions are ordered), so the leaf counts it without making it: no
 /// task reads outside its range, and permutation and count equal
 /// std::sort's at any width.
-void SortRunRange(RowSpan rows, const std::vector<int>& key, KeyedRun* run,
+void SortRunRange(RowSpan rows, const Key& key, KeyedRun* run,
                   int64_t* comparisons, FanOut* fan_out = nullptr);
 
 /// Charges a sort of `tuples` tuples that made `comparisons` comparisons
@@ -230,11 +252,13 @@ void ChargeSort(int64_t tuples, int64_t comparisons, CostLedger* ledger,
                 const CostModel& model, StepMetrics* step);
 
 /// The rows a join creates, cell by cell: each row is a left row's
-/// `left_arity` cells followed by a right row's `right_arity` cells.
+/// `left_arity` cells followed by a right row's `right_arity` cells. A
+/// string cell is copied as its reference, so it reads the bytes of the
+/// block the input row lies in.
 struct JoinedCells {
   size_t left_arity = 0;
   size_t right_arity = 0;
-  std::vector<Value> cells;
+  std::vector<Cell> cells;
 
   size_t arity() const { return left_arity + right_arity; }
   size_t size() const { return arity() == 0 ? 0 : cells.size() / arity(); }
@@ -246,9 +270,9 @@ struct JoinedCells {
 /// Merge-join kernel over sorted ranges: appends one concatenated row per
 /// matching (left, right) pair to `*out` (if non-null) and the comparison
 /// count to `*comparisons` (must be non-null).
-int64_t MergeJoinRange(KeyedSpan left, const std::vector<int>& left_key,
-                       KeyedSpan right, const std::vector<int>& right_key,
-                       JoinedCells* out, int64_t* comparisons);
+int64_t MergeJoinRange(KeyedSpan left, const Key& left_key, KeyedSpan right,
+                       const Key& right_key, JoinedCells* out,
+                       int64_t* comparisons);
 
 /// Appends the concatenation of every (left[a], right[b]) pair, a in
 /// [lbeg, lend) and b in [rbeg, rend), to `*out` in left-major order: the
@@ -256,19 +280,21 @@ int64_t MergeJoinRange(KeyedSpan left, const std::vector<int>& left_key,
 void AppendJoined(KeyedSpan left, size_t lbeg, size_t lend, KeyedSpan right,
                   size_t rbeg, size_t rend, JoinedCells* out);
 
-/// Merge-intersect kernel over ranges of `arity`-column rows sorted on all
-/// columns: each matching group contributes (left multiplicity × right
-/// multiplicity) outputs, the left rows' handles, appended to `*out` (if
-/// non-null). Appends the comparison count to `*comparisons` (must be
-/// non-null).
-int64_t MergeIntersectRange(KeyedSpan left, KeyedSpan right, size_t arity,
-                            Rows* out, int64_t* comparisons);
+/// Merge-intersect kernel over ranges of rows sorted on `all_columns`, the
+/// key of every column: each matching group contributes (left
+/// multiplicity × right multiplicity) outputs, the left rows' handles,
+/// appended to `*out` (if non-null). Appends the comparison count to
+/// `*comparisons` (must be non-null).
+int64_t MergeIntersectRange(KeyedSpan left, KeyedSpan right,
+                            const Key& all_columns, Rows* out,
+                            int64_t* comparisons);
 
-/// Merges two runs of `arity`-column rows sorted on all columns into one
-/// sorted run, as std::merge does: on equal keys the rows of `first` come
-/// first. Counts nothing (a projection charges its merge per output
+/// Merges two runs sorted on `all_columns`, the key of every column, into
+/// one sorted run, as std::merge does: on equal keys the rows of `first`
+/// come first. Counts nothing (a projection charges its merge per output
 /// tuple).
-KeyedRun MergeSortedRuns(KeyedSpan first, KeyedSpan second, size_t arity);
+KeyedRun MergeSortedRuns(KeyedSpan first, KeyedSpan second,
+                         const Key& all_columns);
 
 /// Splits a run sorted on `key` into at most
 /// `max_parts` contiguous chunks of roughly equal size, each at least
@@ -277,16 +303,14 @@ KeyedRun MergeSortedRuns(KeyedSpan first, KeyedSpan second, size_t arity);
 /// with 0 and ending with run.size(); size() - 1 is the chunk count.
 /// Depends only on the data — not on the worker count — so a partitioned
 /// evaluation is bit-identical at any parallelism.
-std::vector<size_t> PartitionSortedRun(KeyedSpan run,
-                                       const std::vector<int>& key,
+std::vector<size_t> PartitionSortedRun(KeyedSpan run, const Key& key,
                                        size_t max_parts, size_t min_chunk);
 
 /// First index in `run` (sorted on `run_key`) whose key compares >= the
 /// probe's key (probe read through `probe_key`, its prefix that of
 /// probe_key's leading column). Binary search; charges nothing.
-size_t LowerBoundCrossKey(KeyedSpan run, const std::vector<int>& run_key,
-                          const KeyedRow& probe,
-                          const std::vector<int>& probe_key);
+size_t LowerBoundCrossKey(KeyedSpan run, const Key& run_key,
+                          const KeyedRow& probe, const Key& probe_key);
 
 /// One distinct tuple (the handle of its first occurrence in the deduped
 /// run) and how many times it occurred.
@@ -307,8 +331,9 @@ std::vector<GroupCount> DedupSorted(KeyedSpan tuples, const Schema& schema,
 
 /// Projects `tuples` onto the given column positions, materializing the
 /// new rows' cells, columns.size() per row, back to back (no dedup;
-/// charges tuple moves only — dedup is SortRunRange + DedupSorted).
-std::vector<Value> ProjectColumns(RowSpan tuples,
+/// charges tuple moves only — dedup is SortRunRange + DedupSorted). String
+/// cells are copied as references, as a join's are.
+std::vector<Cell> ProjectColumns(RowSpan tuples,
                                   const std::vector<int>& columns,
                                   CostLedger* ledger, const CostModel& model,
                                   StepMetrics* metrics);

@@ -72,14 +72,9 @@ Result<std::unique_ptr<StagedNode>> StagedTermEvaluator::BuildNode(
           node->left, BuildNode(expr->left, catalog, false, next_id));
       TCQ_ASSIGN_OR_RETURN(
           node->right, BuildNode(expr->right, catalog, false, next_id));
-      for (const auto& [lname, rname] : expr->join_keys) {
-        TCQ_ASSIGN_OR_RETURN(int li,
-                             node->left->out_schema.IndexOf(lname));
-        TCQ_ASSIGN_OR_RETURN(int ri,
-                             node->right->out_schema.IndexOf(rname));
-        node->lkey.push_back(li);
-        node->rkey.push_back(ri);
-      }
+      TCQ_RETURN_NOT_OK(BindJoinKeys(expr->join_keys, node->left->out_schema,
+                                     node->right->out_schema, &node->lkey,
+                                     &node->rkey));
       node->out_schema =
           node->left->out_schema.ConcatForJoin(node->right->out_schema);
       node->total_points =
@@ -96,8 +91,7 @@ Result<std::unique_ptr<StagedNode>> StagedTermEvaluator::BuildNode(
       }
       // The sort and merge kernels compare every column.
       node->out_schema = node->left->out_schema;
-      node->lkey = node->rkey =
-          AllColumns(static_cast<size_t>(node->out_schema.num_columns()));
+      node->lkey = node->rkey = AllColumns(node->out_schema);
       node->total_points =
           node->left->total_points * node->right->total_points;
       return node;
@@ -195,11 +189,9 @@ Status StagedTermEvaluator::ExecuteStage(
     if (scanned > 0) tuples_counter_->Add(scanned);
   }
   if (value_col_ >= 0) {
+    const DataType type = root_->out_schema.column(value_col_).type;
     for (Row row : root_->stage_out) {
-      const Value& v = row[static_cast<size_t>(value_col_)];
-      double x = v.index() == 0
-                     ? static_cast<double>(std::get<int64_t>(v))
-                     : std::get<double>(v);
+      const double x = CellNumber(row[static_cast<size_t>(value_col_)], type);
       value_sum_ += x;
       value_sq_sum_ += x * x;
     }
@@ -345,7 +337,7 @@ Status StagedTermEvaluator::ExecuteNode(
       const Rows input = std::exchange(node->left->stage_out, {});
       double t0 = now();
       const size_t arity = node->proj_cols.size();
-      const std::vector<Value>& projected =
+      const std::vector<Cell>& projected =
           node->projected_cells.emplace_back(ProjectColumns(
               input, node->proj_cols, ledger_, model_, &rec.write));
       const RowRange projected_rows(projected.data(), arity,
@@ -358,7 +350,7 @@ Status StagedTermEvaluator::ExecuteNode(
       // keyed run sized here, charged after the sort's barrier.
       const Rows run(projected_rows.begin(), projected_rows.end());
       rec.sort_units = SortCostUnits(static_cast<double>(run.size()));
-      const std::vector<int> key = AllColumns(arity);
+      const Key key = AllColumns(node->out_schema);
       KeyedRun sorted(run.size());
       int64_t sort_comparisons = 0;
       SortRunRange(run, key, &sorted, &sort_comparisons, fan_out);
@@ -368,7 +360,7 @@ Status StagedTermEvaluator::ExecuteNode(
       // Step 3: merge with the previously sorted sample and re-derive the
       // distinct groups with occupancies.
       node->cum_projected_sorted =
-          MergeSortedRuns(node->cum_projected_sorted, sorted, arity);
+          MergeSortedRuns(node->cum_projected_sorted, sorted, key);
       const auto merged =
           static_cast<int64_t>(node->cum_projected_sorted.size());
       if (ledger_ != nullptr) {
@@ -424,8 +416,8 @@ Status StagedTermEvaluator::ExecuteNode(
       double t1 = now();
       rec.sort_units = SortCostUnits(static_cast<double>(new_l.size())) +
                        SortCostUnits(static_cast<double>(new_r.size()));
-      const std::vector<int>& lkey = node->lkey;
-      const std::vector<int>& rkey = node->rkey;
+      const Key& lkey = node->lkey;
+      const Key& rkey = node->rkey;
       // Steps 1–2 parallel part: the two new runs sort on their own tasks,
       // each forking further when large; the realized comparison counts
       // are charged post-barrier in fixed (left, right) order. Both keyed
@@ -513,7 +505,7 @@ Status StagedTermEvaluator::ExecuteNode(
                                            &chunk.comparisons);
         } else {
           chunk.out_count = MergeIntersectRange(
-              lspan, rspan, left_arity, emit ? &chunk.rows : nullptr,
+              lspan, rspan, lkey, emit ? &chunk.rows : nullptr,
               &chunk.comparisons);
         }
       });
@@ -539,7 +531,7 @@ Status StagedTermEvaluator::ExecuteNode(
           out.insert(out.end(), chunk.rows.begin(), chunk.rows.end());
           if (!chunk.joined.empty()) {
             const size_t width = chunk.joined.arity();
-            const std::vector<Value>& stored =
+            const std::vector<Cell>& stored =
                 node->joined_cells.emplace_back(
                     std::move(chunk.joined.cells));
             const RowRange rows(stored.data(), width, stored.size() / width);

@@ -53,8 +53,9 @@ struct NodeStageRecord {
 /// of the scanned relations — kept alive by the scan nodes' `rel` — or in
 /// cell vectors owned by a join or project node of the same tree: a stage
 /// output is a vector of Row handles, a sorted run a KeyedRun of handles
-/// with their key prefixes. No run owns or copies a row (DESIGN.md, "Run
-/// representation").
+/// with their key prefixes. No run owns or copies a row. A string cell a
+/// join or projection copies refers to its bytes in a scanned block, so it
+/// too stays valid while the tree lives (DESIGN.md, "Run representation").
 struct StagedNode {
   int id = 0;
   ExprKind kind = ExprKind::kScan;
@@ -74,14 +75,13 @@ struct StagedNode {
   // cells per row (a projection creates new rows, so the node owns them;
   // the vectors are never resized after their stage, keeping the handles
   // below valid).
-  std::vector<std::vector<Value>> projected_cells;
+  std::vector<std::vector<Cell>> projected_cells;
   KeyedRun cum_projected_sorted;  // all projected sample rows, sorted
   std::vector<GroupCount> groups;  // current distinct groups
 
   // kJoin / kIntersect
-  // Key positions in the child schemas; an intersection's list every
-  // column.
-  std::vector<int> lkey, rkey;
+  // Keys over the child schemas; an intersection's compare every column.
+  Key lkey, rkey;
   std::vector<KeyedRun> sorted_left;  // per-stage sorted runs
   std::vector<KeyedRun> sorted_right;
 
@@ -90,7 +90,7 @@ struct StagedNode {
   // something reads the join's output (a parent operator, or SUM/AVG value
   // tracking at the root); a COUNT root only counts its matches. Never
   // resized once stored, so handles stay valid.
-  std::vector<std::vector<Value>> joined_cells;
+  std::vector<std::vector<Cell>> joined_cells;
 
   std::unique_ptr<StagedNode> left;
   std::unique_ptr<StagedNode> right;

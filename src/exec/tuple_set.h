@@ -34,14 +34,6 @@ using Rows = std::vector<Row>;
 /// Read-only view of a run (or of a contiguous part of one).
 using RowSpan = std::span<const Row>;
 
-/// The handles of every tuple of `tuples`, in order.
-inline Rows RowsOf(std::span<const Tuple> tuples) {
-  Rows rows;
-  rows.reserve(tuples.size());
-  for (const Tuple& t : tuples) rows.push_back(RowOf(t));
-  return rows;
-}
-
 /// Number of disk pages occupied by `num_tuples` tuples of `schema`
 /// (the paper's `p = sel × points / blockingfactor`).
 inline int64_t PagesFor(const Schema& schema, int64_t num_tuples,

@@ -1,7 +1,10 @@
 #include "ra/predicate.h"
 
+#include <span>
 #include <string_view>
 #include <variant>
+
+#include "storage/relation.h"
 
 namespace tcq {
 
@@ -113,6 +116,11 @@ PredicatePtr Not(PredicatePtr p) {
   n->kind = Predicate::Kind::kNot;
   n->left = std::move(p);
   return n;
+}
+
+bool BoundPredicate::Eval(const Tuple& tuple) const {
+  const Block cells = Block::Of(std::span<const Tuple>(&tuple, 1));
+  return Eval(Row(cells.cells()));
 }
 
 Result<BoundPredicate> BoundPredicate::Bind(const PredicatePtr& predicate,

@@ -10,7 +10,6 @@
 
 #include "storage/schema.h"
 #include "storage/value.h"
-#include "util/check.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -81,9 +80,9 @@ inline bool ApplyOp(CompareOp op, int cmp) {
 
 /// A predicate resolved against a concrete schema: column names replaced by
 /// positions, type-checked once, then evaluated per tuple with no lookups.
-/// Each comparison leaf is bound to its column type, so `Eval` compares the
-/// int64, double or string alternatives directly, inline, with the same
-/// outcome as `ApplyOp(op, CompareValues(lhs, rhs))`.
+/// Each comparison leaf is bound to its column type, so `Eval` reads the
+/// row's int64, double or string cells directly, inline, with the same
+/// outcome as `ApplyOp(op, CompareValues(lhs, rhs))` on their values.
 class BoundPredicate {
  public:
   [[nodiscard]] static Result<BoundPredicate> Bind(const PredicatePtr& predicate,
@@ -92,8 +91,8 @@ class BoundPredicate {
   /// Evaluates the formula on `row` (which must match the bound schema).
   /// AND and OR short-circuit left to right.
   bool Eval(Row row) const { return EvalNode(0, row); }
-  /// Eval over an owned tuple's cells.
-  bool Eval(const Tuple& tuple) const { return Eval(RowOf(tuple)); }
+  /// Eval over an owned tuple, through a copy of it in cells.
+  bool Eval(const Tuple& tuple) const;
 
   /// Number of comparison leaves — the paper's cost formulas charge per
   /// comparison in the selection formula.
@@ -130,36 +129,25 @@ class BoundPredicate {
     int right = -1;
   };
 
-  /// The `T` alternative of a row cell; Bind checked the column type.
-  template <typename T>
-  static const T& Cell(Row row, int index) {
-    const T* v = std::get_if<T>(&row[static_cast<size_t>(index)]);
-    TCQ_DCHECK(v != nullptr, "row does not match the bound schema");
-    return *v;
-  }
-
   bool EvalNode(int index, Row row) const {
     const Node& n = nodes_[static_cast<size_t>(index)];
+    const auto lhs = static_cast<size_t>(n.lhs_index);
+    const auto rhs = static_cast<size_t>(n.rhs_index);
     switch (n.code) {
       case Code::kInt64Literal:
-        return ApplyOp(n.op, Compare3(Cell<int64_t>(row, n.lhs_index),
-                                      n.int64_literal));
+        return ApplyOp(n.op, Compare3(row[lhs].int64(), n.int64_literal));
       case Code::kDoubleLiteral:
-        return ApplyOp(n.op, Compare3(Cell<double>(row, n.lhs_index),
-                                      n.double_literal));
+        return ApplyOp(n.op, Compare3(row[lhs].float64(), n.double_literal));
       case Code::kStringLiteral:
-        return ApplyOp(n.op, Compare3(Cell<std::string>(row, n.lhs_index),
-                                      n.string_literal));
+        return ApplyOp(n.op, Compare3(row[lhs].string(),
+                                      std::string_view(n.string_literal)));
       case Code::kInt64Columns:
-        return ApplyOp(n.op, Compare3(Cell<int64_t>(row, n.lhs_index),
-                                      Cell<int64_t>(row, n.rhs_index)));
+        return ApplyOp(n.op, Compare3(row[lhs].int64(), row[rhs].int64()));
       case Code::kDoubleColumns:
-        return ApplyOp(n.op, Compare3(Cell<double>(row, n.lhs_index),
-                                      Cell<double>(row, n.rhs_index)));
-      case Code::kStringColumns:
         return ApplyOp(n.op,
-                       Compare3(Cell<std::string>(row, n.lhs_index),
-                                Cell<std::string>(row, n.rhs_index)));
+                       Compare3(row[lhs].float64(), row[rhs].float64()));
+      case Code::kStringColumns:
+        return ApplyOp(n.op, Compare3(row[lhs].string(), row[rhs].string()));
       case Code::kAnd:
         return EvalNode(n.left, row) && EvalNode(n.right, row);
       case Code::kOr:

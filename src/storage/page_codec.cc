@@ -6,7 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <span>
-#include <variant>
+#include <string_view>
 
 namespace tcq {
 
@@ -104,99 +104,144 @@ uint64_t PageChecksum(const std::vector<uint8_t>& page) {
 
 namespace {
 
-/// Appends the fixed-width encoding of one value of `column`.
-void EncodeValue(const Value& v, const Column& column,
-                 std::vector<uint8_t>* out) {
+/// Where each value of a page's rows lies, as value (row, column) at byte
+/// start[column] + row · stride[column]: a row-major page (v1, v2) keeps
+/// each row's values together, a column-major one (v3) each column's.
+class PageLayout {
+ public:
+  PageLayout(const Schema& schema, size_t rows, bool columnar) {
+    const auto tuple_bytes = static_cast<size_t>(schema.TupleBytes());
+    size_t offset = 0;
+    for (const Column& column : schema.columns()) {
+      const auto width = static_cast<size_t>(column.ByteWidth());
+      start_.push_back(offset);
+      stride_.push_back(columnar ? width : tuple_bytes);
+      offset += columnar ? rows * width : width;
+    }
+  }
+
+  size_t At(size_t row, size_t column) const {
+    return start_[column] + row * stride_[column];
+  }
+
+ private:
+  std::vector<size_t> start_;
+  std::vector<size_t> stride_;
+};
+
+/// Writes the fixed-width encoding of a `column` cell at `out`, whose
+/// column.ByteWidth() bytes are zero: int64 and double little-endian, a
+/// string's bytes with its zero padding left in place. A string wider than
+/// its column or a NaN has no encoding.
+Status EncodeCell(Cell cell, const Column& column, uint8_t* out) {
+  uint64_t raw = 0;
   switch (column.type) {
     case DataType::kInt64:
-      PutU64(static_cast<uint64_t>(std::get<int64_t>(v)), out);
+      raw = static_cast<uint64_t>(cell.int64());
       break;
     case DataType::kDouble: {
-      uint64_t raw = 0;
-      double d = std::get<double>(v);
-      std::memcpy(&raw, &d, sizeof(raw));
-      PutU64(raw, out);
-      break;
-    }
-    case DataType::kString: {
-      const std::string& s = std::get<std::string>(v);
-      out->insert(out->end(), s.begin(), s.end());
-      out->insert(out->end(), static_cast<size_t>(column.width) - s.size(), 0);
-      break;
-    }
-  }
-}
-
-/// Appends the value of `column` encoded at `bytes[pos]` to `cells`.
-/// The caller has checked that the column's width fits.
-Status DecodeValue(const uint8_t* bytes, const Column& column,
-                   std::vector<Value>* cells) {
-  switch (column.type) {
-    case DataType::kInt64: {
-      uint64_t raw = 0;
-      for (int i = 0; i < 8; ++i) {
-        raw |= static_cast<uint64_t>(bytes[i]) << (8 * i);
-      }
-      // In-place construction: push_back(Value{...}) move-constructs a
-      // temporary variant, which GCC 12 under -fsanitize flags as
-      // maybe-uninitialized through the string alternative (PR 105562).
-      cells->emplace_back(std::in_place_type<int64_t>,
-                          static_cast<int64_t>(raw));
-      return Status::OK();
-    }
-    case DataType::kDouble: {
-      uint64_t raw = 0;
-      for (int i = 0; i < 8; ++i) {
-        raw |= static_cast<uint64_t>(bytes[i]) << (8 * i);
-      }
-      double d = 0.0;
-      std::memcpy(&d, &raw, sizeof(d));
+      const double d = cell.float64();
       if (std::isnan(d)) return NaNValueError(column);
-      cells->emplace_back(std::in_place_type<double>, d);  // see kInt64
-      return Status::OK();
+      std::memcpy(&raw, &d, sizeof(raw));
+      break;
     }
     case DataType::kString: {
-      size_t len = static_cast<size_t>(column.width);
-      while (len > 0 && bytes[len - 1] == 0) --len;
-      cells->emplace_back(std::in_place_type<std::string>,
-                          reinterpret_cast<const char*>(bytes), len);
+      const std::string_view s = cell.string();
+      if (s.size() > static_cast<size_t>(column.width)) {
+        return Status::InvalidArgument("string too wide for column '" +
+                                       column.name + "'");
+      }
+      if (!s.empty()) std::memcpy(out, s.data(), s.size());
       return Status::OK();
     }
   }
-  return Status::Internal("unknown column type");
-}
-
-/// Appends one row's encoding, column by column.
-Status EncodeRow(std::span<const Value> row, const Schema& schema,
-                 std::vector<uint8_t>* out) {
-  TCQ_RETURN_NOT_OK(schema.ValidateRow(row));
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    EncodeValue(row[static_cast<size_t>(c)], schema.column(c), out);
-  }
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(raw >> (8 * i));
   return Status::OK();
 }
 
-/// Appends the cells of the row encoded at `bytes[offset]` to `cells`.
-Status DecodeRow(const std::vector<uint8_t>& bytes, size_t offset,
-                 const Schema& schema, std::vector<Value>* cells) {
-  if (offset + static_cast<size_t>(schema.TupleBytes()) > bytes.size()) {
-    return Status::OutOfRange("tuple extends past the buffer");
-  }
-  size_t pos = offset;
-  for (const Column& column : schema.columns()) {
-    TCQ_RETURN_NOT_OK(DecodeValue(&bytes[pos], column, cells));
-    pos += static_cast<size_t>(column.type == DataType::kString ? column.width
-                                                                : 8);
-  }
-  return Status::OK();
+/// The length of the string encoded in `width` bytes at `bytes`: its
+/// trailing zero padding dropped.
+size_t EncodedStringLength(const uint8_t* bytes, size_t width) {
+  while (width > 0 && bytes[width - 1] == 0) --width;
+  return width;
 }
 
-/// The rows a block holds: whole rows of the schema's arity.
+/// The cell of the `column` value encoded at `bytes`, a string's bytes
+/// copied into `block`.
+Result<Cell> DecodeCell(const uint8_t* bytes, const Column& column,
+                        Block* block) {
+  if (column.type == DataType::kString) {
+    const auto width = static_cast<size_t>(column.width);
+    return block->AddString(
+        std::string_view(reinterpret_cast<const char*>(bytes),
+                         EncodedStringLength(bytes, width)));
+  }
+  uint64_t raw = 0;
+  for (int i = 0; i < 8; ++i) {
+    raw |= static_cast<uint64_t>(bytes[i]) << (8 * i);
+  }
+  if (column.type == DataType::kInt64) {
+    return Cell::Int64(static_cast<int64_t>(raw));
+  }
+  double d = 0.0;
+  std::memcpy(&d, &raw, sizeof(d));
+  if (std::isnan(d)) return NaNValueError(column);
+  return Cell::Double(d);
+}
+
+/// Encodes the first `rows` rows of `block` at their `layout` places in a
+/// zeroed page of `page_bytes` bytes.
+Result<std::vector<uint8_t>> EncodeRows(const Block& block, size_t rows,
+                                        const Schema& schema,
+                                        const PageLayout& layout,
+                                        size_t page_bytes) {
+  const auto arity = static_cast<size_t>(schema.num_columns());
+  std::vector<uint8_t> page(page_bytes, 0);
+  const Cell* cells = block.cells();
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < arity; ++c) {
+      TCQ_RETURN_NOT_OK(EncodeCell(cells[r * arity + c],
+                                   schema.column(static_cast<int>(c)),
+                                   &page[layout.At(r, c)]));
+    }
+  }
+  return page;
+}
+
+/// Decodes `rows` rows at their `layout` places in `bytes` straight into
+/// the cells of a block sized to their strings.
+Result<Block> DecodeRows(const uint8_t* bytes, size_t rows,
+                         const Schema& schema, const PageLayout& layout) {
+  const auto arity = static_cast<size_t>(schema.num_columns());
+  size_t string_bytes = 0;
+  for (size_t c = 0; c < arity; ++c) {
+    const Column& column = schema.column(static_cast<int>(c));
+    if (column.type != DataType::kString) continue;
+    for (size_t r = 0; r < rows; ++r) {
+      string_bytes += Cell::PrefixedBytes(EncodedStringLength(
+          bytes + layout.At(r, c), static_cast<size_t>(column.width)));
+    }
+  }
+  Block block(rows * arity, string_bytes);
+  Cell* cells = block.AppendCells(rows * arity);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < arity; ++c) {
+      TCQ_ASSIGN_OR_RETURN(cells[r * arity + c],
+                           DecodeCell(bytes + layout.At(r, c),
+                                      schema.column(static_cast<int>(c)),
+                                      &block));
+    }
+  }
+  return block;
+}
+
+/// The rows a block holds: whole rows of the schema's arity that fit a
+/// page of `block_bytes`.
 Result<size_t> BlockRows(const Block& block, const Schema& schema,
                          int block_bytes) {
   const auto arity = static_cast<size_t>(schema.num_columns());
-  const size_t rows = block.cells.size() / arity;
-  if (rows * arity != block.cells.size()) {
+  const size_t rows = block.num_cells() / arity;
+  if (rows * arity != block.num_cells()) {
     return Status::InvalidArgument("block cells do not form whole rows");
   }
   if (static_cast<int64_t>(rows) * schema.TupleBytes() > block_bytes) {
@@ -205,105 +250,74 @@ Result<size_t> BlockRows(const Block& block, const Schema& schema,
   return rows;
 }
 
-/// An empty block whose cell array holds every row a page of
-/// `page_bytes` can, so a decoder fills it with no reallocation.
-Block PageBlock(size_t page_bytes, const Schema& schema) {
-  Block block;
-  block.cells.reserve(page_bytes / static_cast<size_t>(schema.TupleBytes()) *
-                      static_cast<size_t>(schema.num_columns()));
-  return block;
+/// A page of `count` rows in `page`, or OutOfRange when they overrun it.
+Status CheckPageRows(const std::vector<uint8_t>& page, int count,
+                     const Schema& schema) {
+  if (count < 0 || static_cast<size_t>(count) *
+                           static_cast<size_t>(schema.TupleBytes()) >
+                       page.size()) {
+    return Status::OutOfRange("page smaller than its tuples");
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 Status EncodeTuple(const Tuple& tuple, const Schema& schema,
                    std::vector<uint8_t>* out) {
-  return EncodeRow(tuple, schema, out);
+  TCQ_RETURN_NOT_OK(schema.ValidateTuple(tuple));
+  const auto tuple_bytes = static_cast<size_t>(schema.TupleBytes());
+  TCQ_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> bytes,
+      EncodeRows(Block::Of(std::span<const Tuple>(&tuple, 1)), 1, schema,
+                 PageLayout(schema, 1, /*columnar=*/false), tuple_bytes));
+  out->insert(out->end(), bytes.begin(), bytes.end());
+  return Status::OK();
 }
 
 Result<Tuple> DecodeTuple(const std::vector<uint8_t>& bytes, size_t offset,
                           const Schema& schema) {
-  Tuple tuple;
-  tuple.reserve(static_cast<size_t>(schema.num_columns()));
-  TCQ_RETURN_NOT_OK(DecodeRow(bytes, offset, schema, &tuple));
-  return tuple;
+  if (offset + static_cast<size_t>(schema.TupleBytes()) > bytes.size()) {
+    return Status::OutOfRange("tuple extends past the buffer");
+  }
+  TCQ_ASSIGN_OR_RETURN(Block block,
+                       DecodeRows(bytes.data() + offset, 1, schema,
+                                  PageLayout(schema, 1, /*columnar=*/false)));
+  return ToTuple(Row(block.cells()), schema);
 }
 
 Result<std::vector<uint8_t>> EncodePage(const Block& block,
                                         const Schema& schema,
                                         int block_bytes) {
   TCQ_ASSIGN_OR_RETURN(size_t rows, BlockRows(block, schema, block_bytes));
-  const auto arity = static_cast<size_t>(schema.num_columns());
-  std::vector<uint8_t> page;
-  page.reserve(static_cast<size_t>(block_bytes));
-  for (size_t r = 0; r < rows; ++r) {
-    TCQ_RETURN_NOT_OK(EncodeRow(
-        std::span<const Value>(block.cells.data() + r * arity, arity), schema,
-        &page));
-  }
-  page.resize(static_cast<size_t>(block_bytes), 0);
-  return page;
+  return EncodeRows(block, rows, schema,
+                    PageLayout(schema, rows, /*columnar=*/false),
+                    static_cast<size_t>(block_bytes));
 }
 
 Result<Block> DecodePage(const std::vector<uint8_t>& page, int count,
                          const Schema& schema) {
-  Block block = PageBlock(page.size(), schema);
-  const auto tuple_bytes = static_cast<size_t>(schema.TupleBytes());
-  for (int i = 0; i < count; ++i) {
-    TCQ_RETURN_NOT_OK(DecodeRow(page, static_cast<size_t>(i) * tuple_bytes,
-                                schema, &block.cells));
-  }
-  return block;
+  TCQ_RETURN_NOT_OK(CheckPageRows(page, count, schema));
+  const auto rows = static_cast<size_t>(count);
+  return DecodeRows(page.data(), rows, schema,
+                    PageLayout(schema, rows, /*columnar=*/false));
 }
 
 Result<std::vector<uint8_t>> EncodePageColumnar(const Block& block,
                                                 const Schema& schema,
                                                 int block_bytes) {
   TCQ_ASSIGN_OR_RETURN(size_t rows, BlockRows(block, schema, block_bytes));
-  const auto arity = static_cast<size_t>(schema.num_columns());
-  for (size_t r = 0; r < rows; ++r) {
-    TCQ_RETURN_NOT_OK(schema.ValidateRow(
-        std::span<const Value>(block.cells.data() + r * arity, arity)));
-  }
-  std::vector<uint8_t> page;
-  page.reserve(static_cast<size_t>(block_bytes));
-  for (size_t c = 0; c < arity; ++c) {
-    const Column& column = schema.column(static_cast<int>(c));
-    for (size_t r = 0; r < rows; ++r) {
-      EncodeValue(block.cells[r * arity + c], column, &page);
-    }
-  }
-  page.resize(static_cast<size_t>(block_bytes), 0);
-  return page;
+  return EncodeRows(block, rows, schema,
+                    PageLayout(schema, rows, /*columnar=*/true),
+                    static_cast<size_t>(block_bytes));
 }
 
 Result<Block> DecodePageColumnar(const std::vector<uint8_t>& page, int count,
                                  const Schema& schema) {
+  TCQ_RETURN_NOT_OK(CheckPageRows(page, count, schema));
   const auto rows = static_cast<size_t>(count);
-  if (rows * static_cast<size_t>(schema.TupleBytes()) > page.size()) {
-    return Status::OutOfRange("columnar page smaller than its tuples");
-  }
-  // Row r's cells go to [r·arity, (r+1)·arity): each column's run is read
-  // into a scratch vector, then moved into place row by row.
-  const auto arity = static_cast<size_t>(schema.num_columns());
-  Block block = PageBlock(page.size(), schema);
-  block.cells.resize(rows * arity);
-  std::vector<Value> column_cells;
-  column_cells.reserve(rows);
-  size_t pos = 0;
-  for (size_t c = 0; c < arity; ++c) {
-    const Column& column = schema.column(static_cast<int>(c));
-    const auto width = static_cast<size_t>(
-        column.type == DataType::kString ? column.width : 8);
-    column_cells.clear();
-    for (size_t r = 0; r < rows; ++r, pos += width) {
-      TCQ_RETURN_NOT_OK(DecodeValue(&page[pos], column, &column_cells));
-    }
-    for (size_t r = 0; r < rows; ++r) {
-      block.cells[r * arity + c] = std::move(column_cells[r]);
-    }
-  }
-  return block;
+  return DecodeRows(page.data(), rows, schema,
+                    PageLayout(schema, rows, /*columnar=*/true));
 }
 
 Status SaveRelation(const Relation& relation, const std::string& path) {
@@ -334,7 +348,7 @@ Status SaveRelationAtVersion(const Relation& relation, const std::string& path,
   PutU64(static_cast<uint64_t>(relation.NumTuples()), &out);
   const auto arity = static_cast<size_t>(relation.schema().num_columns());
   for (const Block& b : relation.blocks()) {
-    PutU32(static_cast<uint32_t>(b.cells.size() / arity), &out);
+    PutU32(static_cast<uint32_t>(b.num_cells() / arity), &out);
   }
   for (const Block& b : relation.blocks()) {
     TCQ_ASSIGN_OR_RETURN(

@@ -15,7 +15,7 @@ namespace tcq {
 /// representation behind the simulator's block geometry. Every column
 /// occupies exactly its schema byte width: int64 and double are 8 bytes
 /// little-endian; strings are zero-padded to their declared width
-/// (embedded or trailing NULs are therefore not representable).
+/// (trailing NULs are therefore not representable; embedded ones are).
 ///
 /// File format (TCQF): magic "TCQF", version, name, schema, geometry,
 /// per-page tuple counts, then the raw pages. Version 2 follows every
@@ -26,8 +26,8 @@ namespace tcq {
 /// still load, skipping verification. Version 3 keeps v2's framing and
 /// per-page checksums but lays each page out column-major: column 0's n
 /// values contiguous, then column 1's, …, zero-padded to the block size.
-/// Every version decodes each page straight into its block's cell array at
-/// load (DESIGN.md §11, "In memory"). Writers default to v3;
+/// Every version decodes each page straight into the cells of a block sized
+/// to its strings at load (DESIGN.md §11, "In memory"). Writers default to v3;
 /// `SaveRelationAtVersion` emits any supported version and
 /// `ConvertRelationFile` rewrites files between versions (tools/
 /// tcqf_convert is the CLI).
@@ -51,8 +51,8 @@ namespace tcq {
                                         const Schema& schema,
                                         int block_bytes);
 
-/// Decodes `count` rows from a page buffer into a block whose cell array
-/// is allocated once, for every row the page can hold.
+/// Decodes `count` rows from a page buffer into a block holding exactly
+/// them, sized to their strings.
 [[nodiscard]] Result<Block> DecodePage(const std::vector<uint8_t>& page, int count,
                          const Schema& schema);
 

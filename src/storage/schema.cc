@@ -79,6 +79,16 @@ Status Schema::ValidateRow(std::span<const Value> tuple) const {
   return Status::OK();
 }
 
+Tuple ToTuple(Row row, const Schema& schema) {
+  Tuple tuple;
+  tuple.reserve(static_cast<size_t>(schema.num_columns()));
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    tuple.push_back(
+        ToValue(row[static_cast<size_t>(c)], schema.column(c).type));
+  }
+  return tuple;
+}
+
 std::string Schema::ToString() const {
   std::string out = "(";
   for (size_t i = 0; i < columns_.size(); ++i) {

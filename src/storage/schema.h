@@ -73,6 +73,9 @@ class Schema {
   std::vector<Column> columns_;
 };
 
+/// An owned copy of `row`, whose cells `schema` types.
+Tuple ToTuple(Row row, const Schema& schema);
+
 }  // namespace tcq
 
 #endif  // TCQ_STORAGE_SCHEMA_H_

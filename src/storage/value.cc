@@ -40,6 +40,18 @@ int CompareValues(const Value& a, const Value& b) {
   }
 }
 
+Value ToValue(Cell cell, DataType type) {
+  switch (type) {
+    case DataType::kInt64:
+      return cell.int64();
+    case DataType::kDouble:
+      return cell.float64();
+    case DataType::kString:
+      return std::string(cell.string());
+  }
+  return int64_t{0};
+}
+
 std::string ValueToString(const Value& v) {
   switch (v.index()) {
     case 0:

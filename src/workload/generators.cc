@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string_view>
 #include <utility>
 
 #include "util/random.h"
@@ -12,14 +13,42 @@ namespace {
 
 /// Fixed filler so the payload column is identical across relations (tuple
 /// equality for intersection is decided by id and key).
-std::string Payload() { return "x"; }
+constexpr std::string_view kPayload = "x";
 
-/// Appends the synthetic row (id, key, payload) straight into the
-/// relation's tail block: no tuple is built on the heap.
-void AppendSynthetic(Relation* rel, int64_t id, int64_t key) {
-  Value row[] = {id, key, Payload()};
-  rel->AppendUnchecked(row);
-}
+/// Appends the synthetic rows (id, key, payload) to a relation a block at a
+/// time: each block is built whole, its cells written in place and its
+/// string bytes sized to the payloads, then adopted by the relation. No
+/// tuple is built on the heap.
+class SyntheticAppender {
+ public:
+  explicit SyntheticAppender(Relation* rel)
+      : rel_(rel), rows_per_block_(rel->blocking_factor()) {}
+
+  void Add(int64_t id, int64_t key) {
+    if (rows_ == 0) {
+      const auto rows = static_cast<size_t>(rows_per_block_);
+      block_ = Block(rows * 3, rows * Cell::PrefixedBytes(kPayload.size()));
+    }
+    Cell* cells = block_.AppendCells(3);
+    cells[0] = Cell::Int64(id);
+    cells[1] = Cell::Int64(key);
+    cells[2] = block_.AddString(kPayload);
+    if (++rows_ == rows_per_block_) Flush();
+  }
+
+  /// Appends the rows of a last, partial block.
+  void Flush() {
+    if (rows_ == 0) return;
+    rel_->AppendBlock(std::move(block_));
+    rows_ = 0;
+  }
+
+ private:
+  Relation* rel_;
+  int rows_per_block_;
+  int rows_ = 0;
+  Block block_;
+};
 
 /// A relation of `n` synthetic rows, row k given by `row_of(k)` as an
 /// (id, key) pair, appended in the order of a shuffled index permutation.
@@ -35,10 +64,12 @@ Result<RelationPtr> BuildRelation(const std::string& name,
   TCQ_ASSIGN_OR_RETURN(Relation rel,
                        Relation::Create(name, schema, block_bytes));
   rel.Reserve(n);
+  SyntheticAppender append(&rel);
   for (int64_t k : order) {
     const auto [id, key] = row_of(k);
-    AppendSynthetic(&rel, id, key);
+    append.Add(id, key);
   }
+  append.Flush();
   return RelationPtr(std::make_shared<Relation>(std::move(rel)));
 }
 
@@ -83,13 +114,15 @@ Result<Workload> MakeSelectionWorkload(int64_t output_tuples, uint64_t seed,
   TCQ_ASSIGN_OR_RETURN(Relation rel,
                        Relation::Create("r1", schema, kDefaultBlockBytes));
   rel.Reserve(num_tuples);
+  SyntheticAppender append(&rel);
   for (size_t i = 0; i < insert_at; ++i) {
-    AppendSynthetic(&rel, scattered[i], scattered[i]);
+    append.Add(scattered[i], scattered[i]);
   }
-  for (int64_t i = 0; i < clustered_count; ++i) AppendSynthetic(&rel, i, i);
+  for (int64_t i = 0; i < clustered_count; ++i) append.Add(i, i);
   for (size_t i = insert_at; i < scattered.size(); ++i) {
-    AppendSynthetic(&rel, scattered[i], scattered[i]);
+    append.Add(scattered[i], scattered[i]);
   }
+  append.Flush();
   Workload w;
   TCQ_RETURN_NOT_OK(
       w.catalog.Register(std::make_shared<Relation>(std::move(rel))));
@@ -187,9 +220,11 @@ RelationPtr MakeUniformRelation(const std::string& name, int64_t num_tuples,
   auto rel = Relation::Create(name, schema, block_bytes);
   if (!rel.ok()) return nullptr;
   rel->Reserve(num_tuples);
+  SyntheticAppender append(&*rel);
   for (int64_t i = 0; i < num_tuples; ++i) {
-    AppendSynthetic(&*rel, i, rng.UniformInt(0, key_domain - 1));
+    append.Add(i, rng.UniformInt(0, key_domain - 1));
   }
+  append.Flush();
   return std::make_shared<Relation>(std::move(*rel));
 }
 

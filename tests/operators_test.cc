@@ -24,10 +24,29 @@ Schema TwoIntSchema() {
 
 Tuple T(int64_t a, int64_t b) { return Tuple{a, b}; }
 
-// The keyed run of `tuples` sorted on `key` (unforked, uncharged).
-KeyedRun SortedRun(const std::vector<Tuple>& tuples,
-                   const std::vector<int>& key) {
-  const Rows rows = RowsOf(tuples);
+// Tuples copied into cells, as a block stores its rows: one block holding
+// them all, and the handles of its rows in order.
+class StoredRows {
+ public:
+  explicit StoredRows(const std::vector<Tuple>& tuples)
+      : block_(Block::Of(tuples)) {
+    const size_t arity = tuples.empty() ? 0 : tuples[0].size();
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      rows_.push_back(Row(block_.cells() + i * arity));
+    }
+  }
+
+  const Rows& rows() const { return rows_; }
+  Row operator[](size_t i) const { return rows_[i]; }
+
+ private:
+  Block block_;
+  Rows rows_;
+};
+
+// The keyed run of `stored` sorted on `key` (unforked, uncharged).
+KeyedRun SortedRun(const StoredRows& stored, const Key& key) {
+  const Rows& rows = stored.rows();
   KeyedRun run(rows.size());
   int64_t comparisons = 0;
   SortRunRange(rows, key, &run, &comparisons);
@@ -60,18 +79,18 @@ TEST(SelectTuplesTest, FiltersAndCharges) {
   auto pred = CmpLiteral("a", CompareOp::kLt, int64_t{3});
   auto bound = BoundPredicate::Bind(pred, s);
   ASSERT_TRUE(bound.ok());
-  std::vector<Tuple> in{T(1, 0), T(5, 0), T(2, 0), T(9, 0)};
+  const StoredRows in({T(1, 0), T(5, 0), T(2, 0), T(9, 0)});
   VirtualClock clock;
   CostLedger ledger(&clock);
   CostModel model;
   OpMetrics m;
-  auto out = SelectTuples(RowsOf(in), *bound, s, &ledger, model, &m);
+  auto out = SelectTuples(in.rows(), *bound, s, &ledger, model, &m);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(std::get<int64_t>(out[0][0]), 1);
-  EXPECT_EQ(std::get<int64_t>(out[1][0]), 2);
+  EXPECT_EQ(out[0][0].int64(), 1);
+  EXPECT_EQ(out[1][0].int64(), 2);
   // The qualifying tuples are passed by reference, not copied.
-  EXPECT_EQ(out[0], RowOf(in[0]));
-  EXPECT_EQ(out[1], RowOf(in[2]));
+  EXPECT_EQ(out[0], in[0]);
+  EXPECT_EQ(out[1], in[2]);
   EXPECT_EQ(m.process.in_tuples, 4);
   EXPECT_EQ(m.output.out_tuples, 2);
   EXPECT_EQ(m.process.comparisons, 4);  // one comparison per tuple
@@ -81,22 +100,22 @@ TEST(SelectTuplesTest, FiltersAndCharges) {
 }
 
 TEST(SortRunTest, SortsAllColumnsAndCharges) {
-  std::vector<Tuple> tuples{T(3, 1), T(1, 2), T(3, 0), T(2, 5)};
+  const StoredRows tuples({T(3, 1), T(1, 2), T(3, 0), T(2, 5)});
   CostLedger ledger(nullptr);
   CostModel model;
   StepMetrics m;
-  const Rows rows = RowsOf(tuples);
+  const Rows& rows = tuples.rows();
   KeyedRun v(rows.size());
   int64_t comparisons = 0;
-  SortRunRange(rows, AllColumns(2), &v, &comparisons);
+  SortRunRange(rows, AllColumns(TwoIntSchema()), &v, &comparisons);
   ChargeSort(static_cast<int64_t>(rows.size()), comparisons, &ledger, model,
              &m);
   ASSERT_EQ(v.size(), 4u);
-  EXPECT_EQ(std::get<int64_t>(v[0].row()[0]), 1);
-  EXPECT_EQ(std::get<int64_t>(v[1].row()[0]), 2);
-  EXPECT_EQ(std::get<int64_t>(v[2].row()[0]), 3);
-  EXPECT_EQ(std::get<int64_t>(v[2].row()[1]), 0);
-  EXPECT_EQ(std::get<int64_t>(v[3].row()[1]), 1);
+  EXPECT_EQ(v[0].row()[0].int64(), 1);
+  EXPECT_EQ(v[1].row()[0].int64(), 2);
+  EXPECT_EQ(v[2].row()[0].int64(), 3);
+  EXPECT_EQ(v[2].row()[1].int64(), 0);
+  EXPECT_EQ(v[3].row()[1].int64(), 1);
   EXPECT_EQ(m.comparisons, comparisons);
   EXPECT_GT(m.comparisons, 0);
   EXPECT_EQ(m.in_tuples, 4);
@@ -106,19 +125,19 @@ TEST(SortRunTest, SortsAllColumnsAndCharges) {
 }
 
 TEST(SortRunTest, SortsByKeyOnly) {
-  std::vector<Tuple> tuples{T(9, 2), T(0, 1)};
-  const KeyedRun v = SortedRun(tuples, {1});
-  EXPECT_EQ(std::get<int64_t>(v[0].row()[1]), 1);
+  const StoredRows tuples({T(9, 2), T(0, 1)});
+  const KeyedRun v = SortedRun(tuples, KeyOf(TwoIntSchema(), {1}));
+  EXPECT_EQ(v[0].row()[1].int64(), 1);
 }
 
 TEST(MergeIntersectTest, CountsMatches) {
-  std::vector<Tuple> l{T(1, 1), T(2, 2), T(3, 3)};
-  std::vector<Tuple> r{T(2, 2), T(3, 3), T(4, 4)};
+  const StoredRows l({T(1, 1), T(2, 2), T(3, 3)});
+  const StoredRows r({T(2, 2), T(3, 3), T(4, 4)});
+  const Key all = AllColumns(TwoIntSchema());
   Rows out;
   int64_t comparisons = 0;
-  EXPECT_EQ(MergeIntersectRange(SortedRun(l, AllColumns(2)),
-                                SortedRun(r, AllColumns(2)), 2, &out,
-                                &comparisons),
+  EXPECT_EQ(MergeIntersectRange(SortedRun(l, all), SortedRun(r, all), all,
+                                &out, &comparisons),
             2);
   EXPECT_EQ(out.size(), 2u);
   EXPECT_GT(comparisons, 0);
@@ -127,60 +146,65 @@ TEST(MergeIntersectTest, CountsMatches) {
 TEST(MergeIntersectTest, MultiplicityProduct) {
   // Duplicates produce one output per (left,right) pair: the number of
   // 1-points in the point space.
-  std::vector<Tuple> l{T(5, 5), T(5, 5)};
-  std::vector<Tuple> r{T(5, 5), T(5, 5), T(5, 5)};
+  const StoredRows l({T(5, 5), T(5, 5)});
+  const StoredRows r({T(5, 5), T(5, 5), T(5, 5)});
+  const Key all = AllColumns(TwoIntSchema());
   Rows out;
   int64_t comparisons = 0;
-  MergeIntersectRange(SortedRun(l, AllColumns(2)), SortedRun(r, AllColumns(2)),
-                      2, &out, &comparisons);
+  MergeIntersectRange(SortedRun(l, all), SortedRun(r, all), all, &out,
+                      &comparisons);
   EXPECT_EQ(out.size(), 6u);
 }
 
 TEST(MergeIntersectTest, DisjointEmpty) {
-  std::vector<Tuple> l{T(1, 1)};
-  std::vector<Tuple> r{T(2, 2)};
+  const StoredRows l({T(1, 1)});
+  const StoredRows r({T(2, 2)});
+  const Key all = AllColumns(TwoIntSchema());
   Rows out;
   int64_t comparisons = 0;
-  MergeIntersectRange(SortedRun(l, AllColumns(2)), SortedRun(r, AllColumns(2)),
-                      2, &out, &comparisons);
+  MergeIntersectRange(SortedRun(l, all), SortedRun(r, all), all, &out,
+                      &comparisons);
   EXPECT_TRUE(out.empty());
-  MergeIntersectRange({}, SortedRun(r, AllColumns(2)), 2, &out, &comparisons);
+  MergeIntersectRange({}, SortedRun(r, all), all, &out, &comparisons);
   EXPECT_TRUE(out.empty());
 }
 
 TEST(MergeJoinTest, JoinsOnKey) {
-  std::vector<Tuple> l{T(10, 1), T(20, 2), T(30, 2)};
-  std::vector<Tuple> r{T(2, 100), T(2, 200), T(3, 300)};
+  const StoredRows l({T(10, 1), T(20, 2), T(30, 2)});
+  const StoredRows r({T(2, 100), T(2, 200), T(3, 300)});
+  const Key k0 = KeyOf(TwoIntSchema(), {0});
+  const Key k1 = KeyOf(TwoIntSchema(), {1});
   JoinedCells out{2, 2, {}};
   int64_t comparisons = 0;
-  MergeJoinRange(SortedRun(l, {1}), {1}, SortedRun(r, {0}), {0}, &out,
+  MergeJoinRange(SortedRun(l, k1), k1, SortedRun(r, k0), k0, &out,
                  &comparisons);
   // key 2: two left × two right = 4 joined tuples.
   ASSERT_EQ(out.size(), 4u);
   ASSERT_EQ(out.arity(), 4u);
   for (size_t i = 0; i < out.size(); ++i) {
     const Row t = out.row(i);
-    EXPECT_EQ(std::get<int64_t>(t[1]), 2);
-    EXPECT_EQ(std::get<int64_t>(t[2]), 2);
+    EXPECT_EQ(t[1].int64(), 2);
+    EXPECT_EQ(t[2].int64(), 2);
   }
 }
 
 TEST(MergeJoinTest, NoMatches) {
-  std::vector<Tuple> l{T(1, 1)};
-  std::vector<Tuple> r{T(2, 2)};
+  const StoredRows l({T(1, 1)});
+  const StoredRows r({T(2, 2)});
+  const Key k0 = KeyOf(TwoIntSchema(), {0});
   JoinedCells out{2, 2, {}};
   int64_t comparisons = 0;
-  MergeJoinRange(SortedRun(l, {0}), {0}, SortedRun(r, {0}), {0}, &out,
+  MergeJoinRange(SortedRun(l, k0), k0, SortedRun(r, k0), k0, &out,
                  &comparisons);
   EXPECT_TRUE(out.empty());
 }
 
 TEST(DedupSortedTest, Occupancies) {
   Schema s = TwoIntSchema();
-  std::vector<Tuple> v{T(1, 1), T(1, 1), T(2, 2), T(3, 3), T(3, 3)};
+  const StoredRows v({T(1, 1), T(1, 1), T(2, 2), T(3, 3), T(3, 3)});
   CostModel model;
   OpMetrics m;
-  auto groups = DedupSorted(SortedRun(v, AllColumns(2)), s, nullptr, model,
+  auto groups = DedupSorted(SortedRun(v, AllColumns(s)), s, nullptr, model,
                             &m);
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].count, 2);
@@ -197,13 +221,13 @@ TEST(DedupSortedTest, Empty) {
 }
 
 TEST(ProjectColumnsTest, KeepsRequestedOrder) {
-  std::vector<Tuple> v{T(1, 10), T(2, 20)};
+  const StoredRows v({T(1, 10), T(2, 20)});
   CostModel model;
-  auto out = ProjectColumns(RowsOf(v), {1}, nullptr, model, nullptr);
+  auto out = ProjectColumns(v.rows(), {1}, nullptr, model, nullptr);
   // One cell per projected row.
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(std::get<int64_t>(out[0]), 10);
-  EXPECT_EQ(std::get<int64_t>(out[1]), 20);
+  EXPECT_EQ(out[0].int64(), 10);
+  EXPECT_EQ(out[1].int64(), 20);
 }
 
 TEST(ChargeTempWriteTest, ChargesMovesAndPages) {
@@ -223,27 +247,28 @@ TEST(ChargeTempWriteTest, ChargesMovesAndPages) {
 // kernels they replaced, kept here as the reference. Same order (the very
 // same permutation), comparison counts, merge outputs, partition bounds and
 // lower bounds, on adversarial values. A key `{}` in the tables below
-// stands for every column, AllColumns(arity), which the kernels take.
+// stands for every column, AllColumns(schema), which the kernels take. The
+// reference compares the cells' values with CompareValues.
 // ---------------------------------------------------------------------------
 
-std::vector<int> Columns(const std::vector<int>& key, size_t arity) {
-  return key.empty() ? AllColumns(arity) : key;
+Key Columns(const std::vector<int>& key, const Schema& schema) {
+  return key.empty() ? AllColumns(schema) : KeyOf(schema, key);
 }
 
 namespace reference {
 
-int CompareCross(Row a, const std::vector<int>& a_key, Row b,
-                 const std::vector<int>& b_key) {
+int CompareCross(Row a, const Key& a_key, Row b, const Key& b_key) {
   for (size_t k = 0; k < a_key.size(); ++k) {
-    int c = CompareValues(a[static_cast<size_t>(a_key[k])],
-                          b[static_cast<size_t>(b_key[k])]);
+    const DataType type = a_key[k].type;
+    int c = CompareValues(
+        ToValue(a[static_cast<size_t>(a_key[k].column)], type),
+        ToValue(b[static_cast<size_t>(b_key[k].column)], type));
     if (c != 0) return c;
   }
   return 0;
 }
 
-void SortRunRange(Rows* run, const std::vector<int>& key,
-                  int64_t* comparisons) {
+void SortRunRange(Rows* run, const Key& key, int64_t* comparisons) {
   std::sort(run->begin(), run->end(),
             [comparisons, &key](Row a, Row b) {
               ++*comparisons;
@@ -254,9 +279,8 @@ void SortRunRange(Rows* run, const std::vector<int>& key,
 // The loop of MergeIntersectRange (every column) and MergeJoinRange; calls
 // on_group(i, i_end, j, j_end) per equal-key group.
 template <typename OnGroup>
-int64_t Merge(RowSpan left, const std::vector<int>& left_key,
-              RowSpan right, const std::vector<int>& right_key,
-              OnGroup on_group) {
+int64_t Merge(RowSpan left, const Key& left_key, RowSpan right,
+              const Key& right_key, OnGroup on_group) {
   int64_t comparisons = 0;
   size_t i = 0, j = 0;
   while (i < left.size() && j < right.size()) {
@@ -291,8 +315,7 @@ int64_t Merge(RowSpan left, const std::vector<int>& left_key,
   return comparisons;
 }
 
-std::vector<size_t> PartitionSortedRun(RowSpan run,
-                                       const std::vector<int>& key,
+std::vector<size_t> PartitionSortedRun(RowSpan run, const Key& key,
                                        size_t max_parts, size_t min_chunk) {
   const size_t n = run.size();
   size_t parts = std::min(n / min_chunk, max_parts);
@@ -310,8 +333,8 @@ std::vector<size_t> PartitionSortedRun(RowSpan run,
   return bounds;
 }
 
-size_t LowerBoundCrossKey(RowSpan run, const std::vector<int>& run_key,
-                          Row probe, const std::vector<int>& probe_key) {
+size_t LowerBoundCrossKey(RowSpan run, const Key& run_key, Row probe,
+                          const Key& probe_key) {
   size_t lo = 0, hi = run.size();
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
@@ -427,12 +450,20 @@ TEST(KeyPrefixTest, PrefixOrderAgreesWithCompareValues) {
   Rng rng(5);
   for (DataType type :
        {DataType::kInt64, DataType::kDouble, DataType::kString}) {
-    std::vector<Value> values;
-    for (int k = 0; k < 200; ++k) values.push_back(AdversarialValue(type, &rng));
-    for (const Value& a : values) {
-      for (const Value& b : values) {
-        const uint64_t pa = KeyPrefix(a), pb = KeyPrefix(b);
+    std::vector<Tuple> values;
+    for (int k = 0; k < 200; ++k) {
+      values.push_back({AdversarialValue(type, &rng)});
+    }
+    const StoredRows cells(values);
+    for (size_t i = 0; i < values.size(); ++i) {
+      for (size_t j = 0; j < values.size(); ++j) {
+        const Value& a = values[i][0];
+        const Value& b = values[j][0];
+        const uint64_t pa = KeyPrefix(cells[i][0], type);
+        const uint64_t pb = KeyPrefix(cells[j][0], type);
         const int c = CompareValues(a, b);
+        // Cells compare as their values do.
+        ASSERT_EQ(CompareCells(cells[i][0], cells[j][0], type), c);
         if (pa < pb) {
           ASSERT_LT(c, 0);
         } else if (pa > pb) {
@@ -456,7 +487,7 @@ Tuple KeyedTuple(int64_t key) { return Tuple{key, 0.5, std::string("x")}; }
 // True when std::sort over `run` enters its depth-limit fallback: only
 // libstdc++'s heap phase (std::__push_heap) calls the comparator with an
 // element of the array first and a value held outside it second.
-bool StdSortReachesHeapFallback(Rows run, const std::vector<int>& key) {
+bool StdSortReachesHeapFallback(Rows run, const Key& key) {
   const std::less<const Row*> before;
   const Row* begin = run.data();
   const Row* end = begin + run.size();
@@ -511,18 +542,21 @@ class SortParity {
     }
   }
 
-  void Check(const std::vector<Tuple>& tuples,
+  void Check(const Schema& schema, const std::vector<Tuple>& tuples,
              const std::vector<int>& key_or_all) {
-    const std::vector<int> key = Columns(key_or_all, tuples[0].size());
-    const Rows rows = RowsOf(tuples);
+    const Key key = Columns(key_or_all, schema);
+    const StoredRows stored(tuples);
+    const Rows& rows = stored.rows();
     KeyedRun serial(rows.size());
     int64_t serial_comp = 0;
     SortRunRange(rows, key, &serial, &serial_comp);
     for (const KeyedRow& k : serial) {
-      ASSERT_EQ(k.prefix, KeyPrefix(k.row()[static_cast<size_t>(key[0])]));
+      ASSERT_EQ(k.prefix,
+                KeyPrefix(k.row()[static_cast<size_t>(key[0].column)],
+                          key[0].type));
     }
 #ifdef __GLIBCXX__
-    Rows expect = RowsOf(tuples);
+    Rows expect = rows;
     int64_t expect_comp = 0;
     reference::SortRunRange(&expect, key, &expect_comp);
     EXPECT_EQ(serial_comp, expect_comp);
@@ -552,13 +586,16 @@ TEST(KeyPrefixParityTest, SortMatchesPlainComparator) {
   for (const Schema& schema : ParitySchemas()) {
     for (const std::vector<int>& key : kParityKeys) {
       SCOPED_TRACE(schema.ToString() + " key " + KeyName(key));
-      parity.Check(AdversarialTuples(schema, 400, ++seed), key);
+      parity.Check(schema, AdversarialTuples(schema, 400, ++seed), key);
     }
     for (const std::vector<int>& key : {std::vector<int>{}, {0}}) {
       SCOPED_TRACE(schema.ToString() + " forking run, key " + KeyName(key));
-      parity.Check(AdversarialTuples(schema, kForkingRun, ++seed), key);
+      parity.Check(schema, AdversarialTuples(schema, kForkingRun, ++seed),
+                   key);
     }
   }
+  // KeyedTuple's (int64, double, string) rows.
+  const Schema keyed_schema = ParitySchemas()[0];
 
   const std::vector<int> lead = {0};
   Rng rng(seed);
@@ -573,16 +610,17 @@ TEST(KeyPrefixParityTest, SortMatchesPlainComparator) {
        {std::pair{"duplicate-heavy", &duplicates}, {"all-equal", &equal},
         {"sorted", &sorted}, {"reverse-sorted", &reversed}}) {
     SCOPED_TRACE(name);
-    parity.Check(*tuples, lead);
+    parity.Check(keyed_schema, *tuples, lead);
   }
 
   std::vector<Tuple> killer;
   for (int64_t v : AntiQsortKeys(kForkingRun)) killer.push_back(KeyedTuple(v));
 #ifdef __GLIBCXX__
-  ASSERT_TRUE(StdSortReachesHeapFallback(RowsOf(killer), AllColumns(3)));
+  ASSERT_TRUE(StdSortReachesHeapFallback(StoredRows(killer).rows(),
+                                         AllColumns(keyed_schema)));
 #endif
   SCOPED_TRACE("antiqsort adversary");
-  parity.Check(killer, lead);
+  parity.Check(keyed_schema, killer, lead);
 }
 
 TEST(KeyPrefixParityTest, MergesMatchPlainComparator) {
@@ -591,14 +629,15 @@ TEST(KeyPrefixParityTest, MergesMatchPlainComparator) {
     const auto arity = static_cast<size_t>(schema.num_columns());
     for (const std::vector<int>& key_or_all : kParityKeys) {
       SCOPED_TRACE(schema.ToString() + " key " + KeyName(key_or_all));
-      const std::vector<int> key = Columns(key_or_all, arity);
+      const Key key = Columns(key_or_all, schema);
       std::vector<Tuple> left_tuples = AdversarialTuples(schema, 300, ++seed);
       std::vector<Tuple> right_tuples = AdversarialTuples(schema, 250, ++seed);
       // Shared tuples, so whole-tuple groups match too.
       right_tuples.insert(right_tuples.end(), left_tuples.begin(),
                           left_tuples.begin() + 60);
-      const KeyedRun lrun = SortedRun(left_tuples, key);
-      const KeyedRun rrun = SortedRun(right_tuples, key);
+      const StoredRows left_rows(left_tuples), right_rows(right_tuples);
+      const KeyedRun lrun = SortedRun(left_rows, key);
+      const KeyedRun rrun = SortedRun(right_rows, key);
       const Rows left = HandlesOf(lrun), right = HandlesOf(rrun);
 
       if (key_or_all.empty()) {
@@ -614,7 +653,7 @@ TEST(KeyPrefixParityTest, MergesMatchPlainComparator) {
             });
         int64_t got_comp = 0;
         int64_t got_n =
-            MergeIntersectRange(lrun, rrun, arity, &got_out, &got_comp);
+            MergeIntersectRange(lrun, rrun, key, &got_out, &got_comp);
         EXPECT_GT(expect_n, 0);
         EXPECT_EQ(got_n, expect_n);
         EXPECT_EQ(got_comp, expect_comp);
@@ -664,10 +703,13 @@ TEST(KeyPrefixParityTest, CrossPositionJoinMatchesPlainComparator) {
   const std::vector<std::pair<std::vector<int>, std::vector<int>>> keys = {
       {{0}, {1}}, {{2}, {0}}, {{2, 0}, {0, 1}}, {{1, 2}, {2, 0}}};
   uint64_t seed = 300;
-  for (const auto& [lkey, rkey] : keys) {
-    SCOPED_TRACE("left key " + KeyName(lkey) + " right key " + KeyName(rkey));
-    std::vector<Tuple> left_tuples = AdversarialTuples(ls, 250, ++seed);
-    std::vector<Tuple> right_tuples = AdversarialTuples(rs, 250, ++seed);
+  for (const auto& [lcolumns, rcolumns] : keys) {
+    SCOPED_TRACE("left key " + KeyName(lcolumns) + " right key " +
+                 KeyName(rcolumns));
+    const Key lkey = KeyOf(ls, lcolumns);
+    const Key rkey = KeyOf(rs, rcolumns);
+    const StoredRows left_tuples(AdversarialTuples(ls, 250, ++seed));
+    const StoredRows right_tuples(AdversarialTuples(rs, 250, ++seed));
     const auto arity = static_cast<size_t>(ls.num_columns());
     const KeyedRun lrun = SortedRun(left_tuples, lkey);
     const KeyedRun rrun = SortedRun(right_tuples, rkey);
@@ -695,9 +737,8 @@ TEST(KeyPrefixParityTest, PartitionAndLowerBoundMatchPlainComparator) {
   for (const Schema& schema : ParitySchemas()) {
     for (const std::vector<int>& key_or_all : kParityKeys) {
       SCOPED_TRACE(schema.ToString() + " key " + KeyName(key_or_all));
-      const std::vector<int> key =
-          Columns(key_or_all, static_cast<size_t>(schema.num_columns()));
-      std::vector<Tuple> tuples = AdversarialTuples(schema, 500, ++seed);
+      const Key key = Columns(key_or_all, schema);
+      const StoredRows tuples(AdversarialTuples(schema, 500, ++seed));
       const KeyedRun keyed = SortedRun(tuples, key);
       const Rows run = HandlesOf(keyed);
       for (size_t min_chunk : {size_t{1}, size_t{7}, size_t{40}}) {
@@ -707,13 +748,13 @@ TEST(KeyPrefixParityTest, PartitionAndLowerBoundMatchPlainComparator) {
                   reference::PartitionSortedRun(run, key, 32, min_chunk))
             << min_chunk;
       }
-      std::vector<Tuple> probes = AdversarialTuples(schema, 60, ++seed);
-      for (const Tuple& probe : probes) {
-        const std::vector<int> lead = {key[0]};
+      const StoredRows probes(AdversarialTuples(schema, 60, ++seed));
+      for (Row probe : probes.rows()) {
         const KeyedRow keyed_probe{
-            KeyPrefix(probe[static_cast<size_t>(lead[0])]), probe.data()};
+            KeyPrefix(probe[static_cast<size_t>(key[0].column)], key[0].type),
+            probe.data()};
         EXPECT_EQ(LowerBoundCrossKey(keyed, key, keyed_probe, key),
-                  reference::LowerBoundCrossKey(run, key, RowOf(probe), key));
+                  reference::LowerBoundCrossKey(run, key, probe, key));
       }
     }
   }

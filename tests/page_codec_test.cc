@@ -22,36 +22,48 @@ Schema Mixed() {
                  {"s", DataType::kString, 8}});
 }
 
-// A mixed int64/double/string relation (0–8-byte strings) in 100-byte
-// blocks of four tuples whose last block is partial.
+// Mixed() and a CHAR(300) column whose strings run from empty to full
+// width, across the 255-byte limit of a one-byte length prefix, with NULs
+// inside them (trailing NULs are padding on disk).
+Schema MixedWide() {
+  std::vector<Column> columns = Mixed().columns();
+  columns.push_back({"w", DataType::kString, 300});
+  return Schema(std::move(columns));
+}
+
+std::string WideString(int i) {
+  static const size_t kLengths[] = {0, 300, 254, 255, 1, 299};
+  std::string s(kLengths[i % 6], static_cast<char>('A' + i % 26));
+  if (s.size() >= 3) s[s.size() / 2] = '\0';
+  return s;
+}
+
+// A mixed int64/double/string relation (0–8-byte strings in a CHAR(8),
+// 0–300-byte ones in a CHAR(300)) in 1300-byte blocks of four tuples whose
+// last block is partial.
 Result<Relation> MakeMixedRelation() {
-  auto rel = Relation::Create("mixed", Mixed(), /*block_bytes=*/100);
+  auto rel = Relation::Create("mixed", MixedWide(), /*block_bytes=*/1300);
   if (!rel.ok()) return rel;
   for (int i = 0; i < 23; ++i) {
     rel->AppendUnchecked({int64_t{7 * i - 50}, 0.5 * i - 3.0,
                           std::string(static_cast<size_t>(i % 9),
-                                      static_cast<char>('a' + i % 26))});
+                                      static_cast<char>('a' + i % 26)),
+                          WideString(i)});
   }
   return rel;
 }
 
 // A block holding `tuples` back to back.
-Block BlockOf(const std::vector<Tuple>& tuples) {
-  Block block;
-  for (const Tuple& t : tuples) {
-    block.cells.insert(block.cells.end(), t.begin(), t.end());
-  }
-  return block;
-}
+Block BlockOf(const std::vector<Tuple>& tuples) { return Block::Of(tuples); }
 
-// Row i of a block of 3-column rows.
+// Row i of a block of Mixed() rows.
 Tuple RowAt(const Block& block, size_t i) {
-  return ToTuple(BlockView(&block, 3).rows()[i], 3);
+  return ToTuple(BlockView(&block, 3).rows()[i], Mixed());
 }
 
-// Compares two 3-column rows.
-int CompareRows(Row a, Row b) {
-  return CompareTuples(ToTuple(a, 3), ToTuple(b, 3));
+// Compares two rows of `schema`.
+int CompareRows(Row a, Row b, const Schema& schema) {
+  return CompareTuples(ToTuple(a, schema), ToTuple(b, schema));
 }
 
 std::string TempDir() {
@@ -138,7 +150,8 @@ TEST(RelationFileTest, RoundTripPaperRelation) {
     BlockView copy = loaded->ViewBlock(b);
     ASSERT_EQ(orig.rows().size(), copy.rows().size()) << b;
     for (size_t i = 0; i < orig.rows().size(); ++i) {
-      ASSERT_EQ(CompareRows(orig.rows()[i], copy.rows()[i]), 0);
+      ASSERT_EQ(CompareRows(orig.rows()[i], copy.rows()[i], (*rel)->schema()),
+                0);
     }
   }
 }
@@ -224,7 +237,7 @@ TEST(RelationFileTest, VersionOneFileStillLoads) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->name(), "v1");
   ASSERT_EQ(loaded->NumTuples(), 1);
-  EXPECT_EQ(std::get<int64_t>(loaded->ViewBlock(0).rows()[0][0]), 7);
+  EXPECT_EQ(loaded->ViewBlock(0).rows()[0][0].int64(), 7);
 }
 
 // A page holding fewer rows than the blocking factor, followed by more
@@ -268,7 +281,7 @@ TEST(RelationFileTest, ShortMiddlePageLoadsPacked) {
   for (int64_t b = 0; b < loaded->NumBlocks(); ++b) {
     ASSERT_EQ(loaded->ViewBlock(b).num_rows(), 2);
     for (Row row : loaded->ViewBlock(b).rows()) {
-      EXPECT_EQ(std::get<int64_t>(row[0]), expect++);
+      EXPECT_EQ(row[0].int64(), expect++);
     }
   }
 }
@@ -310,8 +323,8 @@ TEST(ColumnarPageCodecTest, ColumnMajorByteOrder) {
 }
 
 // Every version round-trips two inputs row for row: the paper relation,
-// and a mixed int64/double/string relation (0–8-byte strings) in 100-byte
-// blocks whose last block is partial.
+// and the mixed relation, whose strings run from empty to full width and
+// whose last block is partial.
 TEST(RelationFileTest, ExplicitVersionRoundTrips) {
   auto w = MakeSelectionWorkload(50, 23);
   ASSERT_TRUE(w.ok());
@@ -338,7 +351,8 @@ TEST(RelationFileTest, ExplicitVersionRoundTrips) {
         BlockView copy = loaded->ViewBlock(b);
         ASSERT_EQ(orig.rows().size(), copy.rows().size());
         for (size_t i = 0; i < orig.rows().size(); ++i) {
-          ASSERT_EQ(CompareRows(orig.rows()[i], copy.rows()[i]), 0)
+          ASSERT_EQ(CompareRows(orig.rows()[i], copy.rows()[i], rel->schema()),
+                    0)
               << label << " version " << version << " block " << b;
         }
       }
@@ -400,11 +414,13 @@ TEST(RelationFileTest, ConvertRoundTripsAcrossVersions) {
   for (int64_t b = 0; b < (*rel)->NumBlocks(); ++b) {
     BlockView orig = (*rel)->ViewBlock(b);
     for (size_t i = 0; i < orig.rows().size(); ++i) {
-      ASSERT_EQ(
-          CompareRows(orig.rows()[i], from_v3->ViewBlock(b).rows()[i]), 0);
-      ASSERT_EQ(
-          CompareRows(orig.rows()[i], from_back->ViewBlock(b).rows()[i]),
-          0);
+      ASSERT_EQ(CompareRows(orig.rows()[i], from_v3->ViewBlock(b).rows()[i],
+                            (*rel)->schema()),
+                0);
+      ASSERT_EQ(CompareRows(orig.rows()[i],
+                            from_back->ViewBlock(b).rows()[i],
+                            (*rel)->schema()),
+                0);
     }
   }
 }

@@ -64,7 +64,7 @@ TEST(SortAllocationTest, SortAllocatesNoRunSizedBuffer) {
     rows.insert(rows.end(), block.begin(), block.end());
   }
   ASSERT_EQ(rows.size(), 100000u);
-  const std::vector<int> key = {1};
+  const Key key = KeyOf(rel->schema(), {1});
 
   KeyedRun serial(rows.size());
   int64_t serial_comp = 0;

@@ -468,16 +468,26 @@ TEST_F(JoinMaterializationTest, SumOverRootJoinMatchesExact) {
 
 /// Runs borrow block memory owned by the relations the scan nodes hold, so
 /// stages keep running after the catalog — and every other handle on the
-/// relations — is gone. Under AddressSanitizer (ci.sh asan) any read of a
-/// freed block would fail this test.
+/// relations — is gone. Each row carries a string, so the intersection
+/// compares string cells the joins copied into their output, whose bytes
+/// lie in the scanned blocks. Under AddressSanitizer (ci.sh asan) any read
+/// of a freed block would fail this test.
 TEST(StagedLifetimeTest, StagesRunAfterTheCatalogIsDestroyed) {
   auto catalog = std::make_unique<Catalog>();
-  {
-    std::vector<std::pair<int64_t, int64_t>> rows;
-    for (int64_t i = 0; i < 64; ++i) rows.push_back({i % 16, i});
-    for (const char* name : {"A", "B", "C", "D"}) {
-      ASSERT_TRUE(catalog->Register(MakeRel(name, rows)).ok());
+  const Schema schema({{"k", DataType::kInt64, 0},
+                       {"v", DataType::kInt64, 0},
+                       {"s", DataType::kString, 8}});
+  for (const char* name : {"A", "B", "C", "D"}) {
+    auto rel = Relation::Create(name, schema, /*block_bytes=*/96);  // bf = 4
+    ASSERT_TRUE(rel.ok());
+    for (int64_t i = 0; i < 64; ++i) {
+      ASSERT_TRUE(rel->Append({i % 16, i,
+                               std::string(static_cast<size_t>(i % 9),
+                                           static_cast<char>('a' + i % 5))})
+                      .ok());
     }
+    ASSERT_TRUE(
+        catalog->Register(std::make_shared<Relation>(std::move(*rel))).ok());
   }
   auto term = Select(Intersect(Join(Scan("A"), Scan("B"), {{"k", "k"}}),
                                Join(Scan("C"), Scan("D"), {{"k", "k"}})),

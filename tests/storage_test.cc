@@ -173,6 +173,16 @@ TEST(RelationDeathTest, OverwideStringAbortsNamingItsColumn) {
                "185-byte string does not fit column 2, a CHAR.184.");
 }
 
+// A cell is read as its column's type, so a value of another type would
+// be misread: the unchecked append stops the process in every build type.
+TEST(RelationDeathTest, WrongTypeAbortsNamingItsColumn) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto rel = Relation::Create("r", PaperSchema());
+  ASSERT_TRUE(rel.ok());
+  EXPECT_DEATH(rel->AppendUnchecked({int64_t{1}, 2.5, std::string()}),
+               "a double value was appended to int64 column 'key'");
+}
+
 // A row of the wrong arity would shift every later row of its block, so
 // the unchecked append stops the process in every build type.
 TEST(RelationDeathTest, WrongArityAbortsNamingRelationAndArities) {
@@ -187,8 +197,8 @@ TEST(RelationDeathTest, WrongArityAbortsNamingRelationAndArities) {
 }
 
 // ---------------------------------------------------------------------------
-// Flat block rows: a block keeps its rows back to back in one cell array,
-// allocated once at blocking factor × arity cells.
+// Flat block rows: a block keeps its rows' 8-byte cells back to back and
+// its strings' bytes behind them, in one allocation made once.
 // ---------------------------------------------------------------------------
 
 TEST(BlockLayoutTest, RowsLieArityCellsApart) {
@@ -202,9 +212,8 @@ TEST(BlockLayoutTest, RowsLieArityCellsApart) {
   for (int64_t b = 0; b < rel->NumBlocks(); ++b) {
     const RowRange rows = rel->ViewBlock(b).rows();
     for (size_t r = 0; r < rows.size(); ++r, ++id) {
-      EXPECT_EQ(std::get<int64_t>(rows[r][0]), id);
-      EXPECT_EQ(std::get<std::string>(rows[r][2]).size(),
-                static_cast<size_t>(id));
+      EXPECT_EQ(rows[r][0].int64(), id);
+      EXPECT_EQ(rows[r][2].string().size(), static_cast<size_t>(id));
       if (r + 1 < rows.size()) {
         EXPECT_EQ(rows[r + 1].data(), rows[r].data() + 3) << b << " " << r;
       }
@@ -229,9 +238,9 @@ TEST(BlockLayoutTest, RowAddressSurvivesLaterAppends) {
   // use-after-free that the asan build reports.
   EXPECT_EQ(rel->ViewBlock(0).rows()[1], middle);
   EXPECT_EQ(rel->ViewBlock(0).rows()[2], last);
-  EXPECT_EQ(std::get<int64_t>(middle[0]), 1);
-  EXPECT_EQ(std::get<int64_t>(last[0]), 2);
-  EXPECT_EQ(std::get<std::string>(last[2]), "x");
+  EXPECT_EQ(middle[0].int64(), 1);
+  EXPECT_EQ(last[0].int64(), 2);
+  EXPECT_EQ(last[2].string(), "x");
 }
 
 // The sanitizers replace glibc's allocator, which mallinfo2 reports on.
@@ -246,12 +255,15 @@ TEST(BlockLayoutTest, PaperBlockCostsOneCellArray) {
   const int64_t after = heap_bytes();
   ASSERT_NE(rel, nullptr);
   ASSERT_EQ(rel->NumBlocks(), 100000);
-  // Per block: 15 cells of 40 bytes in one 608-byte heap chunk, plus the
-  // block's 24-byte record in the block table.
+  // Per block: one 160-byte heap chunk holding the 8-byte header, 15
+  // eight-byte cells and five one-byte payloads behind one-byte length
+  // prefixes (138 bytes), plus the block's 8-byte entry in the block table.
+  // Wider cells, a four-byte length field or a second allocation per
+  // block all cost more than the band allows.
   const double per_block = static_cast<double>(after - before) /
                            static_cast<double>(rel->NumBlocks());
-  EXPECT_LE(per_block, 640.0);
-  EXPECT_GE(per_block, 600.0);
+  EXPECT_LE(per_block, 172.0);
+  EXPECT_GE(per_block, 164.0);
 }
 #endif
 

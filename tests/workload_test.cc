@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "exec/exact.h"
 
@@ -48,7 +49,7 @@ TEST(SelectionWorkloadTest, QualifyingTuplesScattered) {
   int qualifying = 0;
   for (int64_t b = 0; b < 10; ++b) {
     for (Row t : (*rel)->ViewBlock(b).rows()) {
-      if (std::get<int64_t>(t[1]) < 2000) ++qualifying;
+      if (t[1].int64() < 2000) ++qualifying;
     }
   }
   EXPECT_GT(qualifying, 1);
@@ -107,7 +108,7 @@ TEST(UniformRelationTest, GeometryAndKeys) {
   EXPECT_EQ(rel->NumTuples(), 500);
   for (int64_t b = 0; b < rel->NumBlocks(); ++b) {
     for (Row t : rel->ViewBlock(b).rows()) {
-      int64_t key = std::get<int64_t>(t[1]);
+      int64_t key = t[1].int64();
       EXPECT_GE(key, 0);
       EXPECT_LT(key, 10);
     }
@@ -122,8 +123,10 @@ TEST(WorkloadTest, DifferentSeedsDifferentLayouts) {
   auto ra = a->catalog.Find("r1");
   auto rb = b->catalog.Find("r1");
   // First block should differ with overwhelming probability.
-  EXPECT_NE(CompareTuples(ToTuple((*ra)->ViewBlock(0).rows()[0], 3),
-                          ToTuple((*rb)->ViewBlock(0).rows()[0], 3)),
+  EXPECT_NE(CompareTuples(ToTuple((*ra)->ViewBlock(0).rows()[0],
+                                  (*ra)->schema()),
+                          ToTuple((*rb)->ViewBlock(0).rows()[0],
+                                  (*rb)->schema())),
             0);
 }
 
@@ -136,17 +139,19 @@ TEST(WorkloadTest, DifferentSeedsDifferentLayouts) {
 // ---------------------------------------------------------------------------
 
 // FNV-1a over a relation: per block its row count, then per row each
-// cell's alternative and bytes.
+// cell's type (numbered as Value's alternatives) and bytes.
 class CatalogDigest {
  public:
   void Add(const Relation& rel) {
-    const auto arity = static_cast<size_t>(rel.schema().num_columns());
+    const Schema& schema = rel.schema();
     Mix(static_cast<uint64_t>(rel.NumBlocks()));
     for (int64_t b = 0; b < rel.NumBlocks(); ++b) {
       const auto rows = rel.ViewBlock(b).rows();
       Mix(static_cast<uint64_t>(rows.size()));
       for (const auto& row : rows) {
-        for (size_t c = 0; c < arity; ++c) AddValue(row[c]);
+        for (int c = 0; c < schema.num_columns(); ++c) {
+          AddCell(row[static_cast<size_t>(c)], schema.column(c).type);
+        }
       }
     }
   }
@@ -167,16 +172,17 @@ class CatalogDigest {
   }
 
  private:
-  void AddValue(const Value& v) {
-    Mix(v.index());
-    if (const int64_t* i = std::get_if<int64_t>(&v)) {
-      Mix(static_cast<uint64_t>(*i));
-    } else if (const double* d = std::get_if<double>(&v)) {
+  void AddCell(Cell cell, DataType type) {
+    Mix(static_cast<uint64_t>(type));
+    if (type == DataType::kInt64) {
+      Mix(static_cast<uint64_t>(cell.int64()));
+    } else if (type == DataType::kDouble) {
+      const double d = cell.float64();
       uint64_t bits = 0;
-      std::memcpy(&bits, d, sizeof(bits));
+      std::memcpy(&bits, &d, sizeof(bits));
       Mix(bits);
     } else {
-      const std::string& s = std::get<std::string>(v);
+      const std::string_view s = cell.string();
       Mix(s.size());
       for (char ch : s) Byte(static_cast<uint8_t>(ch));
     }
